@@ -14,7 +14,7 @@ from .dde_solver import SigmaSolution, perturbation_gap, solve_sigma
 from .errors import BudgetError, ContractError, GridError, ValidationError
 from .kernels import (GridFunction, StepFunction, convolve, dickman_rho,
                       dickman_rho_grid, rho_minus, rho_minus_correction,
-                      rho_minus_grid, step_eval)
+                      rho_minus_grid)
 from .series_bounds import (BoundsReport, complex_bounds, iterated_integral,
                             sandwich, sigma_partial, tail_envelope)
 from .spectrum_region import (RegionCloud, SetSpec, ang, containment_report,
@@ -44,6 +44,6 @@ __all__ = [
     "perturbation_gap", "power_residue_log_density_bound",
     "projection_auxiliary_minimum", "rho_minus", "rho_minus_correction",
     "rho_minus_grid", "sandwich", "sector_set_contour", "sieve_sums",
-    "sigma_partial", "solve_sigma", "special_radii", "step_eval",
-    "subset_sum_counts", "tail_envelope", "truncated_kernel_min_mean",
+    "sigma_partial", "solve_sigma", "special_radii", "subset_sum_counts",
+    "tail_envelope", "truncated_kernel_min_mean",
 ]

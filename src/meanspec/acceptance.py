@@ -35,12 +35,12 @@ class CheckResult:
 
 
 def _run(name: str, body) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, detail = body()
     except ContractError as exc:
         passed, detail = False, f"contract violated: {exc}"
-    return CheckResult(name, passed, detail, time.time() - t0)
+    return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
 def random_real_kernel(rng, h_align: float, u_span: float, n_levels: int) -> StepFunction:

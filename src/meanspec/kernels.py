@@ -12,6 +12,7 @@ integral correction that the signed variant picks up past u = 2.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from bisect import bisect_right
@@ -53,6 +54,9 @@ class StepFunction:
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail", tail)
+        if not (all(map(math.isfinite, breaks))
+                and all(map(cmath.isfinite, values + (tail,)))):
+            raise ValidationError("kernel breakpoints and values must be finite")
         if len(breaks) != len(values):
             raise ValidationError("need exactly one value per segment before each break")
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
@@ -129,11 +133,6 @@ class StepFunction:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ValidationError(f"malformed kernel JSON: {exc}") from None
         return cls(breaks, values, tail)
-
-
-def step_eval(chi: StepFunction, t: float) -> complex:
-    """Kernel value at t, right-continuous at the breakpoints."""
-    return chi(t)
 
 
 @dataclass(frozen=True)

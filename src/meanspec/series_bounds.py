@@ -6,6 +6,13 @@ so the step kernel's jumps never contaminate a quadrature node.  The
 alternating partial sums sigma_k = sum_{j<=k} (-1)^j I_j / j! sandwich the
 true solution for real kernels; for complex kernels the analogous moments
 of 1 - Re(chi) and |Im(chi)| bound the real and imaginary parts.
+
+Every power comes from one engine, _PanelConvolution: it folds the left and
+right panel-end trapezoid sums into one kernel, transforms that kernel once,
+and then spends one forward and one inverse FFT per power.  kappa vanishes
+below its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j
+vanishes on the nodes <= j*p0; a power with j*p0 >= n - 1 is exactly zero
+on the whole grid and is not computed.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 from .dde_solver import solve_sigma
 from .errors import ContractError, ValidationError
@@ -29,49 +36,70 @@ def _envelope_slack(h: float) -> float:
     return 1e-6 + QUAD_SLACK_COEFF * h * h
 
 
-def _panel_kernel(chi: StepFunction, n_nodes: int, h: float, transform: str):
-    """Left/right panel endpoint values of the transformed kernel.
+class _PanelConvolution:
+    """Trapezoid rule for F -> int_0^{u_i} k(t) F(u_i - t) dt on n nodes.
 
-    Returns arrays of length n_nodes - 1; entry j holds the limit of the
-    transformed kernel at the left (right) end of panel [jh, (j+1)h) taken
-    from inside the panel.
+    left[j] and right[j] (length n - 1) are the limits of the kernel k at
+    the left and right end of panel [jh, (j+1)h), taken from inside the
+    panel.  The two end sums share one folded kernel w[j] = left[j] +
+    right[j-1], whose transform is taken once.
     """
-    c = chi.panel_values(n_nodes - 1, h)
-    if transform == "one_minus_over_t":
-        g = 1.0 - c
-    elif transform == "one_minus":
-        g = 1.0 - c
-        return g, g
-    elif transform == "one_minus_re_over_t":
-        g = 1.0 - c.real if np.iscomplexobj(c) else 1.0 - c
-    elif transform == "abs_im_over_t":
-        g = np.abs(c.imag) if np.iscomplexobj(c) else np.zeros(len(c))
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    t_left = h * np.arange(n_nodes - 1)
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, h: float):
+        n = len(left) + 1
+        w = np.zeros(n, dtype=np.result_type(left, right))
+        w[:-1] = left
+        w[1:] += right
+        support = np.flatnonzero((left != 0) | (right != 0))
+        # First panel on which the kernel is nonzero (n - 1 if there is none).
+        self._p0 = int(support[0]) if support.size else n - 1
+        self._left, self._h, self._dtype = left, h, w.dtype
+        self._size = sfft.next_fast_len(2 * n - 1, real=True)
+        if np.iscomplexobj(w):
+            self._fwd, self._inv = sfft.fft, sfft.ifft
+        else:
+            self._fwd, self._inv = sfft.rfft, sfft.irfft
+        self._w_hat = self._fwd(w, self._size)
+
+    def __call__(self, F: np.ndarray) -> np.ndarray:
+        n = len(F)
+        conv = self._inv(self._fwd(F, self._size) * self._w_hat, self._size)[:n]
+        conv[:-1] -= self._left * F[0]
+        out = 0.5 * self._h * conv
+        out[0] = 0
+        return out
+
+    def powers(self, k: int):
+        """Yield I_0 = 1, I_1, ..., I_k; powers with j*p0 >= n - 1 are exact zeros."""
+        n = len(self._left) + 1
+        cur = np.ones(n, dtype=self._dtype)
+        yield cur
+        for j in range(1, k + 1):
+            cur = self(cur) if j * self._p0 < n - 1 else np.zeros(n, dtype=self._dtype)
+            yield cur
+
+
+def _kappa(g: np.ndarray, h: float) -> _PanelConvolution:
+    """Engine for kappa = g/t, given the panel values g of the numerator."""
+    t_left = h * np.arange(len(g))
     left = np.zeros_like(g)
     left[1:] = g[1:] / t_left[1:]
-    right = g / (t_left + h)
-    return left, right
-
-
-def _convolve_panel(F: np.ndarray, left: np.ndarray, right: np.ndarray,
-                    h: float) -> np.ndarray:
-    """Trapezoid of int_0^{u_i} kappa(t) F(u_i - t) dt with panel-sided kappa."""
-    n = len(F)
-    A = signal.convolve(left, F, method="auto")[:n]
-    A[: n - 1] -= left * F[0]
-    B = np.zeros(n, dtype=np.result_type(right, F))
-    B[1:] = signal.convolve(right, F, method="auto")[: n - 1]
-    out = 0.5 * h * (A + B)
-    out[0] = 0
-    return out
+    return _PanelConvolution(left, g / (t_left + h), h)
 
 
 def _nodes(u_max: float, h: float) -> int:
-    if u_max <= 0 or h <= 0:
-        raise ValidationError("u_max and h must be positive")
+    if not (math.isfinite(u_max) and math.isfinite(h)) or u_max <= 0 or h <= 0:
+        raise ValidationError("u_max and h must be positive and finite")
     return int(math.ceil(u_max / h - 1e-9)) + 1
+
+
+def _partial_sums(chi: StepFunction, k: int, n: int, h: float) -> list:
+    """sigma_0, ..., sigma_k: the alternating partial sums of the powers."""
+    powers = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
+    sums = [next(powers)]
+    for j, power in enumerate(powers, start=1):
+        sums.append(sums[-1] + ((-1) ** j / math.factorial(j)) * power)
+    return sums
 
 
 def iterated_integral(chi: StepFunction, k: int, u_max: float,
@@ -80,12 +108,8 @@ def iterated_integral(chi: StepFunction, k: int, u_max: float,
     if k < 0:
         raise ValidationError("k must be nonnegative")
     n = _nodes(u_max, h)
-    cur = np.ones(n, dtype=np.complex128 if not chi.is_real else np.float64)
-    if k:
-        left, right = _panel_kernel(chi, n, h, "one_minus_over_t")
-        for _ in range(k):
-            cur = _convolve_panel(cur, left, right, h)
-    return GridFunction(h, cur)
+    powers = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
+    return GridFunction(h, list(powers)[k])
 
 
 def sigma_partial(chi: StepFunction, k: int, u_max: float,
@@ -93,18 +117,7 @@ def sigma_partial(chi: StepFunction, k: int, u_max: float,
     """Alternating partial sum sigma_k = sum_{j=0}^{k} (-1)^j I_j / j!."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    n = _nodes(u_max, h)
-    dtype = np.float64 if chi.is_real else np.complex128
-    cur = np.ones(n, dtype=dtype)
-    total = cur.copy()
-    if k:
-        left, right = _panel_kernel(chi, n, h, "one_minus_over_t")
-        sign, fact = 1.0, 1.0
-        for j in range(1, k + 1):
-            cur = _convolve_panel(cur, left, right, h)
-            sign, fact = -sign, fact * j
-            total = total + (sign / fact) * cur
-    return GridFunction(h, total)
+    return GridFunction(h, _partial_sums(chi, k, _nodes(u_max, h), h)[k])
 
 
 def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
@@ -168,16 +181,7 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     k_lo = 2 * ((k_max - 1) // 2) + 1
     k_up = 2 * (k_max // 2)
     n = _nodes(u_max, h)
-    left, right = _panel_kernel(chi, n, h, "one_minus_over_t")
-    cur = np.ones(n)
-    partial = cur.copy()
-    partials = {0: partial.copy()}
-    sign, fact = 1.0, 1.0
-    for j in range(1, max(k_lo, k_up) + 1):
-        cur = _convolve_panel(cur, left, right, h)
-        sign, fact = -sign, fact * j
-        partial = partial + (sign / fact) * cur
-        partials[j] = partial.copy()
+    partials = _partial_sums(chi, max(k_lo, k_up), n, h)
     lower = partials[k_lo]
     upper = partials[k_up]
 
@@ -201,13 +205,9 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     |Im chi|.
     """
     n = _nodes(u_max, h)
-    ones = np.ones(n)
-    lr, rr = _panel_kernel(chi, n, h, "one_minus_re_over_t")
-    li, ri = _panel_kernel(chi, n, h, "abs_im_over_t")
-    R1 = _convolve_panel(ones, lr, rr, h)
-    R2 = _convolve_panel(R1, lr, rr, h)
-    C1 = _convolve_panel(ones, li, ri, h)
-    C2 = _convolve_panel(C1, li, ri, h)
+    c = chi.panel_values(n - 1, h)
+    _, R1, R2 = _kappa(1.0 - c.real, h).powers(2)
+    _, C1, C2 = _kappa(np.abs(c.imag), h).powers(2)
 
     sol = solve_sigma(chi, u_max, h)
     chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values),

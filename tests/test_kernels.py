@@ -8,28 +8,28 @@ from hypothesis import strategies as st
 from meanspec.errors import GridError, ValidationError
 from meanspec.kernels import (SQRT_E, GridFunction, StepFunction, convolve,
                               dickman_rho, dickman_rho_grid, rho_minus,
-                              rho_minus_correction, rho_minus_grid, step_eval)
+                              rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
 
 class TestStepFunction:
     def test_initial_segment(self):
-        assert step_eval(CHI_MINUS_CUT, 0.5) == 1
+        assert CHI_MINUS_CUT(0.5) == 1
 
     def test_interval_lookup(self):
-        assert step_eval(CHI_MINUS_CUT, 1.5) == -1
+        assert CHI_MINUS_CUT(1.5) == -1
 
     def test_tail(self):
-        assert step_eval(CHI_MINUS_CUT, 3.0) == 0
+        assert CHI_MINUS_CUT(3.0) == 0
 
     def test_right_continuity_at_breaks(self):
-        assert step_eval(CHI_MINUS_CUT, 1.0) == -1
-        assert step_eval(CHI_MINUS_CUT, 2.0) == 0
+        assert CHI_MINUS_CUT(1.0) == -1
+        assert CHI_MINUS_CUT(2.0) == 0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValidationError):
-            step_eval(CHI_MINUS_CUT, -0.1)
+            CHI_MINUS_CUT(-0.1)
 
     def test_constant_one_kernel(self):
         chi = StepFunction()
@@ -41,6 +41,10 @@ class TestStepFunction:
         ((1.0, 1.0), (1.0, 0.0), 0.0),  # breaks not increasing
         ((1.0,), (1.0,), 1.5),        # tail outside disc
         ((1.0,), (1.0, 0.0), 0.0),    # length mismatch
+        ((1.0,), (1.0,), math.nan),   # NaN tail
+        ((1.0, math.inf), (1.0, 0.5), 0.0),  # infinite breakpoint
+        ((1.0, 2.0), (1.0, math.nan), 0.0),  # NaN value
+        ((1.0, 2.0), (1.0, complex(0.0, math.inf)), 0.0),  # infinite value
     ])
     def test_invalid_kernels_rejected(self, breaks, values, tail):
         with pytest.raises(ValidationError):
@@ -73,7 +77,7 @@ class TestStepFunction:
             k = make_complex_kernel(rng, 1e-3, 4.0, int(rng.integers(2, 6)))
             for t in rng.uniform(0.0, 1.0, 20):
                 if t < 1.0:
-                    assert step_eval(k, t) == 1
+                    assert k(t) == 1
 
     @given(st.floats(min_value=0.0, max_value=9.99))
     @settings(max_examples=80, deadline=None)

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import make_complex_kernel, make_real_kernel
 from meanspec.dde_solver import solve_sigma
 from meanspec.errors import ContractError, ValidationError
 from meanspec.kernels import GridFunction, StepFunction, convolve, rho_minus
-from meanspec.series_bounds import (_convolve_panel, _panel_kernel,
-                                    complex_bounds, iterated_integral,
-                                    sandwich, sigma_partial, tail_envelope)
+from meanspec.series_bounds import (_kappa, _PanelConvolution, complex_bounds,
+                                    iterated_integral, sandwich, sigma_partial,
+                                    tail_envelope)
 
 CHI_MINUS = StepFunction((1.0,), (1.0,), -1.0)
+CHI_REAL = StepFunction((1.0, 1.6, 2.35), (1.0, -0.8, 0.3), -0.5)
+CHI_COMPLEX = StepFunction((1.0, 1.5, 2.8), (1.0, 0.3 + 0.6j, -0.5 - 0.4j), 0.2j)
 
 
 def brute_force_double_integral(u: float, delta: float = 1e-3) -> float:
@@ -28,6 +31,29 @@ def brute_force_double_integral(u: float, delta: float = 1e-3) -> float:
                                 0.5 * np.maximum(1.0 + r, 0.0) ** 2), 0.0, 1.0)
         total += np.sum(frac * (2.0 / blk[:, None]) * (2.0 / mid[None, :]))
     return total * delta * delta
+
+
+def direct_powers(g, k: int, u_max: float, h: float) -> np.ndarray:
+    """I_0..I_k for kappa = g(t)/t by the O(n^2) trapezoid double sum.
+
+    g is read at panel midpoints; each panel [ph, (p+1)h) contributes the
+    trapezoid of its two inside limits of kappa against F at the panel ends.
+    """
+    n = round(u_max / h) + 1
+    gp = [g((p + 0.5) * h) for p in range(n - 1)]
+    powers = [[1.0] * n]
+    for _ in range(k):
+        F = powers[-1]
+        nxt = [0.0] * n
+        for i in range(1, n):
+            acc = 0.0
+            for p in range(i):
+                if p:
+                    acc += gp[p] / (p * h) * F[i - p]
+                acc += gp[p] / ((p + 1) * h) * F[i - p - 1]
+            nxt[i] = 0.5 * h * acc
+        powers.append(nxt)
+    return np.array(powers)
 
 
 class TestIteratedIntegral:
@@ -62,7 +88,8 @@ class TestRecurrence:
     def _residual(chi, j_max, u_max, h):
         n = round(u_max / h) + 1
         ones = GridFunction(h, np.ones(n))
-        left, right = _panel_kernel(chi, n, h, "one_minus")
+        g = 1.0 - chi.panel_values(n - 1, h)
+        one_minus = _PanelConvolution(g, g, h)
         cur = np.ones(n)
         worst = 0.0
         for j in range(1, j_max + 1):
@@ -70,7 +97,7 @@ class TestRecurrence:
             cur = iterated_integral(chi, j, u_max, h).samples
             lhs = (h * np.arange(n)) * cur
             rhs = (convolve(ones, GridFunction(h, cur)).samples
-                   + j * _convolve_panel(prev, left, right, h))
+                   + j * one_minus(prev))
             worst = max(worst, float(np.max(
                 np.abs(lhs - rhs) / np.maximum(h * np.arange(n), 1.0))))
         return worst
@@ -82,6 +109,51 @@ class TestRecurrence:
         for _ in range(3):
             k = make_real_kernel(rng, 1e-4, 3.5, 3)
             assert self._residual(k, 6, 4.0, 1e-4) <= 1e-8
+
+
+class TestEngine:
+    H, U = 0.05, 4.0
+
+    @pytest.mark.parametrize("chi", [CHI_REAL, CHI_COMPLEX], ids=["real", "complex"])
+    def test_powers_match_direct_sum(self, chi):
+        ref = direct_powers(lambda t: 1.0 - chi(t), 5, self.U, self.H)
+        for j in range(6):
+            got = iterated_integral(chi, j, self.U, self.H).samples
+            assert np.max(np.abs(got - ref[j])) <= 1e-12
+
+    @pytest.mark.parametrize("transform", [lambda z: 1.0 - z.real, lambda z: abs(z.imag)],
+                             ids=["one_minus_re", "abs_im"])
+    def test_complex_moment_kernels_match_direct_sum(self, transform):
+        n = round(self.U / self.H) + 1
+        got = _kappa(transform(CHI_COMPLEX.panel_values(n - 1, self.H)), self.H).powers(5)
+        ref = direct_powers(lambda t: transform(CHI_COMPLEX(t)), 5, self.U, self.H)
+        assert np.max(np.abs(np.array(list(got)) - ref)) <= 1e-12
+
+    def test_skipped_powers_are_exact_zeros(self):
+        # kappa starts at panel p0 = 1000 and n - 1 = 3000, so I_3 is skipped.
+        assert iterated_integral(CHI_MINUS, 2, 3.0, 1e-3).value_at(3.0) > 0.0
+        assert np.all(iterated_integral(CHI_MINUS, 3, 3.0, 1e-3).samples == 0.0)
+        for j in (1, 2, 3):
+            assert np.all(iterated_integral(StepFunction(), j, 4.0, 1e-3).samples == 0.0)
+
+    @pytest.mark.parametrize("chi, p0", [
+        (StepFunction((1.0, 3.2), (1.0, -0.4), 0.7), 1000),
+        (StepFunction((1.5,), (1.0,), -1.0), 1500),
+    ])
+    def test_sandwich_fft_calls(self, monkeypatch, chi, p0):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        sandwich(chi, 12, 8.0, 1e-3)
+        computed = sum(j * p0 < 8000 for j in range(1, 13))
+        assert len(calls) == 1 + 2 * computed
 
 
 class TestSigmaPartial:
@@ -138,6 +210,12 @@ class TestSandwich:
     def test_complex_kernel_rejected(self):
         with pytest.raises(ValidationError):
             sandwich(StepFunction((1.0,), (1.0,), 1j), 4, 3.0, 1e-3)
+
+    @pytest.mark.parametrize("u_max, h", [(math.nan, 1e-3), (math.inf, 1e-3),
+                                          (4.0, math.nan), (4.0, math.inf)])
+    def test_non_finite_grid_rejected(self, u_max, h):
+        with pytest.raises(ValidationError):
+            sandwich(CHI_MINUS, 4, u_max, h)
 
 
 class TestComplexBounds:
