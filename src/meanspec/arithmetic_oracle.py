@@ -258,36 +258,38 @@ def naive_sums(spec: MultiplicativeSpec, x: int):
     return partial, logsum
 
 
+def _step_sieve(chi: StepFunction, y: float, u: float):
+    """(sieve sums, y^u) for the step-mode f up to x = y^u."""
+    xf = float(y) ** u
+    if xf > MAX_SIEVE_X + 0.5:
+        raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
+    return sieve_sums(MultiplicativeSpec.step(chi, y), int(xf + 1e-9)), xf
+
+
 def mean_vs_sigma(chi: StepFunction, y: float, u: float, h: float = 1e-3):
     """(sieve mean, solver value, gap) at x = y^u for the step-mode f.
 
     The mean (1/y^u) sum_{n <= y^u} f(n) is compared against sigma(u); the
     gap is checked against the calibrated C*u/log(y) envelope.
     """
-    xf = float(y) ** u
-    if xf > MAX_SIEVE_X + 0.5:
-        raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
-    x = int(xf + 1e-9)
-    spec = MultiplicativeSpec.step(chi, y)
-    res = sieve_sums(spec, x)
+    res, xf = _step_sieve(chi, y, u)
     oracle = res.partial_sum / xf
-    sol = solve_sigma(chi, max(u, 1.0), h)
-    sigma_val = complex(sol.value_at(u))
-    gap = abs(oracle - sigma_val)
+    return (oracle, *_sigma_gap(chi, y, u, h, oracle))
+
+
+def _sigma_gap(chi: StepFunction, y: float, u: float, h: float, mean: complex):
+    """(sigma(u), gap) for a sieve mean, the gap checked against C*u/log(y)."""
+    sigma_val = complex(solve_sigma(chi, max(u, 1.0), h).value_at(u))
+    gap = abs(mean - sigma_val)
     cap = MEAN_GAP_CONSTANT * u / math.log(y)
     if gap > cap:
         raise ContractError(f"mean gap {gap:.4f} exceeds {cap:.4f}")
-    return oracle, sigma_val, gap
+    return sigma_val, gap
 
 
 def log_mean_vs_integral(chi: StepFunction, y: float, u: float, h: float = 1e-3):
     """(sieve logarithmic mean, averaged solver integral, gap) at x = y^u."""
-    xf = float(y) ** u
-    if xf > MAX_SIEVE_X + 0.5:
-        raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
-    x = int(xf + 1e-9)
-    spec = MultiplicativeSpec.step(chi, y)
-    res = sieve_sums(spec, x)
+    res, xf = _step_sieve(chi, y, u)
     oracle = res.log_sum / math.log(xf)
     sol = solve_sigma(chi, max(u, 1.0), h)
     C = sol.sigma.cumulative()

@@ -180,9 +180,10 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"cannot read spec file {args.spec}: {exc}")
     x = int(float(args.x))
     res = oracle.sieve_sums(spec, x)
+    mean = res.partial_sum / res.x
     payload = {
         "x": res.x,
-        "mean": [res.partial_sum.real / res.x, res.partial_sum.imag / res.x],
+        "mean": [mean.real, mean.imag],
         "log_sum": [res.log_sum.real, res.log_sum.imag],
         "theta": [res.theta.real, res.theta.imag],
         "prime_deficit": res.prime_deficit,
@@ -191,10 +192,10 @@ def _cmd_oracle(args) -> int:
         if spec.mode != "step":
             raise ValidationError("--compare-sigma needs a step-mode spec")
         u = math.log(x) / math.log(spec.y)
-        o, s, gap = oracle.mean_vs_sigma(spec.chi, spec.y, u, args.h)
+        s, gap = oracle._sigma_gap(spec.chi, spec.y, u, args.h, mean)
         payload["compare_sigma"] = {
             "u": u,
-            "oracle": [o.real, o.imag],
+            "oracle": [mean.real, mean.imag],
             "sigma": [s.real, s.imag],
             "gap": gap,
         }

@@ -5,8 +5,10 @@ each panel the convolution integrand is smooth and the composite trapezoid
 rule keeps its full second order.  The implicit node equation is linear in
 sigma(u_i); solving it exactly per step collapses, after telescoping the
 cumulative integral, into a two-term recurrence driven by the kernel's
-jumps.  Every solve re-checks the discrete convolution identity before
-returning.
+jumps.  Every jump lies at u >= 1, so the march advances a whole unit
+interval of nodes per numpy step.  Every solve re-checks the discrete
+convolution identity, built from the trapezoid antiderivative and not from
+the recurrence, before returning.
 """
 
 from __future__ import annotations
@@ -16,14 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GridError, ValidationError
+from .errors import BudgetError, ContractError, GridError, ValidationError
 from .kernels import ALIGN_TOL, GridFunction, StepFunction
 
 #: Residual contract of the solver: |u*sigma(u) - trapz(sigma*chi)(u)| <= RESIDUAL_TOL * u.
 RESIDUAL_TOL = 1e-9
 
+#: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4).
+MAX_SOLVER_NODES = 10 ** 7
+
+
+def _check_grid(u_max: float, h: float) -> None:
+    """Reject a non-finite or non-positive u_max or h, and over-budget grids."""
+    if not (math.isfinite(u_max) and math.isfinite(h)) or u_max <= 0 or h <= 0:
+        raise ValidationError("u_max and h must be positive and finite")
+    if u_max / h > MAX_SOLVER_NODES:
+        raise BudgetError(f"u_max/h = {u_max / h:.3g} exceeds the budget {MAX_SOLVER_NODES}")
+
 
 def _grid_size(u_max: float, h: float) -> int:
+    _check_grid(u_max, h)
     if u_max < 1.0:
         raise ValidationError("u_max must be at least 1")
     m1 = round(1.0 / h)
@@ -32,60 +46,51 @@ def _grid_size(u_max: float, h: float) -> int:
     return max(int(math.ceil(u_max / h - ALIGN_TOL)), m1)
 
 
-def _march(jump_idx, jump_val, n: int, h: float, m1: int, complex_mode: bool):
-    zero = 0.0j if complex_mode else 0.0
-    sigma = [1.0 + 0.0j if complex_mode else 1.0] * (n + 1)
+def _march(jumps, n: int, h: float, m1: int, complex_mode: bool):
+    """sigma on nodes 0..n, one unit block [a, a + m1) per numpy step.
+
+    Jump indices are >= m1, so a block's delayed reads all precede it; its
+    cumulative sum, seeded with sigma[a-1], adds in node-by-node order.
+    """
+    sigma = np.ones(n + 1, dtype=np.complex128 if complex_mode else np.float64)
     i0 = m1 + 1
     if i0 > n:
         return sigma
     # First node past u = 1 from the full trapezoid equation; in the all-ones
     # region the cumulative integral is exactly j*h.
-    d = zero
-    for mk, dk in zip(jump_idx, jump_val):
-        c_idx = i0 - mk
-        if c_idx > 0:
-            d += dk * (c_idx * h)
-    u0 = i0 * h
-    sigma[i0] = ((i0 - 1) * h + 0.5 * h + d) / (u0 - 0.5 * h)
+    d = sum(dk * ((i0 - mk) * h) for mk, dk in jumps if mk < i0)
+    sigma[i0] = ((i0 - 1) * h + 0.5 * h + d) / (i0 * h - 0.5 * h)
     # Beyond that, differencing consecutive node equations leaves a pure
     # jump-driven update (trapezoid of the delayed values, midpoint weight).
     half_h = 0.5 * h
-    for i in range(i0 + 1, n + 1):
-        s = zero
-        for mk, dk in zip(jump_idx, jump_val):
-            j = i - mk
-            if j >= 1:
-                s += dk * (sigma[j] + sigma[j - 1])
-        sigma[i] = sigma[i - 1] + half_h * s / (i * h - half_h)
+    for a in range(i0 + 1, n + 1, m1):
+        b = min(a + m1, n + 1)
+        s = np.zeros(b - a, dtype=sigma.dtype)
+        for mk, dk in jumps:
+            lo = max(a, mk + 1)  # first node whose delayed read j = i - mk is >= 1
+            if lo < b:
+                s[lo - a:] += dk * (sigma[lo - mk:b - mk] + sigma[lo - mk - 1:b - mk - 1])
+        step = half_h * s / (np.arange(a, b) * h - half_h)
+        step[0] += sigma[a - 1]
+        np.cumsum(step, out=sigma[a:b])
     return sigma
-
-
-def _shifted(C: np.ndarray, m: int) -> np.ndarray:
-    """Array with entry i equal to C[i-m], zero when i < m."""
-    if m <= 0:
-        return C
-    out = np.zeros_like(C)
-    if m < len(C):
-        out[m:] = C[:-m]
-    return out
 
 
 def trapezoid_convolution_with_kernel(sigma: np.ndarray, chi: StepFunction,
                                       h: float) -> np.ndarray:
-    """Panel-exact trapezoid values of (sigma * chi) at every grid node."""
-    gf = GridFunction(h, sigma)
-    C = gf.cumulative()
-    segs = chi.segment_values()
-    marks = [0] + [round(b / h) for b in chi.breaks]
-    T = np.zeros_like(C)
-    for k, v in enumerate(segs):
-        lo = marks[k]
-        upper = _shifted(C, lo)
-        if k + 1 < len(marks):
-            upper = upper - _shifted(C, marks[k + 1])
-        T = T + v * upper
-    if chi.is_real and not np.iscomplexobj(sigma):
-        T = T.real
+    """Panel-exact trapezoid values of (sigma * chi) at every grid node.
+
+    A segment of value v on [lo*h, hi*h) adds v*(C(u - lo*h) - C(u - hi*h)),
+    C the trapezoid antiderivative of sigma, in place where each shift is >= 0.
+    """
+    C = GridFunction(h, sigma).cumulative()
+    n = len(C)
+    T = np.zeros(n, dtype=C.dtype if chi.is_real else np.complex128)
+    marks = [0] + [min(round(b / h), n) for b in chi.breaks] + [n]
+    for v, lo, hi in zip(chi.segment_values(), marks, marks[1:]):
+        v = v.real if chi.is_real else v
+        T[lo:] += v * C[:n - lo]
+        T[hi:] -= v * C[:n - hi]
     return T
 
 
@@ -112,15 +117,14 @@ def solve_sigma(chi: StepFunction, u_max: float, h: float,
     The grid step must divide 1.0 and every breakpoint of chi.  The returned
     samples satisfy the discrete equation to RESIDUAL_TOL * u per node.
     """
-    chi.require_aligned(h)
     n = _grid_size(u_max, h)
+    chi.require_aligned(h)
     m1 = round(1.0 / h)
     jumps = [(round(b / h), dv) for b, dv in chi.jumps() if round(b / h) <= n]
     complex_mode = not chi.is_real
     if not complex_mode:
         jumps = [(m, dv.real) for m, dv in jumps]
-    sigma = np.array(_march([m for m, _ in jumps], [dv for _, dv in jumps],
-                            n, h, m1, complex_mode))
+    sigma = _march(jumps, n, h, m1, complex_mode)
 
     if check_residual:
         T = trapezoid_convolution_with_kernel(sigma, chi, h)

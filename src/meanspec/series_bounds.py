@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .dde_solver import solve_sigma
+from .dde_solver import _check_grid, solve_sigma
 from .errors import ContractError, ValidationError
 from .kernels import GridFunction, StepFunction
 
@@ -88,8 +88,7 @@ def _kappa(g: np.ndarray, h: float) -> _PanelConvolution:
 
 
 def _nodes(u_max: float, h: float) -> int:
-    if not (math.isfinite(u_max) and math.isfinite(h)) or u_max <= 0 or h <= 0:
-        raise ValidationError("u_max and h must be positive and finite")
+    _check_grid(u_max, h)
     return int(math.ceil(u_max / h - 1e-9)) + 1
 
 

@@ -47,6 +47,20 @@ class TestSolve:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [("--umax", "nan"), ("--umax", "inf"),
+                                             ("--h", "0"), ("--h", "nan")])
+    def test_non_finite_or_zero_exits_one(self, chi_file, capsys, flag, value):
+        args = {"--umax": "4", "--h": "1e-3", flag: value}
+        rc = main(["solve", "--chi", chi_file, *[t for kv in args.items() for t in kv]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_node_budget_exits_three(self, chi_file, capsys):
+        rc = main(["solve", "--chi", chi_file, "--umax", "1e9"])
+        assert rc == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestConstants:
     def test_json_payload(self, tmp_path, capsys):
@@ -125,6 +139,19 @@ class TestOracle:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["compare_sigma"]["gap"] <= 0.2
+
+    def test_compare_sigma_sieves_once(self, spec_file, capsys, monkeypatch):
+        from meanspec import arithmetic_oracle
+        calls = []
+        sieve = arithmetic_oracle.sieve_sums
+        monkeypatch.setattr(arithmetic_oracle, "sieve_sums",
+                            lambda *a, **kw: calls.append(a) or sieve(*a, **kw))
+        rc = main(["oracle", "--spec", spec_file, "--x", "1e5",
+                   "--compare-sigma"])
+        assert rc == 0
+        assert len(calls) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["compare_sigma"]["oracle"] == payload["mean"]
 
     def test_budget_exit_code(self, spec_file):
         assert main(["oracle", "--spec", spec_file, "--x", "1e9"]) == 3

@@ -4,15 +4,65 @@ import numpy as np
 import pytest
 
 from conftest import make_complex_kernel, make_real_kernel
-from meanspec.dde_solver import (kernel_sup_difference, perturbation_gap,
-                                 solve_sigma, trapezoid_convolution_with_kernel)
-from meanspec.errors import GridError, ValidationError
+from meanspec.dde_solver import (MAX_SOLVER_NODES, kernel_sup_difference,
+                                 perturbation_gap, solve_sigma,
+                                 trapezoid_convolution_with_kernel)
+from meanspec.errors import BudgetError, GridError, ValidationError
+from meanspec.kernels import GridFunction
 from meanspec.extremal_search import delta_constants
 from meanspec.kernels import (SQRT_E, StepFunction, dickman_rho_grid,
                               rho_minus_grid)
 
 CHI_MINUS = StepFunction((1.0,), (1.0,), -1.0)
 CHI_DICKMAN = StepFunction((1.0,), (1.0,), 0.0)
+
+
+def loop_march(chi, u_max, h):
+    """Reference march: the node-by-node recurrence in plain Python."""
+    m1 = round(1.0 / h)
+    n = max(int(math.ceil(u_max / h - 1e-9)), m1)
+    complex_mode = not chi.is_real
+    jumps = [(round(b / h), dv if complex_mode else dv.real)
+             for b, dv in chi.jumps() if round(b / h) <= n]
+    zero = 0.0j if complex_mode else 0.0
+    sigma = [1.0 + 0.0j if complex_mode else 1.0] * (n + 1)
+    i0 = m1 + 1
+    if i0 > n:
+        return np.array(sigma)
+    d = zero
+    for mk, dk in jumps:
+        if i0 - mk > 0:
+            d += dk * ((i0 - mk) * h)
+    sigma[i0] = ((i0 - 1) * h + 0.5 * h + d) / (i0 * h - 0.5 * h)
+    half_h = 0.5 * h
+    for i in range(i0 + 1, n + 1):
+        s = zero
+        for mk, dk in jumps:
+            j = i - mk
+            if j >= 1:
+                s += dk * (sigma[j] + sigma[j - 1])
+        sigma[i] = sigma[i - 1] + half_h * s / (i * h - half_h)
+    return np.array(sigma)
+
+
+def shifted_convolution(sigma, chi, h):
+    """Reference residual convolution built from zero-padded shifted copies."""
+    C = GridFunction(h, sigma).cumulative()
+
+    def shifted(m):
+        out = np.zeros_like(C)
+        if m < len(C):
+            out[m:] = C[:len(C) - m]
+        return out
+
+    marks = [0] + [round(b / h) for b in chi.breaks]
+    T = np.zeros(len(C), dtype=np.complex128)
+    for k, v in enumerate(chi.segment_values()):
+        upper = shifted(marks[k])
+        if k + 1 < len(marks):
+            upper = upper - shifted(marks[k + 1])
+        T = T + v * upper
+    return T.real if chi.is_real and not np.iscomplexobj(sigma) else T
 
 
 class TestSolveSigma:
@@ -133,3 +183,84 @@ class TestPerturbationGap:
             k2 = make_real_kernel(rng, 1e-3, 4.0, 3)
             gap, bound = perturbation_gap(k1, k2, 4.0, 1e-3)
             assert gap <= bound + 1e-6
+
+
+class TestBlockMarch:
+    """The unit-block march against the node-by-node loop."""
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_real_kernels_bit_identical(self, rng, h):
+        for _ in range(10):
+            k = make_real_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
+            got = solve_sigma(k, 6.0, h).sigma.samples
+            assert got.dtype == np.float64
+            assert np.array_equal(got, loop_march(k, 6.0, h))
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_complex_kernels_agree(self, rng, h):
+        for _ in range(10):
+            k = make_complex_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
+            got = solve_sigma(k, 6.0, h).sigma.samples
+            assert np.max(np.abs(got - loop_march(k, 6.0, h))) <= 1e-14
+
+    @pytest.mark.parametrize("breaks, values, tail", [
+        ((1.0,), (1.0,), -1.0),                  # jump exactly at 1: mk = m1
+        ((1.0, 2.0), (1.0, -1.0), 0.0),
+        ((1.0, 1.001, 1.002), (1.0, -1.0, 0.5), -0.25),
+        # block starts sit at nodes k*m1 + 2, so a jump at mk = k*m1 + 1 first
+        # acts on a block's first node; neighbours hit its second and last
+        ((2.001,), (1.0,), -1.0),
+        ((2.0, 3.002, 4.001), (1.0, 0.3, -0.7), 0.9),
+        ((1.999, 3.003), (1.0, -0.5), 0.5),
+        ((1.5, 2.5), (1.0, 1j), -0.6 - 0.2j),
+        ((1.0, 3.001), (1.0, -1j), 0.7),
+        ((9.0,), (1.0,), -1.0),                  # no jump inside the grid
+    ])
+    @pytest.mark.parametrize("u_max", [1.001, 1.002, 3.0, 3.0015, 4.7])
+    def test_edge_cases(self, breaks, values, tail, u_max):
+        # u_max = 1 + h and 1 + 2h give n = m1 + 1 and m1 + 2; 3.0015 and
+        # 4.7 end in a partial block
+        h = 1e-3
+        k = StepFunction(breaks, values, tail)
+        got = solve_sigma(k, u_max, h).sigma.samples
+        ref = loop_march(k, u_max, h)
+        assert len(got) == len(ref)
+        if k.is_real:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+class TestResidualConvolution:
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_matches_shifted_copy_form(self, rng, h):
+        cases = [make_real_kernel(rng, h, 7.0, 5) for _ in range(3)]
+        cases += [make_complex_kernel(rng, h, 7.0, 5) for _ in range(3)]
+        cases.append(StepFunction((1.0, 12.0), (1.0, -1.0), 0.5))  # break past the grid
+        for k in cases:
+            s = solve_sigma(k, 8.0, h, check_residual=False).sigma.samples
+            for sig in (s, s.astype(np.complex128)):
+                got = trapezoid_convolution_with_kernel(sig, k, h)
+                ref = shifted_convolution(sig, k, h)
+                assert got.dtype == ref.dtype
+                assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("u_max, h", [(math.nan, 1e-3), (math.inf, 1e-3),
+                                          (4.0, 0.0), (4.0, math.nan),
+                                          (4.0, -1e-3), (-2.0, 1e-3)])
+    def test_non_finite_or_non_positive_rejected(self, u_max, h):
+        with pytest.raises(ValidationError):
+            solve_sigma(CHI_MINUS, u_max, h)
+
+    @pytest.mark.parametrize("u_max, h", [(1e9, 1e-3), (1e300, 1e-3),
+                                          (2.0, 5e-324)])
+    def test_node_budget(self, u_max, h):
+        with pytest.raises(BudgetError):
+            solve_sigma(CHI_MINUS, u_max, h)
+
+    def test_budget_edge(self):
+        h = 1e-3
+        with pytest.raises(BudgetError):
+            solve_sigma(CHI_MINUS, (MAX_SOLVER_NODES + 1) * h, h)

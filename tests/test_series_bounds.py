@@ -6,7 +6,7 @@ import scipy.fft
 
 from conftest import make_complex_kernel, make_real_kernel
 from meanspec.dde_solver import solve_sigma
-from meanspec.errors import ContractError, ValidationError
+from meanspec.errors import BudgetError, ContractError, ValidationError
 from meanspec.kernels import GridFunction, StepFunction, convolve, rho_minus
 from meanspec.series_bounds import (_kappa, _PanelConvolution, complex_bounds,
                                     iterated_integral, sandwich, sigma_partial,
@@ -216,6 +216,12 @@ class TestSandwich:
     def test_non_finite_grid_rejected(self, u_max, h):
         with pytest.raises(ValidationError):
             sandwich(CHI_MINUS, 4, u_max, h)
+
+    def test_node_budget(self):
+        with pytest.raises(BudgetError):
+            sandwich(CHI_MINUS, 4, 1e9, 1e-3)
+        with pytest.raises(BudgetError):
+            iterated_integral(CHI_MINUS, 2, 1e5, 1e-3)
 
 
 class TestComplexBounds:
