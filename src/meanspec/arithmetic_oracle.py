@@ -1,18 +1,18 @@
 """Ground truth from actual integers.
 
-A segmented smallest-prime-factor sieve evaluates completely multiplicative
-functions exactly (each f(n) is the product of the supplied f(p) over the
-factorization of n), accumulating partial sums, logarithmic sums, Euler
-products, and the prime reciprocal deficit.  On top of it sit the
-mean-vs-solver comparisons, Kronecker symbols, averages over fundamental
-discriminants in a progression, the subset-sum counts behind the m-th power
-residue bounds, and exact logarithmic densities for root-of-unity valued
-functions.
+A segmented sieve evaluates completely multiplicative functions exactly:
+each segment applies f(p) along the strided multiples of every power of every
+prime up to sqrt(x), and the one cofactor left above sqrt(x) last, so f(n)
+is the product of the supplied f(p) over the factorization of n.  It
+accumulates partial sums, logarithmic sums, Euler products, and the prime
+reciprocal deficit.  On top of it sit the mean-vs-solver comparisons,
+Kronecker symbols, averages over fundamental discriminants in a progression,
+the subset-sum counts behind the m-th power residue bounds, and exact
+logarithmic densities for root-of-unity valued functions.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -40,8 +40,10 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # ~40 bytes of working arrays per candidate integer.
-    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 40))
+    # tracemalloc peaks at 93-100 bytes per segment integer in sieve_sums (85
+    # in mth_root_log_density), since the caller still holds one segment's
+    # arrays while the next is built; 112 leaves room for the fixed part.
+    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 112))
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -75,14 +77,15 @@ class MultiplicativeSpec:
     def __post_init__(self):
         object.__setattr__(self, "default", complex(self.default))
         if self.mode == "step":
-            if self.chi is None or self.y <= 1.0:
-                raise ValidationError("step mode needs a kernel and y > 1")
+            if self.chi is None or not 1.0 < self.y < math.inf:
+                raise ValidationError("step mode needs a kernel and a finite y > 1")
         elif self.mode == "table":
+            # Written so that NaN fails the comparison.
             for p, v in self.table.items():
-                if abs(complex(v)) > 1.0 + DISC_TOL:
-                    raise ValidationError(f"f({p}) = {v} outside the closed unit disc")
-            if abs(self.default) > 1.0 + DISC_TOL:
-                raise ValidationError("default value outside the closed unit disc")
+                if not abs(complex(v)) <= 1.0 + DISC_TOL:
+                    raise ValidationError(f"f({p}) = {v} is not in the closed unit disc")
+            if not abs(self.default) <= 1.0 + DISC_TOL:
+                raise ValidationError("default value is not in the closed unit disc")
         else:
             raise ValidationError(f"unknown spec mode {self.mode!r}")
 
@@ -119,15 +122,20 @@ class MultiplicativeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiplicativeSpec":
-        raw = json.loads(text)
-        if "y" in raw:
-            chi = StepFunction.from_json(json.dumps(
-                {k: raw[k] for k in ("breaks", "values", "tail")}))
-            return cls.step(chi, float(raw["y"]))
-        if "table" in raw:
-            table = {int(p): complex(re, im) for p, re, im in raw["table"]}
-            default = complex(*raw.get("default", [1.0, 0.0]))
-            return cls.from_table(table, default)
+        try:
+            raw = json.loads(text)
+            if "y" in raw:
+                chi = StepFunction.from_json(json.dumps(
+                    {k: raw[k] for k in ("breaks", "values", "tail")}))
+                return cls.step(chi, float(raw["y"]))
+            if "table" in raw:
+                table = {int(p): complex(re, im) for p, re, im in raw["table"]}
+                default = complex(*raw.get("default", [1.0, 0.0]))
+                return cls.from_table(table, default)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"malformed spec JSON: {exc}") from None
         raise ValidationError("spec JSON needs either 'y' (step mode) or 'table'")
 
 
@@ -168,26 +176,29 @@ def _check_budget(x: int) -> int:
     return x
 
 
-def _factor_segments(x: int):
-    """Yield (n, rem, touched) per segment: rem is n with all prime factors
-    <= sqrt(x) divided out, touched marks which positions got divided."""
-    base = primes_upto(math.isqrt(x))
+def _factor_segments(x: int, base, base_vals, op, identity, dtype):
+    """Yield (n, acc, rem) for each segment of [1, x].
+
+    Each power q = p^e <= hi of a base prime p <= sqrt(x) owns the strided
+    view [start::q] of the multiples of q: there the divided-out part s gains
+    a factor p and acc is updated in place by op(acc, v), v the caller's value
+    for p, primes ascending and then exponents ascending.  rem = n // s is
+    then 1 or the one prime factor of n above sqrt(x).
+    """
     seg = _segment_length()
     for lo in range(1, x + 1, seg):
         hi = min(x, lo + seg - 1)
         n = np.arange(lo, hi + 1, dtype=np.int64)
-        rem = n.copy()
-        events = []  # (positions, prime index) in division order
-        for bi, p in enumerate(base):
-            start = ((lo + p - 1) // p) * p
-            if start > hi:
-                continue
-            cur = np.arange(start - lo, hi - lo + 1, p)
-            while cur.size:
-                rem[cur] //= p
-                events.append((cur, bi))
-                cur = cur[rem[cur] % p == 0]
-        yield n, rem, base, events
+        s = np.ones(len(n), dtype=np.int64)
+        acc = np.full(len(n), identity, dtype=dtype)
+        for p, v in zip(base.tolist(), base_vals):
+            q = p
+            while q <= hi:
+                start = (-lo) % q
+                s[start::q] *= p
+                op(acc[start::q], v, out=acc[start::q])
+                q *= p
+        yield n, acc, np.floor_divide(n, s, out=s)
 
 
 def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResult:
@@ -203,20 +214,12 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
-    base_done = False
-    for n, rem, base, events in _factor_segments(x):
-        if not base_done and len(base):
-            fp_base = spec.values_at_primes(base)
-            ps = base.astype(np.float64)
-            theta *= _theta_factor_product(ps, fp_base)
-            deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
-            base_done = True
-        elif not base_done:
-            fp_base = np.zeros(0, dtype=np.complex128)
-            base_done = True
-        acc = np.ones(len(n), dtype=np.complex128)
-        for positions, bi in events:
-            acc[positions] *= fp_base[bi]
+    base = primes_upto(math.isqrt(x))
+    fp_base = spec.values_at_primes(base)
+    ps = base.astype(np.float64)
+    theta *= _theta_factor_product(ps, fp_base)
+    deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
+    for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, np.complex128):
         big = rem > 1
         if np.any(big):
             rem_big = rem[big]
@@ -281,10 +284,14 @@ def _sigma_gap(chi: StepFunction, y: float, u: float, h: float, mean: complex):
     """(sigma(u), gap) for a sieve mean, the gap checked against C*u/log(y)."""
     sigma_val = complex(solve_sigma(chi, max(u, 1.0), h).value_at(u))
     gap = abs(mean - sigma_val)
+    _check_gap("mean", gap, y, u)
+    return sigma_val, gap
+
+
+def _check_gap(label: str, gap: float, y: float, u: float) -> None:
     cap = MEAN_GAP_CONSTANT * u / math.log(y)
     if gap > cap:
-        raise ContractError(f"mean gap {gap:.4f} exceeds {cap:.4f}")
-    return sigma_val, gap
+        raise ContractError(f"{label} gap {gap:.4f} exceeds {cap:.4f}")
 
 
 def log_mean_vs_integral(chi: StepFunction, y: float, u: float, h: float = 1e-3):
@@ -295,9 +302,7 @@ def log_mean_vs_integral(chi: StepFunction, y: float, u: float, h: float = 1e-3)
     C = sol.sigma.cumulative()
     integral_mean = complex(GridFunction(h, C).value_at(u)) / u
     gap = abs(oracle - integral_mean)
-    cap = MEAN_GAP_CONSTANT * u / math.log(y)
-    if gap > cap:
-        raise ContractError(f"log-mean gap {gap:.4f} exceeds {cap:.4f}")
+    _check_gap("log-mean", gap, y, u)
     return oracle, integral_mean, gap
 
 
@@ -479,14 +484,9 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     if x < 2:
         raise ValidationError("x must be at least 2 for a logarithmic density")
     total = 0.0
-    base_exps = None
-    for n, rem, base, events in _factor_segments(x):
-        if base_exps is None:
-            base_exps = (_root_exponents(spec.values_at_primes(base), m)
-                         if len(base) else np.zeros(0, dtype=np.int64))
-        expo = np.zeros(len(n), dtype=np.int64)
-        for positions, bi in events:
-            expo[positions] += base_exps[bi]
+    base = primes_upto(math.isqrt(x))
+    base_exps = _root_exponents(spec.values_at_primes(base), m)
+    for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, np.int64):
         big = rem > 1
         if np.any(big):
             expo[big] += _root_exponents(spec.values_at_primes(rem[big]), m)

@@ -178,7 +178,10 @@ def _cmd_oracle(args) -> int:
             spec = oracle.MultiplicativeSpec.from_json(fh.read())
     except OSError as exc:
         raise ValidationError(f"cannot read spec file {args.spec}: {exc}")
-    x = int(float(args.x))
+    try:
+        x = int(float(args.x))
+    except (ValueError, OverflowError):
+        raise ValidationError(f"--x must be a finite number, got {args.x!r}") from None
     res = oracle.sieve_sums(spec, x)
     mean = res.partial_sum / res.x
     payload = {

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanspec.arithmetic_oracle import (MultiplicativeSpec, discriminant_char_average,
+from meanspec import arithmetic_oracle
+from meanspec.arithmetic_oracle import (MultiplicativeSpec, SieveResult,
+                                        discriminant_char_average,
                                         kronecker, log_mean_vs_integral,
                                         mean_vs_sigma, mth_root_log_density,
                                         naive_sums, primes_upto, sieve_sums,
@@ -17,6 +20,154 @@ CHI_MINUS = StepFunction((1.0,), (1.0,), -1.0)
 LIOUVILLE = MultiplicativeSpec.from_table({}, -1.0)
 ONES = MultiplicativeSpec.from_table({}, 1.0)
 W3 = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
+
+
+def event_segments(x):
+    """Reference segment loop: one index array per prime-power event, in
+    division order, with rem divided through each array."""
+    base = primes_upto(math.isqrt(x))
+    seg = arithmetic_oracle._segment_length()
+    for lo in range(1, x + 1, seg):
+        hi = min(x, lo + seg - 1)
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        rem = n.copy()
+        events = []
+        for bi, p in enumerate(base):
+            start = ((lo + p - 1) // p) * p
+            if start > hi:
+                continue
+            cur = np.arange(start - lo, hi - lo + 1, p)
+            while cur.size:
+                rem[cur] //= p
+                events.append((cur, bi))
+                cur = cur[rem[cur] % p == 0]
+        yield n, rem, events
+
+
+def event_list_sieve_sums(spec, x, extra_weights=()):
+    """Reference sieve_sums that replays the event list through fancy indices."""
+    partial = logsum = 0.0 + 0.0j
+    extras = {float(s): 0.0 + 0.0j for s in extra_weights}
+    theta = 1.0 + 0.0j
+    deficit = 0.0
+    base = primes_upto(math.isqrt(x))
+    fp_base = spec.values_at_primes(base)
+    if len(base):
+        ps = base.astype(np.float64)
+        theta *= arithmetic_oracle._theta_factor_product(ps, fp_base)
+        deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
+    for n, rem, events in event_segments(x):
+        acc = np.ones(len(n), dtype=np.complex128)
+        for positions, bi in events:
+            acc[positions] *= fp_base[bi]
+        big = rem > 1
+        if np.any(big):
+            rem_big = rem[big]
+            fp_big = spec.values_at_primes(rem_big)
+            acc[big] *= fp_big
+            prime_mask = rem_big == n[big]
+            ps = rem_big[prime_mask].astype(np.float64)
+            if len(ps):
+                fps = fp_big[prime_mask]
+                theta *= arithmetic_oracle._theta_factor_product(ps, fps)
+                deficit += float(np.sum(np.abs(1.0 - fps) / ps))
+        partial += complex(np.sum(acc))
+        nf = n.astype(np.float64)
+        logsum += complex(np.sum(acc / nf))
+        for s in extras:
+            extras[s] += complex(np.sum(acc / nf ** s))
+    return SieveResult(x, partial, logsum, theta, deficit, extras)
+
+
+def event_list_density(spec, x, m):
+    """Reference mth_root_log_density that replays the event list."""
+    total = 0.0
+    base_exps = arithmetic_oracle._root_exponents(
+        spec.values_at_primes(primes_upto(math.isqrt(x))), m)
+    for n, rem, events in event_segments(x):
+        expo = np.zeros(len(n), dtype=np.int64)
+        for positions, bi in events:
+            expo[positions] += base_exps[bi]
+        big = rem > 1
+        if np.any(big):
+            expo[big] += arithmetic_oracle._root_exponents(
+                spec.values_at_primes(rem[big]), m)
+        good = (expo % m) == 0
+        total += float(np.sum(1.0 / n[good].astype(np.float64)))
+    return total / math.log(x)
+
+
+def sieve_fields(r):
+    """Every SieveResult field as text; float repr round-trips, so equal
+    text means bitwise-equal values."""
+    return repr((r.x, r.partial_sum, r.log_sum, r.theta, r.prime_deficit,
+                 sorted(r.extra_weight_sums.items())))
+
+
+SIEVE_SPECS = [
+    MultiplicativeSpec.step(CHI_MINUS, 7.0),
+    MultiplicativeSpec.step(StepFunction((1.0, 1.5), (1.0, 0.6 + 0.8j), -0.5j), 5.0),
+    MultiplicativeSpec.from_table({2: -1.0, 3: 0.0, 5: 0.5}, -1.0),
+    MultiplicativeSpec.from_table({2: 1j, 3: -1.0}, 0.6 + 0.8j),
+]
+DENSITY_SPECS = [
+    (LIOUVILLE, 2),
+    (MultiplicativeSpec.step(CHI_MINUS, 7.0), 2),
+    (MultiplicativeSpec.step(StepFunction((1.0,), (1.0,), W3), 5.0), 3),
+    (MultiplicativeSpec.from_table({2: W3, 3: W3 * W3, 7: 1.0}, W3), 3),
+]
+
+
+def assert_matches_event_list(xs):
+    for x in xs:
+        for spec in SIEVE_SPECS:
+            assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+                    == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+        if x >= 2:
+            for spec, m in DENSITY_SPECS:
+                assert (repr(mth_root_log_density(spec, x, m))
+                        == repr(event_list_density(spec, x, m)))
+
+
+class TestSegmentLoop:
+    """The strided segment loop against the event-list reference, bitwise."""
+
+    def test_no_or_one_base_prime(self):
+        # x = 1, 2, 3 have no prime <= sqrt(x); at x = 4 only 2 sieves.
+        assert_matches_event_list([1, 2, 3, 4, 5, 97])
+
+    def test_single_segment(self):
+        assert_matches_event_list([3001, 10 ** 4])
+
+    def test_budget_segments(self, monkeypatch):
+        monkeypatch.setenv("SPECTRUM_BUDGET_MB", "1")
+        seg = arithmetic_oracle._segment_length()
+        assert seg < arithmetic_oracle.DEFAULT_SEGMENT
+        assert_matches_event_list([seg + 1, 2 * seg + 1, 3 * seg + 1])
+
+    @pytest.mark.parametrize("seg", [8, 26, 120, 121, 124, 125])
+    def test_prime_powers_on_segment_edges(self, monkeypatch, seg):
+        # 9 = 3^2 and 27 = 3^3 open the segment after 8 and 26, every p^2 with
+        # p >= 7 opens a segment of 120 (p^2 = 1 mod 120), 125 = 5^3 opens
+        # one after 124, and 121 = 11^2 and 125 close the first of 121 and 125.
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+        assert_matches_event_list([1331])
+
+    @pytest.mark.parametrize("budget_mb", [1, 4])
+    def test_traced_peak_within_budget(self, monkeypatch, budget_mb):
+        monkeypatch.setenv("SPECTRUM_BUDGET_MB", str(budget_mb))
+        x = 10 ** 6
+        calls = [lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, x ** 0.25), x,
+                                    extra_weights=(0.5,)),
+                 lambda: mth_root_log_density(LIOUVILLE, x, 2)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget_mb << 20
 
 
 class TestSieveSums:
@@ -79,6 +230,18 @@ class TestSieveSums:
         monkeypatch.setenv("SPECTRUM_BUDGET_MB", "not-a-number")
         with pytest.raises(ValidationError):
             _segment_length()
+
+
+    def test_non_finite_specs_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.step(CHI_MINUS, nan)
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.step(CHI_MINUS, math.inf)
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.from_table({2: nan})
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.from_table({}, complex(0.0, nan))
 
 
 class TestMeanVsSigma:

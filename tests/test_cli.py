@@ -156,6 +156,25 @@ class TestOracle:
     def test_budget_exit_code(self, spec_file):
         assert main(["oracle", "--spec", spec_file, "--x", "1e9"]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    def test_bad_x_exits_one(self, spec_file, capsys, value):
+        assert main(["oracle", "--spec", spec_file, "--x", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"y": 10}',
+        '{"table": [[2, 1.0]]}',
+        '{"table": [[2, NaN, 0.0]], "default": [1.0, 0.0]}',
+        json.dumps({**json.loads(CHI_MINUS.to_json()), "y": float("nan")}),
+    ])
+    def test_bad_spec_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad_spec.json"
+        path.write_text(text)
+        assert main(["oracle", "--spec", str(path), "--x", "1e3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_single_criterion(self, capsys, tmp_path):
