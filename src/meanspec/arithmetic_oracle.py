@@ -5,7 +5,10 @@ each segment applies f(p) along the strided multiples of every power of every
 prime up to sqrt(x), and the one cofactor left above sqrt(x) last, so f(n)
 is the product of the supplied f(p) over the factorization of n.  It
 accumulates partial sums, logarithmic sums, Euler products, and the prime
-reciprocal deficit.  On top of it sit the mean-vs-solver comparisons,
+reciprocal deficit.  A spec's values form a short palette, so f at the
+cofactors is one vectorised palette lookup; the segment's integers are int32
+arrays, and f(n) accumulates in float64 when the palette is real and in
+complex128 otherwise.  On top of it sit the mean-vs-solver comparisons,
 Kronecker symbols, averages over fundamental discriminants in a progression,
 the subset-sum counts behind the m-th power residue bounds, and exact
 logarithmic densities for root-of-unity valued functions.
@@ -24,6 +27,8 @@ from .dde_solver import solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
 from .kernels import DISC_TOL, GridFunction, StepFunction
 
+#: Below 2**31, so the sieve's integer arrays (n, its sieved part, the
+#: cofactor) are exact in int32.
 MAX_SIEVE_X = 10 ** 8
 DEFAULT_SEGMENT = 1 << 20
 
@@ -40,10 +45,11 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # tracemalloc peaks at 93-100 bytes per segment integer in sieve_sums (85
-    # in mth_root_log_density), since the caller still holds one segment's
-    # arrays while the next is built; 112 leaves room for the fixed part.
-    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 112))
+    # tracemalloc peaks at 63-65 bytes per segment integer in sieve_sums on a
+    # complex spec with an extra weight, plus about 130 kB of numpy cast
+    # buffers (55-57 bytes without the weight, 46 on a real spec, 36-40 in
+    # mth_root_log_density); 88 keeps the peak under 0.9 of a 1 MB budget.
+    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 88))
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -58,6 +64,26 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+def _prime_table(table: dict) -> dict:
+    """The table with int keys in ascending order and complex values; every
+    key must be a prime <= MAX_SIEVE_X."""
+    out = {}
+    for p, v in table.items():
+        try:
+            key = int(p)
+        except (TypeError, ValueError, OverflowError):
+            key = 0
+        if key != p or not 2 <= key <= MAX_SIEVE_X:
+            raise ValidationError(f"table key {p!r} is not a prime <= {MAX_SIEVE_X}")
+        out[key] = complex(v)
+    keys = np.array(sorted(out), dtype=np.int64)
+    for q in primes_upto(math.isqrt(int(keys[-1])) if len(keys) else 0).tolist():
+        composite = keys[(keys % q == 0) & (keys != q)]
+        if len(composite):
+            raise ValidationError(f"table key {composite[0]} is not a prime")
+    return {int(p): out[p] for p in keys}
+
+
 @dataclass(frozen=True)
 class MultiplicativeSpec:
     """Rule assigning f(p) to every prime.
@@ -66,6 +92,12 @@ class MultiplicativeSpec:
     explicit prime table applies with a default for unlisted primes.
     Complete multiplicativity is by construction: f(n) is the product of
     f(p)^a over the factorization of n.
+
+    Either way f takes its values in a short ``palette`` (complex128):
+    chi's segment values, or the default followed by the table's values in
+    ascending key order.  ``palette_index`` maps primes to palette slots with
+    one ``np.searchsorted``, over the breaks of chi at log p / log y, or over
+    the sorted keys with misses sent to the default.
     """
 
     mode: str
@@ -79,15 +111,26 @@ class MultiplicativeSpec:
         if self.mode == "step":
             if self.chi is None or not 1.0 < self.y < math.inf:
                 raise ValidationError("step mode needs a kernel and a finite y > 1")
+            marks = np.asarray(self.chi.breaks, dtype=np.float64)
+            values = self.chi.segment_values()
         elif self.mode == "table":
+            table = _prime_table(self.table)
             # Written so that NaN fails the comparison.
-            for p, v in self.table.items():
-                if not abs(complex(v)) <= 1.0 + DISC_TOL:
+            for p, v in table.items():
+                if not abs(v) <= 1.0 + DISC_TOL:
                     raise ValidationError(f"f({p}) = {v} is not in the closed unit disc")
             if not abs(self.default) <= 1.0 + DISC_TOL:
                 raise ValidationError("default value is not in the closed unit disc")
+            object.__setattr__(self, "table", table)
+            # The leading 0 is no prime, so its slot (the default) takes the misses.
+            marks = np.array([0, *table], dtype=np.int64)
+            values = [self.default, *table.values()]
         else:
             raise ValidationError(f"unknown spec mode {self.mode!r}")
+        palette = np.array(values, dtype=np.complex128)
+        palette.setflags(write=False)
+        object.__setattr__(self, "_marks", marks)
+        object.__setattr__(self, "palette", palette)
 
     @classmethod
     def step(cls, chi: StepFunction, y: float) -> "MultiplicativeSpec":
@@ -95,19 +138,19 @@ class MultiplicativeSpec:
 
     @classmethod
     def from_table(cls, table: dict, default=1.0) -> "MultiplicativeSpec":
-        return cls("table", table={int(p): complex(v) for p, v in table.items()},
-                   default=complex(default))
+        """Table spec; every key must be a prime <= MAX_SIEVE_X."""
+        return cls("table", table=dict(table), default=complex(default))
 
-    def values_at_primes(self, ps: np.ndarray) -> np.ndarray:
+    def palette_index(self, ps) -> np.ndarray:
+        """Slot of f(p) in ``palette`` for each prime p in ps."""
         if self.mode == "step":
-            t = np.log(ps.astype(np.float64)) / math.log(self.y)
-            segs = np.asarray(self.chi.segment_values(), dtype=np.complex128)
-            if not self.chi.breaks:
-                return np.full(len(ps), segs[0])
-            idx = np.searchsorted(np.asarray(self.chi.breaks), t, side="right")
-            return segs[idx]
-        return np.array([self.table.get(int(p), self.default) for p in ps],
-                        dtype=np.complex128)
+            t = np.log(np.asarray(ps, dtype=np.float64)) / math.log(self.y)
+            return np.searchsorted(self._marks, t, side="right")
+        j = np.searchsorted(self._marks, ps, side="right") - 1
+        return np.where(self._marks[j] == ps, j, 0)
+
+    def values_at_primes(self, ps) -> np.ndarray:
+        return self.palette[self.palette_index(ps)]
 
     def to_json(self) -> str:
         if self.mode == "step":
@@ -129,7 +172,7 @@ class MultiplicativeSpec:
                     {k: raw[k] for k in ("breaks", "values", "tail")}))
                 return cls.step(chi, float(raw["y"]))
             if "table" in raw:
-                table = {int(p): complex(re, im) for p, re, im in raw["table"]}
+                table = {p: complex(re, im) for p, re, im in raw["table"]}
                 default = complex(*raw.get("default", [1.0, 0.0]))
                 return cls.from_table(table, default)
         except ValidationError:
@@ -188,8 +231,8 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     seg = _segment_length()
     for lo in range(1, x + 1, seg):
         hi = min(x, lo + seg - 1)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        s = np.ones(len(n), dtype=np.int64)
+        n = np.arange(lo, hi + 1, dtype=np.int32)
+        s = np.ones(len(n), dtype=np.int32)
         acc = np.full(len(n), identity, dtype=dtype)
         for p, v in zip(base.tolist(), base_vals):
             q = p
@@ -199,6 +242,8 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
                 op(acc[start::q], v, out=acc[start::q])
                 q *= p
         yield n, acc, np.floor_divide(n, s, out=s)
+        # The caller drops its references too, so no two segments coexist.
+        del n, s, acc
 
 
 def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResult:
@@ -207,6 +252,9 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     Returns sum f(n), sum f(n)/n, the Euler product over p <= x of
     (1 + f(p)/p + ...)(1 - 1/p), the prime deficit sum |1 - f(p)|/p, and
     optionally sum f(n)/n^s for each requested exponent s.
+
+    f(n) accumulates in float64 when every palette value is real (so
+    integer-valued f gives exact partial sums) and in complex128 otherwise.
     """
     x = _check_budget(x)
     partial = 0.0 + 0.0j
@@ -214,28 +262,32 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
+    palette = spec.palette if spec.palette.imag.any() else spec.palette.real
     base = primes_upto(math.isqrt(x))
-    fp_base = spec.values_at_primes(base)
+    fp_base = palette[spec.palette_index(base)]
     ps = base.astype(np.float64)
     theta *= _theta_factor_product(ps, fp_base)
     deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
-    for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, np.complex128):
+    for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, palette.dtype):
         big = rem > 1
-        if np.any(big):
-            rem_big = rem[big]
-            fp_big = spec.values_at_primes(rem_big)
-            acc[big] *= fp_big
-            prime_mask = rem_big == n[big]
-            ps = rem_big[prime_mask].astype(np.float64)
-            if len(ps):
-                fps = fp_big[prime_mask]
-                theta *= _theta_factor_product(ps, fps)
-                deficit += float(np.sum(np.abs(1.0 - fps) / ps))
+        # rem and fp keep only the cofactors above sqrt(x), and then fp only
+        # the primes, which frees the cofactor values before the sums.
+        rem = rem[big]
+        fp = palette[spec.palette_index(rem)]
+        acc[big] *= fp
+        is_prime = rem == n[big]
+        if is_prime.any():
+            ps = rem[is_prime].astype(np.float64)
+            fp = fp[is_prime]
+            theta *= _theta_factor_product(ps, fp)
+            deficit += float(np.sum(np.abs(1.0 - fp) / ps))
         partial += complex(np.sum(acc))
         nf = n.astype(np.float64)
         logsum += complex(np.sum(acc / nf))
         for s in extras:
             extras[s] += complex(np.sum(acc / nf ** s))
+        # Free this segment before the next one is built.
+        del n, acc, rem, big, fp, is_prime, nf
     return SieveResult(x, partial, logsum, theta, deficit, extras)
 
 
@@ -473,8 +525,10 @@ def _root_exponents(values: np.ndarray, m: int) -> np.ndarray:
 def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     """(1/log x) * sum over n <= x with f(n) = 1 of 1/n, exactly.
 
-    Every f(p) must be an m-th root of unity; the accumulated product is
-    tracked as an exponent mod m so equality with 1 is an integer test.
+    Every palette value of the spec must be an m-th root of unity, even one
+    that no prime <= x takes (an unused non-root table value or default also
+    raises); the accumulated product is tracked as an exponent mod m so
+    equality with 1 is an integer test.
     """
     if m < 1:
         raise ValidationError("m must be positive")
@@ -484,12 +538,13 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     if x < 2:
         raise ValidationError("x must be at least 2 for a logarithmic density")
     total = 0.0
+    exps = _root_exponents(spec.palette, m)
     base = primes_upto(math.isqrt(x))
-    base_exps = _root_exponents(spec.values_at_primes(base), m)
+    base_exps = exps[spec.palette_index(base)]
     for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, np.int64):
         big = rem > 1
-        if np.any(big):
-            expo[big] += _root_exponents(spec.values_at_primes(rem[big]), m)
+        expo[big] += exps[spec.palette_index(rem[big])]
         good = (expo % m) == 0
         total += float(np.sum(1.0 / n[good].astype(np.float64)))
+        del n, expo, rem, big, good  # free this segment before the next
     return total / math.log(x)

@@ -95,10 +95,14 @@ def _cmd_constants(args) -> int:
 
 
 def _parse_m_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise ValidationError(f"--m must be an integer or a range like 3..6, "
+                              f"got {text!r}") from None
 
 
 def _cmd_gamma_prime(args) -> int:
@@ -126,19 +130,24 @@ def _cmd_gamma_b(args) -> int:
 
 def _parse_set(text: str) -> region.SetSpec:
     kind, _, rest = text.partition(":")
-    if kind == "sk":
-        return region.SetSpec.roots_of_unity(int(rest))
-    if kind == "interval":
-        lo, hi = (float(v) for v in rest.split(",")) if rest else (-1.0, 1.0)
-        return region.SetSpec.real_interval(lo, hi)
-    if kind == "sector":
-        return region.SetSpec.sector(float(rest))
-    if kind == "points":
-        pts = []
-        for token in rest.split(";"):
-            re_s, im_s = token.split(",")
-            pts.append(complex(float(re_s), float(im_s)))
-        return region.SetSpec.from_points(pts)
+    try:
+        if kind == "sk":
+            return region.SetSpec.roots_of_unity(int(rest))
+        if kind == "interval":
+            lo, hi = (float(v) for v in rest.split(",")) if rest else (-1.0, 1.0)
+            return region.SetSpec.real_interval(lo, hi)
+        if kind == "sector":
+            return region.SetSpec.sector(float(rest))
+        if kind == "points":
+            pts = []
+            for token in rest.split(";"):
+                re_s, im_s = token.split(",")
+                pts.append(complex(float(re_s), float(im_s)))
+            return region.SetSpec.from_points(pts)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(f"malformed set spec {text!r}") from None
     raise ValidationError(f"unknown set spec {text!r}; use sk:K, interval:lo,hi, "
                           "sector:theta, or points:re,im;...")
 

@@ -217,8 +217,8 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     for the true minimum; it is checked against the two-sided bracket
     [-rho(B) - 1e-4, 0).
     """
-    if B <= 0:
-        raise ValidationError("B must be positive")
+    if not 0.0 < B < math.inf:
+        raise ValidationError("B must be positive and finite")
     if m_steps < 1 or restarts < 1:
         raise ValidationError("m_steps and restarts must be at least 1")
     if u_grid is None:

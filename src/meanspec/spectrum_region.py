@@ -140,6 +140,8 @@ class SetSpec:
 
     def __post_init__(self):
         for p in self.generators:
+            if not cmath.isfinite(p):
+                raise ValidationError(f"set point {p} is not finite")
             if abs(p) > 1.0 + DISC_TOL:
                 raise ValidationError(f"set point {p} outside the closed unit disc")
         if min(abs(p - 1.0) for p in self.generators) > DISC_TOL:

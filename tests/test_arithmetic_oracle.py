@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -44,26 +45,34 @@ def event_segments(x):
         yield n, rem, events
 
 
-def event_list_sieve_sums(spec, x, extra_weights=()):
-    """Reference sieve_sums that replays the event list through fancy indices."""
+def event_list_sieve_sums(spec, x, extra_weights=(), dtype=None):
+    """Reference sieve_sums that replays the event list through fancy indices,
+    accumulating in dtype (by default the sieve's rule: float64 when every
+    palette value is real)."""
+    dtype = dtype or (np.complex128 if spec.palette.imag.any() else np.float64)
+
+    def values(ps):
+        fp = spec.values_at_primes(ps)
+        return fp.real if dtype is np.float64 else fp
+
     partial = logsum = 0.0 + 0.0j
     extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
     base = primes_upto(math.isqrt(x))
-    fp_base = spec.values_at_primes(base)
+    fp_base = values(base)
     if len(base):
         ps = base.astype(np.float64)
         theta *= arithmetic_oracle._theta_factor_product(ps, fp_base)
         deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
     for n, rem, events in event_segments(x):
-        acc = np.ones(len(n), dtype=np.complex128)
+        acc = np.ones(len(n), dtype=dtype)
         for positions, bi in events:
             acc[positions] *= fp_base[bi]
         big = rem > 1
         if np.any(big):
             rem_big = rem[big]
-            fp_big = spec.values_at_primes(rem_big)
+            fp_big = values(rem_big)
             acc[big] *= fp_big
             prime_mask = rem_big == n[big]
             ps = rem_big[prime_mask].astype(np.float64)
@@ -95,6 +104,19 @@ def event_list_density(spec, x, m):
         good = (expo % m) == 0
         total += float(np.sum(1.0 / n[good].astype(np.float64)))
     return total / math.log(x)
+
+
+def dict_values_at_primes(spec, ps):
+    """Reference f(p): the per-prime dict lookup (table) and the break-free
+    special case (step) that the palette index replaced."""
+    if spec.mode == "step":
+        t = np.log(ps.astype(np.float64)) / math.log(spec.y)
+        segs = np.asarray(spec.chi.segment_values(), dtype=np.complex128)
+        if not spec.chi.breaks:
+            return np.full(len(ps), segs[0])
+        return segs[np.searchsorted(np.asarray(spec.chi.breaks), t, side="right")]
+    return np.array([spec.table.get(int(p), spec.default) for p in ps],
+                    dtype=np.complex128)
 
 
 def sieve_fields(r):
@@ -155,9 +177,12 @@ class TestSegmentLoop:
 
     @pytest.mark.parametrize("budget_mb", [1, 4])
     def test_traced_peak_within_budget(self, monkeypatch, budget_mb):
+        # A complex spec with an extra weight is the costliest per integer.
         monkeypatch.setenv("SPECTRUM_BUDGET_MB", str(budget_mb))
         x = 10 ** 6
         calls = [lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, x ** 0.25), x,
+                                    extra_weights=(0.5,)),
+                 lambda: sieve_sums(MultiplicativeSpec.from_table({2: 1j, 3: -1.0}), x,
                                     extra_weights=(0.5,)),
                  lambda: mth_root_log_density(LIOUVILLE, x, 2)]
         for call in calls:
@@ -167,7 +192,65 @@ class TestSegmentLoop:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= budget_mb << 20
+            assert peak <= 0.9 * (budget_mb << 20)
+
+
+class TestPalette:
+    # Primes below, between and above every table's keys, up to near MAX_SIEVE_X.
+    PRIMES = np.concatenate([primes_upto(2000), [9999991, 99999989]])
+
+    @pytest.mark.parametrize("spec", [
+        LIOUVILLE,
+        MultiplicativeSpec.from_table({101: 1j}, 0.6 + 0.8j),
+        MultiplicativeSpec.from_table({2: -1.0, 3: 0.0, 5: 0.5, 997: 1j}, -1.0),
+        MultiplicativeSpec.step(StepFunction(), 10.0),
+        *SIEVE_SPECS,
+    ])
+    def test_values_match_per_prime_lookup(self, spec):
+        for ps in (self.PRIMES, self.PRIMES.astype(np.int32), self.PRIMES[:0]):
+            got = spec.values_at_primes(ps)
+            ref = dict_values_at_primes(spec, ps)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("key", [4, 1, 0, -3, 2.7, "2", None, math.nan, math.inf,
+                                     10 ** 8 + 7])
+    def test_table_keys_must_be_primes(self, key):
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.from_table({key: -1.0, 3: 0.0})
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.from_json(
+                '{"table": [[%s, -1, 0], [3, 0, 0]]}' % json.dumps(key))
+
+    def test_composite_and_truncated_keys_rejected(self):
+        # Once stored as {4: -1, 2: 0}: f(2) = 0 and a sum of 500 at x = 1000.
+        with pytest.raises(ValidationError):
+            MultiplicativeSpec.from_table({4: -1.0, 2.7: 0.0}, 1.0)
+        assert MultiplicativeSpec.from_table({2.0: -1.0, np.int64(3): 0.0}).table == {
+            2: -1.0, 3: 0.0}
+
+
+REAL_SPECS = [
+    MultiplicativeSpec.step(CHI_MINUS, 7.0),
+    MultiplicativeSpec.step(StepFunction((1.2, 1.7), (1.0, 0.0), -1.0), 30.0),
+    LIOUVILLE,
+    MultiplicativeSpec.from_table({2: 0.0, 3: -1.0, 7: 1.0, 11: 0.0}, -1.0),
+]
+
+
+class TestRealAccumulator:
+    """Real specs accumulate in float64; {-1, 0, 1} values keep every partial
+    sum an exact integer, so it must equal complex128 accumulation."""
+
+    @pytest.mark.parametrize("x", [3001, 10 ** 4, 10 ** 6])
+    @pytest.mark.parametrize("spec", REAL_SPECS)
+    def test_matches_complex_accumulation(self, spec, x):
+        r = sieve_sums(spec, x, extra_weights=(0.5,))
+        ref = event_list_sieve_sums(spec, x, (0.5,), dtype=np.complex128)
+        assert r.partial_sum == ref.partial_sum
+        assert (r.theta, r.prime_deficit) == (ref.theta, ref.prime_deficit)
+        assert abs(r.log_sum - ref.log_sum) <= 1e-14 * max(1.0, abs(ref.log_sum))
+        ref_half = ref.extra_weight_sums[0.5]
+        assert abs(r.extra_weight_sums[0.5] - ref_half) <= 1e-14 * max(1.0, abs(ref_half))
 
 
 class TestSieveSums:
@@ -413,6 +496,9 @@ class TestMthRootDensity:
     def test_non_root_value_rejected(self):
         with pytest.raises(ValidationError):
             mth_root_log_density(MultiplicativeSpec.from_table({}, 0.5), 10 ** 4, 2)
+        # The whole palette is checked, even a value no n <= x reaches.
+        with pytest.raises(ValidationError):
+            mth_root_log_density(MultiplicativeSpec.from_table({10007: 0.5}, -1.0), 100, 2)
 
 
 class TestDiscriminantAverage:

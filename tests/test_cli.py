@@ -94,6 +94,11 @@ class TestGammaPrime:
         assert payload["3"]["bound"] == pytest.approx(0.3245, abs=5e-4)
         assert payload["4"]["bound"] == pytest.approx(0.2187, abs=5e-4)
 
+    def test_malformed_range_exits_one(self, capsys):
+        assert main(["gamma-prime", "--m", "3..x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGammaB:
     def test_smoke_and_determinism(self, tmp_path):
@@ -106,6 +111,11 @@ class TestGammaB:
         payload = json.loads(a.read_text())
         assert payload["value"] < 0.0
         assert payload["argmin"]["values"][0] == [1.0, 0.0]
+
+    def test_non_finite_b_exits_one(self, capsys):
+        assert main(["gamma-b", "--B", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpectrum:
@@ -130,6 +140,13 @@ class TestSpectrum:
     def test_bad_set_spec(self):
         assert main(["spectrum", "--set", "nonsense:1",
                      "--what", "spirals"]) == 1
+
+    def test_non_finite_point_exits_one(self, capsys):
+        assert main(["spectrum", "--set", "points:1,0;nan,0",
+                     "--what", "spirals"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestOracle:
@@ -166,6 +183,7 @@ class TestOracle:
         '{"y": 10}',
         '{"table": [[2, 1.0]]}',
         '{"table": [[2, NaN, 0.0]], "default": [1.0, 0.0]}',
+        '{"table": [[4, -1.0, 0.0], [2.7, 0.0, 0.0]]}',
         json.dumps({**json.loads(CHI_MINUS.to_json()), "y": float("nan")}),
     ])
     def test_bad_spec_exits_one(self, tmp_path, capsys, text):
