@@ -20,7 +20,7 @@ from . import spectrum_region as region
 from .dde_solver import solve_sigma
 from .errors import ContractError
 from .kernels import (SQRT_E, StepFunction, dickman_rho, dickman_rho_grid,
-                      rho_minus, rho_minus_correction)
+                      rho_minus, rho_minus_correction, rho_minus_grid)
 
 DELTA1_PRINTED = -0.656999
 DELTA0_PRINTED = 0.171500
@@ -79,9 +79,9 @@ def check_constants() -> CheckResult:
 def check_delay_functions() -> CheckResult:
     def body():
         h = 1e-4
-        v_zero = rho_minus(SQRT_E, h)
+        v_zero = rho_minus(SQRT_E)
         d1 = extremal.delta_constants()[0]
-        v_min = rho_minus(1.0 + SQRT_E, h)
+        v_min = rho_minus(1.0 + SQRT_E)
         grid = dickman_rho_grid(20.0, h)
         integral = float(np.trapezoid(grid.samples, dx=grid.h))
         target = math.exp(np.euler_gamma)
@@ -96,7 +96,6 @@ def check_solver_cross() -> CheckResult:
     def body():
         h = 1e-4
         sol = solve_sigma(StepFunction((1.0,), (1.0,), -1.0), 4.0, h)
-        from .kernels import rho_minus_grid
         gap_minus = float(np.max(np.abs(sol.sigma.samples
                                         - rho_minus_grid(4.0, h).samples)))
         sol = solve_sigma(StepFunction((1.0,), (1.0,), 0.0), 6.0, h)
@@ -181,7 +180,7 @@ def check_sign_changes_and_min_mean() -> CheckResult:
             r = extremal.truncated_kernel_min_mean(
                 B, m_steps=6, u_grid=(1.5, 2.0, 3.0), restarts=3,
                 h=1e-3, seed=0, sweeps=2)
-            floor = -dickman_rho(B, 1e-4) - 1e-4
+            floor = -dickman_rho(B) - 1e-4
             ok = ok and floor <= r.value < 0.0
             if B == 1.0:
                 ok = ok and r.value <= 1.0 - 2.0 * math.log(2.0) + 1e-6
@@ -233,7 +232,6 @@ def check_region_geometry() -> CheckResult:
             rep = region.containment_report(region.euler_spiral_cloud(S, 8.0), S)
             violations += rep["total_violations"]
         S_pm = region.SetSpec.from_points([1.0, -1.0])
-        from .kernels import rho_minus_grid
         sigma_cloud = region.RegionCloud(
             rho_minus_grid(6.0, 1e-3).samples.astype(complex),
             {"kind": "sigma-samples"})

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -56,8 +57,42 @@ def _load_kernel(path: str) -> StepFunction:
         raise ValidationError(f"cannot read kernel file {path}: {exc}")
 
 
+#: Stand-in for a float list while json lays out the rest of the payload.
+_FLOATS_MARK = "\x00floats\x00%d"
+_FLOATS_SLOT = re.compile(r'^( *)(.*)"\\u0000floats\\u0000(\d+)"', re.M)
+
+
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, refusing NaN.
+
+    json's indented encoder is pure Python, so every list of floats is lifted
+    out first and written as one join of reprs at its indentation: the same
+    bytes, since json spells a finite float as its repr.
+    """
+    lists = []
+
+    def lift(obj):
+        if isinstance(obj, dict):
+            return {k: lift(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            if obj and set(map(type, obj)) == {float}:
+                lists.append(obj)
+                return _FLOATS_MARK % (len(lists) - 1)
+            return [lift(v) for v in obj]
+        return obj
+
+    def place(m):
+        pad = m.group(1) + "  "
+        body = (",\n" + pad).join(map(repr, lists[int(m.group(3))]))
+        if "n" in body:  # only "nan" and "inf" hold an n
+            raise ContractError("refusing to write a non-finite value")
+        return f"{m.group(1)}{m.group(2)}[\n{pad}{body}\n{m.group(1)}]"
+
+    try:
+        text = json.dumps(lift(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"refusing to write a non-finite value: {exc}") from None
+    return _FLOATS_SLOT.sub(place, text) + "\n"
 
 
 def _cmd_solve(args) -> int:
@@ -94,15 +129,21 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+#: Most m values per gamma-prime call: each is one 600-point scan and a
+#: golden-section refinement, about a millisecond, so 1000 take about a second.
+MAX_M_VALUES = 1000
+
+
 def _parse_m_range(text: str):
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        ends = [int(t) for t in text.split("..", 1)]
     except ValueError:
         raise ValidationError(f"--m must be an integer or a range like 3..6, "
                               f"got {text!r}") from None
+    lo, hi = ends[0], ends[-1]
+    if hi - lo + 1 > MAX_M_VALUES:
+        raise BudgetError(f"--m {text} holds {hi - lo + 1} values, over the budget {MAX_M_VALUES}")
+    return range(lo, hi + 1)
 
 
 def _cmd_gamma_prime(args) -> int:
@@ -153,9 +194,9 @@ def _parse_set(text: str) -> region.SetSpec:
 
 
 def _points_csv(points) -> str:
-    rows = ["re,im"]
-    rows.extend(f"{z.real:.12g},{z.imag:.12g}" for z in map(complex, points))
-    return "\n".join(rows) + "\n"
+    z = np.asarray(points, dtype=np.complex128)
+    rows = map("{:.12g},{:.12g}".format, z.real.tolist(), z.imag.tolist())
+    return "\n".join(["re,im", *rows]) + "\n"
 
 
 def _cmd_spectrum(args) -> int:

@@ -18,22 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ContractError, GridError, ValidationError
-from .kernels import ALIGN_TOL, GridFunction, StepFunction
+from .errors import ContractError, GridError, ValidationError
+from .kernels import ALIGN_TOL, GridFunction, StepFunction, _check_grid
+from .kernels import MAX_SOLVER_NODES  # noqa: F401 - the solver's node budget, re-exported
 
 #: Residual contract of the solver: |u*sigma(u) - trapz(sigma*chi)(u)| <= RESIDUAL_TOL * u.
 RESIDUAL_TOL = 1e-9
-
-#: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4).
-MAX_SOLVER_NODES = 10 ** 7
-
-
-def _check_grid(u_max: float, h: float) -> None:
-    """Reject a non-finite or non-positive u_max or h, and over-budget grids."""
-    if not (math.isfinite(u_max) and math.isfinite(h)) or u_max <= 0 or h <= 0:
-        raise ValidationError("u_max and h must be positive and finite")
-    if u_max / h > MAX_SOLVER_NODES:
-        raise BudgetError(f"u_max/h = {u_max / h:.3g} exceeds the budget {MAX_SOLVER_NODES}")
 
 
 def _grid_size(u_max: float, h: float) -> int:

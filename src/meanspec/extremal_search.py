@@ -16,12 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from .dde_solver import solve_sigma
 from .errors import ContractError, ValidationError
 from .kernels import ALIGN_TOL, SQRT_E, StepFunction, dickman_rho, rho_minus_correction
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Largest m for the power-residue bound: past m of about 2030 the bound,
+#: of the order exp(-m/e), is below the smallest float64 and reads 0.
+MAX_POWER_RESIDUE_M = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,14 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x), b - a
 
 
-def _scan_then_golden(f, lo: float, hi: float, n_grid: int, tol: float):
-    """Coarse grid scan then golden refinement around the best cell."""
+def _scan_then_golden(f, lo: float, hi: float, n_grid: int, tol: float,
+                      *, vectorized: bool = False):
+    """Coarse grid scan then golden refinement around the best cell.
+
+    With vectorized=True, f takes the whole scan grid in one call.
+    """
     xs = np.linspace(lo, hi, n_grid)
-    vals = [f(x) for x in xs]
+    vals = f(xs) if vectorized else [f(x) for x in xs]
     k = int(np.argmin(vals))
     a = xs[max(0, k - 1)]
     b = xs[min(n_grid - 1, k + 1)]
@@ -94,27 +103,28 @@ def power_residue_log_density_bound(m: int) -> ExtremalResult:
     """min over beta >= 0 of exp(-beta) * sum_k beta^{km} / (km)!.
 
     Upper bound for the minimal logarithmic density of m-th power residues;
-    decays like exp(-m/e) as m grows.
+    decays like exp(-m/e) as m grows.  The sum is the Poisson(beta) mass on
+    the multiples of m, so each term is taken in log space and none
+    overflows.
     """
-    if m < 2:
-        raise ValidationError("m must be at least 2")
+    if not 2 <= m <= MAX_POWER_RESIDUE_M:
+        raise ValidationError(f"m must lie in [2, {MAX_POWER_RESIDUE_M}]")
+    beta_max = 3.0 * m
+    # Multiples of m up to 15 standard deviations and 60 past the largest
+    # mean; the Poisson masses beyond are below 1e-40.
+    km = m * np.arange(1, math.ceil((beta_max + 15.0 * math.sqrt(beta_max) + 60.0) / m) + 1)
+    log_norm = gammaln(km + 1.0)
 
-    def f(beta: float) -> float:
-        if beta <= 0.0:
-            return 1.0
-        total = term = 1.0
-        k = 0
-        while True:
-            for i in range(k * m + 1, k * m + m + 1):
-                term *= beta / i
-            total += term
-            k += 1
-            if term < 1e-16 * total or k > 400:
-                break
-        return math.exp(-beta) * total
+    def f(beta):
+        b = np.atleast_1d(np.asarray(beta, dtype=np.float64))
+        with np.errstate(divide="ignore"):
+            log_b = np.log(b)[:, None]
+        masses = np.exp(km * log_b - b[:, None] - log_norm)
+        total = np.exp(-b) + masses.sum(axis=1)
+        return total if np.ndim(beta) else float(total[0])
 
-    beta, value, width = _scan_then_golden(f, 0.0, 3.0 * m, 600, 1e-10)
-    return ExtremalResult(value, beta, {"bracket_width": width, "beta_max": 3.0 * m})
+    beta, value, width = _scan_then_golden(f, 0.0, beta_max, 600, 1e-10, vectorized=True)
+    return ExtremalResult(value, beta, {"bracket_width": width, "beta_max": beta_max})
 
 
 def projection_auxiliary_minimum() -> ExtremalResult:
@@ -231,7 +241,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         if any(u <= 1.0 for u in u_grid):
             raise ValidationError("kernel support needs u > 1")
 
-    rho_floor = dickman_rho(B, 1e-4)
+    rho_floor = dickman_rho(B)
     rng = np.random.default_rng(seed)
     best_val = math.inf
     best_kernel = None
@@ -323,19 +333,16 @@ def minus_kernel_sign_changes(w_max: float, h: float = 1e-4) -> SignChangeReport
     sol = solve_sigma(chi, w_max, h)
     s = sol.sigma.samples.real
     m1 = round(1.0 / h)
-    brackets = []
-    for i in range(m1, len(s) - 1):
-        if s[i] == 0.0:
-            brackets.append(((i - 1) * h, (i + 1) * h))
-        elif s[i] * s[i + 1] < 0.0:
-            brackets.append((i * h, (i + 1) * h))
+    # A node at an exact zero brackets its two neighbours; otherwise a sign
+    # change between nodes i and i + 1 brackets that panel.
+    zero = s[m1:-1] == 0.0
+    i = np.flatnonzero(zero | (s[m1:-1] * s[m1 + 1:] < 0.0)) + m1
+    lo = np.where(zero[i - m1], i - 1, i) * h
+    brackets = tuple(zip(lo.tolist(), ((i + 1) * h).tolist()))
 
     C = sol.sigma.cumulative().real
-    n = len(s) - 1
-    resid = 0.0
-    for w in np.linspace(2.0, n * h, 100):
-        i = round(w / h)
-        F_w = C[i] - C[i - m1]
-        F_w1 = C[i - m1] - C[i - 2 * m1]
-        resid = max(resid, abs((i * h) * s[i] - (F_w - F_w1)))
-    return SignChangeReport(tuple(brackets), resid)
+    i = np.rint(np.linspace(2.0, (len(s) - 1) * h, 100) / h).astype(np.int64)
+    F_w = C[i] - C[i - m1]
+    F_w1 = C[i - m1] - C[i - 2 * m1]
+    resid = float(np.max(np.abs((i * h) * s[i] - (F_w - F_w1))))
+    return SignChangeReport(brackets, resid)

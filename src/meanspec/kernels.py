@@ -5,9 +5,10 @@ right-continuous piecewise-constant complex function on [0, oo) whose
 initial segment is identically 1; it plays the role of the kernel in the
 delay integral equation.  A GridFunction holds samples of a continuous
 function on the uniform grid u = 0, h, 2h, ...  On top of these the module
-provides the composite-trapezoid convolution, marching schemes for the
-Dickman function and its factor-two signed variant, and the logarithmic
-integral correction that the signed variant picks up past u = 2.
+provides the composite-trapezoid convolution, piecewise Taylor series for the
+Dickman function and its factor-two signed variant (after Marsaglia, Zaman &
+Marsaglia, Math. Comp. 53, 1989), and the logarithmic integral correction
+that the signed variant picks up past u = 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import signal
 from scipy.integrate import quad
 
-from .errors import GridError, ValidationError
+from .errors import BudgetError, GridError, ValidationError
 
 SQRT_E = math.sqrt(math.e)
 
@@ -31,6 +32,17 @@ DISC_TOL = 1e-12
 
 #: Absolute slack when snapping breakpoints and evaluation points to a grid.
 ALIGN_TOL = 1e-9
+
+#: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4).
+MAX_SOLVER_NODES = 10 ** 7
+
+#: Taylor terms per unit interval of the delay functions: the expansion about
+#: k + 1/2 reaches u = k - 1, so terms fall by 1/3 each and 40 leave < 1e-19.
+DELAY_TERMS = 40
+
+#: Largest delay-function argument (one table row per unit interval); past
+#: u = 20 both functions are below the series' rounding error of about 1e-17.
+MAX_DELAY_U = 1000.0
 
 
 @dataclass(frozen=True)
@@ -190,11 +202,10 @@ class GridFunction:
         return out
 
     def to_csv(self) -> str:
-        rows = ["u,re,im"]
-        for i, v in enumerate(self.samples):
-            z = complex(v)
-            rows.append(f"{i * self.h:.12g},{z.real:.12g},{z.imag:.12g}")
-        return "\n".join(rows) + "\n"
+        s = self.samples
+        rows = map("{:.12g},{:.12g},{:.12g}".format,
+                   self.u.tolist(), s.real.tolist(), s.imag.tolist())
+        return "\n".join(["u,re,im", *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
@@ -235,71 +246,80 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(f.h, out)
 
 
-def _delay_march(u_max: float, h: float, factor: float) -> np.ndarray:
-    """March t f'(t) = -factor * f(t-1), f = 1 on [0, 1], with trapezoid steps.
+def _check_grid(u_max: float, h: float) -> None:
+    """Reject a non-finite or non-positive u_max or h, and over-budget grids."""
+    if not (math.isfinite(u_max) and math.isfinite(h)) or u_max <= 0 or h <= 0:
+        raise ValidationError("u_max and h must be positive and finite")
+    if u_max / h > MAX_SOLVER_NODES:
+        raise BudgetError(f"u_max/h = {u_max / h:.3g} exceeds the budget {MAX_SOLVER_NODES}")
 
-    Explicit Euler predicts and the trapezoid corrects; because the delayed
-    argument never touches the current node the two stages coincide.  The
-    delayed value is read by linear interpolation, and the step leaving
-    t = 1 uses the one-sided derivative -factor from the right.
+
+def _horner(coeffs, s):
+    """sum_i coeffs[i] * s**i by Horner's rule, on a float or an array s."""
+    y = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        y = y * s + a
+    return y
+
+
+def _delay_table(k_max: int, factor: float) -> np.ndarray:
+    """Taylor coefficients a[k, i] of f about k + 1/2, one row per interval (k, k+1].
+
+    u f'(u) = -factor f(u-1) gives a[k, i >= 1] from row k - 1, and continuity at
+    u = k fixes a[k, 0].
     """
-    if h <= 0 or h > 0.25:
-        raise ValidationError("need 0 < h <= 0.25")
-    n = max(1, int(math.ceil(u_max / h - ALIGN_TOL)))
-    out = [1.0] * (n + 1)
-    inv_h = 1.0 / h
-    i1 = int(math.floor(inv_h + ALIGN_TOL)) + 1
-    if i1 > n:
-        return np.array(out)
-    g_prev = -factor
-    u_prev = 1.0
-    val = 1.0
-    for i in range(i1, n + 1):
-        u = i * h
-        pos = (u - 1.0) * inv_h
-        j = int(pos)
-        delayed = out[j] + (pos - j) * (out[j + 1] - out[j])
-        g_cur = -factor * delayed / u
-        val += 0.5 * (u - u_prev) * (g_prev + g_cur)
-        out[i] = val
-        g_prev = g_cur
-        u_prev = u
-    return np.array(out)
+    table = np.zeros((k_max + 1, DELAY_TERMS))
+    table[0, 0] = 1.0
+    for k in range(1, k_max + 1):
+        prev, row = table[k - 1].tolist(), [0.0] * DELAY_TERMS
+        for i in range(DELAY_TERMS - 1):
+            row[i + 1] = (-factor * prev[i] - i * row[i]) / ((k + 0.5) * (i + 1))
+        row[0] = _horner(prev, 0.5) + 0.5 * _horner(row[1:], -0.5)
+        table[k] = row
+    return table
 
 
-def _delay_value(u: float, h: float, factor: float) -> float:
-    if u < 0:
-        raise ValidationError("argument must be nonnegative")
-    if u <= 1.0:
-        return 1.0
-    samples = _delay_march(u, h, factor)
-    pos = u / h
-    j = min(int(pos), len(samples) - 2)
-    return float(samples[j] + (pos - j) * (samples[j + 1] - samples[j]))
+def _delay_samples(u: np.ndarray, factor: float) -> np.ndarray:
+    """f at the ascending points u: one Horner pass per unit interval."""
+    if not (u[0] >= 0 and math.isfinite(u[-1])):
+        raise ValidationError("argument must be finite and nonnegative")
+    if u[-1] > MAX_DELAY_U:
+        raise BudgetError(f"u = {u[-1]:.3g} exceeds the delay-function budget {MAX_DELAY_U}")
+    k = np.maximum(np.ceil(u) - 1.0, 0.0).astype(np.int64)
+    table = _delay_table(int(k[-1]), factor)
+    edges = np.searchsorted(k, np.arange(k[-1] + 2))
+    return np.concatenate([_horner(table[j].tolist(), u[lo:hi] - (j + 0.5))
+                           for j, (lo, hi) in enumerate(zip(edges, edges[1:]))])
+
+
+def _delay_grid(u_max: float, h: float, factor: float) -> GridFunction:
+    _check_grid(u_max, h)
+    u = h * np.arange(max(1, int(math.ceil(u_max / h - ALIGN_TOL))) + 1)
+    return GridFunction(h, _delay_samples(u, factor))
 
 
 def dickman_rho(u: float, h: float = 1e-4) -> float:
-    """Dickman function: u rho'(u) = -rho(u-1) with rho = 1 on [0, 1]."""
-    return _delay_value(u, h, 1.0)
+    """Dickman function: u rho'(u) = -rho(u-1), rho = 1 on [0, 1]; h is unused."""
+    return float(_delay_samples(np.array([float(u)]), 1.0)[0])
 
 
 def rho_minus(u: float, h: float = 1e-4) -> float:
     """Signed Dickman-type variant: u f'(u) = -2 f(u-1), f = 1 on [0, 1].
 
     Decreases on [1, 1+sqrt(e)], vanishes at sqrt(e), attains its minimum at
-    1+sqrt(e), and increases beyond.
+    1+sqrt(e), and increases beyond.  As for dickman_rho, h is unused.
     """
-    return _delay_value(u, h, 2.0)
+    return float(_delay_samples(np.array([float(u)]), 2.0)[0])
 
 
 def dickman_rho_grid(u_max: float, h: float = 1e-4) -> GridFunction:
     """Dickman function sampled on the uniform grid covering [0, u_max]."""
-    return GridFunction(h, _delay_march(u_max, h, 1.0))
+    return _delay_grid(u_max, h, 1.0)
 
 
 def rho_minus_grid(u_max: float, h: float = 1e-4) -> GridFunction:
     """Signed variant sampled on the uniform grid covering [0, u_max]."""
-    return GridFunction(h, _delay_march(u_max, h, 2.0))
+    return _delay_grid(u_max, h, 2.0)
 
 
 def rho_minus_correction(t: float) -> float:

@@ -23,9 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .dde_solver import _check_grid, solve_sigma
-from .errors import ContractError, ValidationError
-from .kernels import GridFunction, StepFunction
+from .dde_solver import solve_sigma
+from .errors import BudgetError, ContractError, ValidationError
+from .kernels import GridFunction, StepFunction, _check_grid
+
+#: Largest series order k: I_k vanishes on [0, k], so orders past u_max add
+#: only exact zeros; 64 is eight times the CLI's default u_max.
+MAX_SERIES_ORDER = 64
 
 #: Envelope checks allow this much beyond the stated 1e-6, scaled by h^2,
 #: for the difference between the two independent quadrature paths.
@@ -92,13 +96,19 @@ def _nodes(u_max: float, h: float) -> int:
     return int(math.ceil(u_max / h - 1e-9)) + 1
 
 
-def _partial_sums(chi: StepFunction, k: int, n: int, h: float) -> list:
-    """sigma_0, ..., sigma_k: the alternating partial sums of the powers."""
+def _check_order(k: int) -> None:
+    if k > MAX_SERIES_ORDER:
+        raise BudgetError(f"series order {k} exceeds the budget {MAX_SERIES_ORDER}")
+
+
+def _partial_sums(chi: StepFunction, k: int, n: int, h: float):
+    """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers."""
     powers = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
-    sums = [next(powers)]
+    total = next(powers)
+    yield total
     for j, power in enumerate(powers, start=1):
-        sums.append(sums[-1] + ((-1) ** j / math.factorial(j)) * power)
-    return sums
+        total = total + ((-1) ** j / math.factorial(j)) * power
+        yield total
 
 
 def iterated_integral(chi: StepFunction, k: int, u_max: float,
@@ -106,9 +116,10 @@ def iterated_integral(chi: StepFunction, k: int, u_max: float,
     """I_k on the grid: the k-fold convolution power 1 * kappa^{*k}."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
+    _check_order(k)
     n = _nodes(u_max, h)
-    powers = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
-    return GridFunction(h, list(powers)[k])
+    *_, power = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
+    return GridFunction(h, power)
 
 
 def sigma_partial(chi: StepFunction, k: int, u_max: float,
@@ -116,7 +127,9 @@ def sigma_partial(chi: StepFunction, k: int, u_max: float,
     """Alternating partial sum sigma_k = sum_{j=0}^{k} (-1)^j I_j / j!."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    return GridFunction(h, _partial_sums(chi, k, _nodes(u_max, h), h)[k])
+    _check_order(k)
+    *_, total = _partial_sums(chi, k, _nodes(u_max, h), h)
+    return GridFunction(h, total)
 
 
 def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
@@ -125,6 +138,7 @@ def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
     Uses |1 - chi| <= 2, so |I_j(u)| <= (2 log u)^j; nonnegative and
     nondecreasing in u.
     """
+    _check_order(k_max)
     n = _nodes(u_max, h)
     x = 2.0 * np.log(np.maximum(h * np.arange(n), 1.0))
     term = np.ones(n)
@@ -156,13 +170,13 @@ class BoundsReport:
         d = {
             "k_max": self.k_max,
             "h": self.lower.h,
-            "u": [float(v) for v in self.lower.u],
-            "lower_re": [float(v.real) for v in map(complex, self.lower.samples)],
-            "upper_re": [float(v.real) for v in map(complex, self.upper.samples)],
-            "tail_bound": [float(v) for v in self.tail_bound.samples],
+            "u": self.lower.u.tolist(),
+            "lower_re": self.lower.samples.real.tolist(),
+            "upper_re": self.upper.samples.real.tolist(),
+            "tail_bound": self.tail_bound.samples.tolist(),
         }
         for name, series in (("r_series", self.r_series), ("c_series", self.c_series)):
-            d[name] = [[float(v) for v in gf.samples.real] for gf in series]
+            d[name] = [gf.samples.real.tolist() for gf in series]
         return d
 
 
@@ -177,12 +191,15 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
         raise ValidationError("sandwich needs a real kernel; use complex_bounds")
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
+    _check_order(k_max)
     k_lo = 2 * ((k_max - 1) // 2) + 1
     k_up = 2 * (k_max // 2)
     n = _nodes(u_max, h)
-    partials = _partial_sums(chi, max(k_lo, k_up), n, h)
-    lower = partials[k_lo]
-    upper = partials[k_up]
+    for j, total in enumerate(_partial_sums(chi, max(k_lo, k_up), n, h)):
+        if j == k_lo:
+            lower = total
+        if j == k_up:
+            upper = total
 
     sol = solve_sigma(chi, u_max, h)
     s = sol.sigma.samples[:n].real

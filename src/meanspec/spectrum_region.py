@@ -18,8 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .kernels import DISC_TOL, SQRT_E, StepFunction
+
+#: Largest k for the k-th roots of unity: each level of the log-region
+#: products multiplies its size by up to 2k + 1, and k = 64 already takes
+#: 5 s and 250 MB.
+MAX_ROOTS_OF_UNITY = 64
 
 #: Collinearity band for the orientation predicates.
 GEOM_EPS = 1e-12
@@ -175,6 +180,8 @@ class SetSpec:
     def roots_of_unity(cls, k: int) -> "SetSpec":
         if k < 1:
             raise ValidationError("k must be positive")
+        if k > MAX_ROOTS_OF_UNITY:
+            raise BudgetError(f"k = {k} exceeds the roots-of-unity budget {MAX_ROOTS_OF_UNITY}")
         pts = tuple(cmath.exp(2j * math.pi * j / k) for j in range(k))
         hull = tuple(convex_hull(pts))
         return cls("roots-of-unity", pts, hull, cls._angle_of(pts), f"roots:{k}")

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from meanspec.cli import main
@@ -215,3 +216,131 @@ class TestVerify:
                                                   "forced failure", 0.0)])
         assert main(["verify", "--only", "1"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+def _reference_report_dict(report) -> dict:
+    """BoundsReport.to_json_dict as it was written sample by sample."""
+    d = {
+        "k_max": report.k_max,
+        "h": report.lower.h,
+        "u": [float(v) for v in report.lower.u],
+        "lower_re": [float(v.real) for v in map(complex, report.lower.samples)],
+        "upper_re": [float(v.real) for v in map(complex, report.upper.samples)],
+        "tail_bound": [float(v) for v in report.tail_bound.samples],
+    }
+    for name, series in (("r_series", report.r_series), ("c_series", report.c_series)):
+        d[name] = [[float(v) for v in gf.samples.real] for gf in series]
+    return d
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_grid_csv(g) -> str:
+    rows = ["u,re,im"]
+    for i, v in enumerate(g.samples):
+        z = complex(v)
+        rows.append(f"{i * g.h:.12g},{z.real:.12g},{z.imag:.12g}")
+    return "\n".join(rows) + "\n"
+
+
+#: Negative zero, values below 1e-4, exact integers, extremes and long reprs.
+AWKWARD_FLOATS = [0.0, -0.0, 1.0, -3.0, 2.0 ** 60, 1e-5, -3.5e-7, 5e-324, 1e300,
+                  0.1, 1.0 / 3.0, -2.220446049250313e-16, 123456789.125]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("kernel", [CHI_MINUS, StepFunction((1.0, 2.5), (1.0, -0.0), 0.0),
+                                        StepFunction((1.0, 1.75), (1.0, 0.5 - 0.5j), -0.25j)])
+    def test_report_json_is_byte_identical(self, kernel):
+        from meanspec import series_bounds as series
+        from meanspec.cli import _json_dumps
+        if kernel.is_real:
+            report = series.sandwich(kernel, 6, 4.0, 1e-2)
+        else:
+            report = series.complex_bounds(kernel, 4.0, 1e-2)
+        new = report.to_json_dict()
+        old = _reference_report_dict(report)
+        assert new == old
+        assert _json_dumps(new) == _reference_json(old)
+
+    def test_nested_payload_is_byte_identical(self):
+        from meanspec.cli import _json_dumps
+        payload = {
+            "floats": AWKWARD_FLOATS,
+            "ints": [1, 2, 3],
+            "mixed": [1, 2.5, "x", None, True],
+            "empty": [],
+            "pairs": [[z, -z] for z in AWKWARD_FLOATS],
+            "nested": {"b": {"deep": [0.25, -0.0]}, "a": "text", "n": 7},
+            "scalar": -0.0,
+            "tuple": (1.5, 2.5),
+        }
+        assert _json_dumps(payload) == _reference_json(payload)
+        assert _json_dumps([0.5, 1.0]) == _reference_json([0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        from meanspec.cli import _json_dumps
+        from meanspec.errors import ContractError
+        for payload in ({"a": [1.0, bad]}, {"a": bad}, {"a": [[0.5, bad]]}):
+            with pytest.raises(ContractError):
+                _json_dumps(payload)
+
+    def test_grid_csv_is_byte_identical(self):
+        from meanspec.kernels import GridFunction
+        real = GridFunction(1e-3, np.array(AWKWARD_FLOATS))
+        cplx = GridFunction(0.1, np.array(AWKWARD_FLOATS) * (1 - 1j) + 0.5j * np.array(
+            AWKWARD_FLOATS[::-1]))
+        signed = GridFunction(0.25, np.array([complex(0.0, -0.0), complex(-0.0, 0.0), 1e-5j]))
+        for g in (real, cplx, signed, GridFunction(3, np.arange(8001.0) / 7.0),
+                  GridFunction(1.0 / 7.0, np.ones(50))):
+            assert g.to_csv() == _reference_grid_csv(g)
+
+    def test_points_csv_is_byte_identical(self):
+        from meanspec.cli import _points_csv
+        pts = np.array(AWKWARD_FLOATS, dtype=complex) * (1 + 0.5j)
+        for points in (pts, list(pts), [complex(-0.0, -0.0)], []):
+            rows = ["re,im"]
+            rows.extend(f"{z.real:.12g},{z.imag:.12g}" for z in map(complex, points))
+            assert _points_csv(points) == "\n".join(rows) + "\n"
+
+
+class TestInputBudgets:
+    """Each over-budget input exits 3 with one line before any large allocation."""
+
+    @staticmethod
+    def _run_traced(argv):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return rc, peak
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--kmax", "100000", "--umax", "8"],
+        ["spectrum", "--set", "sk:100000000", "--what", "spirals"],
+        ["gamma-prime", "--m", "2..100000"],
+    ])
+    def test_exits_three_with_one_line(self, argv, chi_file, capsys):
+        if argv[0] == "bounds":
+            argv = argv[:1] + ["--chi", chi_file] + argv[1:]
+        rc, peak = self._run_traced(argv)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource budget exceeded: ") and err.count("\n") == 1
+        assert peak < 1 << 20
+
+    def test_largest_m_range_runs(self, capsys):
+        from meanspec.cli import MAX_M_VALUES
+        assert main(["gamma-prime", "--m", f"3..{MAX_M_VALUES + 2}"]) == 0
+        assert main(["gamma-prime", "--m", f"3..{MAX_M_VALUES + 3}"]) == 3
+
+    def test_m_above_its_range_exits_one(self, capsys):
+        assert main(["gamma-prime", "--m", "10000000000000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanspec.errors import ContractError, ValidationError
-from meanspec.extremal_search import (TAU_MAX, average_bound_expressions,
+from meanspec.dde_solver import SigmaSolution, solve_sigma
+from meanspec.extremal_search import (MAX_POWER_RESIDUE_M, TAU_MAX,
+                                      average_bound_expressions,
                                       delta_constants, golden_section,
                                       log_gap_endpoint_values,
                                       minus_kernel_sign_changes,
@@ -14,7 +16,10 @@ from meanspec.extremal_search import (TAU_MAX, average_bound_expressions,
                                       power_residue_log_density_bound,
                                       projection_auxiliary_minimum,
                                       truncated_kernel_min_mean)
-from meanspec.kernels import SQRT_E, dickman_rho, rho_minus_correction
+from meanspec.kernels import (SQRT_E, GridFunction, StepFunction, dickman_rho,
+                              rho_minus_correction)
+
+CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
 
 class TestDeltaConstants:
@@ -50,6 +55,31 @@ class TestPowerResidueBound:
     def test_small_m_rejected(self):
         with pytest.raises(ValidationError):
             power_residue_log_density_bound(1)
+
+    @pytest.mark.parametrize("m, value", [(3, 0.3244733555078601), (4, 0.21859758340466715),
+                                          (5, 0.14791220649268633), (6, 0.10024710261243924)])
+    def test_matches_direct_term_products(self, m, value):
+        # Values of the earlier evaluation that multiplied the terms out directly.
+        assert abs(power_residue_log_density_bound(m).value - value) <= 1e-15
+
+    def test_large_m_finite_against_mpmath(self):
+        import mpmath
+        r = power_residue_log_density_bound(500)
+        assert math.isfinite(r.value) and r.value > 0.0
+        with mpmath.workdps(40):
+            def f(beta):
+                return mpmath.exp(-beta) * mpmath.fsum(
+                    beta ** (500 * k) / mpmath.factorial(500 * k) for k in range(12))
+
+            beta = mpmath.findroot(lambda b: mpmath.diff(f, b), r.argmin)
+            ref = f(beta)
+        assert abs(r.value - float(ref)) <= 1e-6 * float(ref)
+        assert abs(r.argmin - float(beta)) <= 1e-6 * float(beta)
+
+    @pytest.mark.parametrize("m", [MAX_POWER_RESIDUE_M + 1, 10 ** 22])
+    def test_large_m_rejected(self, m):
+        with pytest.raises(ValidationError):
+            power_residue_log_density_bound(m)
 
     def test_golden_section_stability(self):
         def f(x):
@@ -142,6 +172,46 @@ class TestMinusKernelSignChanges:
     def test_domain_validation(self):
         with pytest.raises(ValidationError):
             minus_kernel_sign_changes(3.0, 1e-3)
+
+    @staticmethod
+    def _node_loop(sol, h):
+        """The scan and the identity residual, one node at a time."""
+        s = sol.sigma.samples.real
+        m1 = round(1.0 / h)
+        brackets = []
+        for i in range(m1, len(s) - 1):
+            if s[i] == 0.0:
+                brackets.append(((i - 1) * h, (i + 1) * h))
+            elif s[i] * s[i + 1] < 0.0:
+                brackets.append((i * h, (i + 1) * h))
+        C = sol.sigma.cumulative().real
+        resid = 0.0
+        for w in np.linspace(2.0, (len(s) - 1) * h, 100):
+            i = round(w / h)
+            F_w = C[i] - C[i - m1]
+            F_w1 = C[i - m1] - C[i - 2 * m1]
+            resid = max(resid, abs((i * h) * s[i] - (F_w - F_w1)))
+        return tuple(brackets), resid
+
+    @pytest.mark.parametrize("w_max, h", [(8.0, 1e-4), (10.37, 1e-4), (12.0, 1e-4), (6.0, 1e-3)])
+    def test_matches_node_loop(self, w_max, h):
+        sol = solve_sigma(StepFunction((1.0, 2.0), (1.0, -1.0), 0.0), w_max, h)
+        rep = minus_kernel_sign_changes(w_max, h)
+        assert (rep.brackets, rep.identity_residual) == self._node_loop(sol, h)
+
+    def test_exact_zeros_match_node_loop(self, monkeypatch):
+        # Exact zeros, runs of zeros and tiny values, which a real solve
+        # hardly ever produces, on random samples past u = 1.
+        import meanspec.extremal_search as es
+        h = 1e-2
+        s = np.random.default_rng(3).normal(size=801)
+        s[:101] = 1.0
+        s[[150, 151, 300, 420, 421, 422, 799, 800]] = 0.0
+        s[[500, 501]] = [1e-300, -1e-300]
+        sol = SigmaSolution(CHI_MINUS_CUT, GridFunction(h, s), GridFunction(h, np.abs(s)))
+        monkeypatch.setattr(es, "solve_sigma", lambda chi, u_max, h: sol)
+        rep = minus_kernel_sign_changes(8.0, h)
+        assert (rep.brackets, rep.identity_residual) == self._node_loop(sol, h)
 
 
 class TestTruncatedKernelMinMean:

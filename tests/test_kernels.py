@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanspec.errors import GridError, ValidationError
-from meanspec.kernels import (SQRT_E, GridFunction, StepFunction, convolve,
+from meanspec.errors import BudgetError, GridError, ValidationError
+from meanspec.kernels import (MAX_DELAY_U, SQRT_E, GridFunction, StepFunction, convolve,
                               dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
@@ -176,10 +176,9 @@ class TestDickmanRho:
         assert np.min(tail) >= -1e-9
         assert np.max(np.diff(tail)) <= 1e-11
 
-    def test_richardson_order(self):
+    def test_independent_of_h(self):
         vals = [dickman_rho(3.0, h) for h in (4e-3, 2e-3, 1e-3)]
-        ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
-        assert 3.5 <= ratio <= 4.5
+        assert vals[0] == vals[1] == vals[2] == dickman_rho(3.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -204,10 +203,9 @@ class TestRhoMinus:
         assert np.max(np.diff(g.samples[i_one:i_min + 1])) <= 0.0
         assert np.min(np.diff(g.samples[i_min + 1:])) >= 0.0
 
-    def test_richardson_order(self):
+    def test_independent_of_h(self):
         vals = [rho_minus(3.3, h) for h in (4e-3, 2e-3, 1e-3)]
-        ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
-        assert 3.5 <= ratio <= 4.5
+        assert vals[0] == vals[1] == vals[2] == rho_minus(3.3)
 
 
 class TestRhoMinusCorrection:
@@ -225,3 +223,86 @@ class TestRhoMinusCorrection:
         for t in (2.2, 2.8):
             ref = 1.0 - 2.0 * math.log(t) + rho_minus_correction(t)
             assert abs(rho_minus(t, 1e-4) - ref) <= 1e-7
+
+
+def _delay_reference(u: float, factor: int, terms: int = 60, dps: int = 30):
+    """The midpoint Taylor recurrence for u f'(u) = -factor f(u-1), in mpmath."""
+    import mpmath
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(1) / 2
+        k_max = max(0, math.ceil(u) - 1)
+        row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
+        for k in range(1, k_max + 1):
+            prev, row = row, [mpmath.mpf(0)] * terms
+            for i in range(terms - 1):
+                row[i + 1] = (-factor * prev[i] - i * row[i]) / ((k + half) * (i + 1))
+            row[0] = mpmath.polyval(prev[::-1], half) - mpmath.polyval(row[::-1], -half)
+        return mpmath.polyval(row[::-1], mpmath.mpf(u) - k_max - half)
+
+
+class TestDelaySeries:
+    @pytest.mark.parametrize("f, factor", [(dickman_rho, 1.0), (rho_minus, 2.0)])
+    def test_log_segment_closed_form(self, f, factor):
+        for u in np.linspace(1.0, 2.0, 41):
+            assert abs(f(u) - (1.0 - factor * math.log(u))) <= 1e-13
+
+    def test_rho_minus_closed_form_on_2_3(self):
+        for u in np.linspace(2.0, 3.0, 21):
+            ref = 1.0 - 2.0 * math.log(u) + rho_minus_correction(u)
+            assert abs(rho_minus(u) - ref) <= 1e-13
+
+    def test_dickman_dilogarithm_on_2_3(self):
+        import mpmath
+        for u in np.linspace(2.0, 3.0, 21):
+            ref = (1 - (1 - mpmath.log(u - 1)) * mpmath.log(u)
+                   + mpmath.polylog(2, 1 - u) + mpmath.pi ** 2 / 12)
+            assert abs(dickman_rho(u) - float(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("f, factor, u", [(dickman_rho, 1, 10.0), (rho_minus, 2, 5.3),
+                                              (rho_minus, 2, 1.0 + SQRT_E)])
+    def test_against_high_precision_recurrence(self, f, factor, u):
+        assert abs(f(u) - float(_delay_reference(u, factor))) <= 1e-13
+
+    def test_paper_values(self):
+        from meanspec.extremal_search import delta_constants
+        assert abs(rho_minus(SQRT_E)) <= 1e-12
+        assert abs(rho_minus(1.0 + SQRT_E) - delta_constants()[0]) <= 1e-12
+
+    @pytest.mark.parametrize("grid, f", [(dickman_rho_grid, dickman_rho),
+                                         (rho_minus_grid, rho_minus)])
+    @pytest.mark.parametrize("u_max, h", [(6.0, 1e-3), (4.3, 0.3), (0.5, 0.1)])
+    def test_grid_samples_equal_scalar_values(self, grid, f, u_max, h):
+        g = grid(u_max, h)
+        assert len(g) == max(1, math.ceil(u_max / h - 1e-9)) + 1
+        idx = sorted(set(range(0, len(g), 37)) | {round(k / h) for k in range(int(u_max) + 1)})
+        for i in idx:
+            assert f(float(g.u[i])) == g.samples[i]
+        assert np.all(g.samples[:round(1.0 / h) + 1] == 1.0)
+
+    @pytest.mark.parametrize("f", [dickman_rho, rho_minus])
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_argument_rejected(self, f, u):
+        with pytest.raises(ValidationError):
+            f(u)
+
+    @pytest.mark.parametrize("f", [dickman_rho, rho_minus])
+    def test_argument_budget(self, f):
+        assert f(MAX_DELAY_U) == f(MAX_DELAY_U, 0.1)
+        with pytest.raises(BudgetError):
+            f(MAX_DELAY_U * 1.001)
+        with pytest.raises(BudgetError):
+            f(1e300)
+
+    @pytest.mark.parametrize("grid", [dickman_rho_grid, rho_minus_grid])
+    @pytest.mark.parametrize("u_max, h", [(math.nan, 1e-3), (5.0, math.nan), (math.inf, 1e-3),
+                                          (5.0, math.inf), (0.0, 1e-3), (-1.0, 1e-3),
+                                          (5.0, 0.0), (5.0, -1e-3)])
+    def test_grid_rejects_bad_input(self, grid, u_max, h):
+        with pytest.raises(ValidationError):
+            grid(u_max, h)
+
+    @pytest.mark.parametrize("grid", [dickman_rho_grid, rho_minus_grid])
+    @pytest.mark.parametrize("u_max, h", [(5.0, 1e-7), (2 * MAX_DELAY_U, 1.0), (1.0, 1e9)])
+    def test_grid_budgets(self, grid, u_max, h):
+        with pytest.raises(BudgetError):
+            grid(u_max, h)

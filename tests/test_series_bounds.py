@@ -8,7 +8,7 @@ from conftest import make_complex_kernel, make_real_kernel
 from meanspec.dde_solver import solve_sigma
 from meanspec.errors import BudgetError, ContractError, ValidationError
 from meanspec.kernels import GridFunction, StepFunction, convolve, rho_minus
-from meanspec.series_bounds import (_kappa, _PanelConvolution, complex_bounds,
+from meanspec.series_bounds import (MAX_SERIES_ORDER, _kappa, _PanelConvolution, complex_bounds,
                                     iterated_integral, sandwich, sigma_partial,
                                     tail_envelope)
 
@@ -222,6 +222,23 @@ class TestSandwich:
             sandwich(CHI_MINUS, 4, 1e9, 1e-3)
         with pytest.raises(BudgetError):
             iterated_integral(CHI_MINUS, 2, 1e5, 1e-3)
+
+    def test_order_budget(self):
+        k = MAX_SERIES_ORDER + 1
+        for call in (lambda: sandwich(CHI_MINUS, k, 4.0, 1e-3),
+                     lambda: iterated_integral(CHI_MINUS, k, 4.0, 1e-3),
+                     lambda: sigma_partial(CHI_MINUS, k, 4.0, 1e-3),
+                     lambda: tail_envelope(k, 4.0, 1e-3)):
+            with pytest.raises(BudgetError):
+                call()
+
+    def test_orders_past_u_max_add_exact_zeros(self):
+        a = sandwich(CHI_REAL, 5, 4.0, 1e-3)
+        b = sandwich(CHI_REAL, MAX_SERIES_ORDER - 1, 4.0, 1e-3)
+        assert np.array_equal(a.lower.samples, b.lower.samples)
+        assert np.array_equal(a.upper.samples, b.upper.samples)
+        assert np.array_equal(sigma_partial(CHI_REAL, 4, 4.0, 1e-3).samples,
+                              sigma_partial(CHI_REAL, MAX_SERIES_ORDER, 4.0, 1e-3).samples)
 
 
 class TestComplexBounds:

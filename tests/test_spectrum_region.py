@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from meanspec.errors import ValidationError
+from meanspec.errors import BudgetError, ValidationError
 from meanspec.extremal_search import delta_constants
 from meanspec.kernels import SQRT_E, StepFunction, rho_minus_grid
-from meanspec.spectrum_region import (DISC_COEFF, PROJ_COEFF, RegionCloud,
+from meanspec.spectrum_region import (DISC_COEFF, MAX_ROOTS_OF_UNITY, PROJ_COEFF, RegionCloud,
                                       SetSpec, ang, containment_report,
                                       convex_hull, euler_spiral_cloud,
                                       hausdorff_distance, kernel_in_hull,
@@ -47,6 +47,11 @@ class TestSetSpec:
     def test_must_contain_one(self):
         with pytest.raises(ValidationError):
             SetSpec.from_points([-1.0, 1j])
+
+    def test_roots_of_unity_budget(self):
+        assert len(SetSpec.roots_of_unity(MAX_ROOTS_OF_UNITY).generators) == MAX_ROOTS_OF_UNITY
+        with pytest.raises(BudgetError):
+            SetSpec.roots_of_unity(MAX_ROOTS_OF_UNITY + 1)
 
     def test_interval_must_reach_one(self):
         with pytest.raises(ValidationError):
