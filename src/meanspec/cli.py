@@ -195,6 +195,8 @@ def _parse_set(text: str) -> region.SetSpec:
 
 def _points_csv(points) -> str:
     z = np.asarray(points, dtype=np.complex128)
+    if not np.all(np.isfinite(z)):
+        raise ContractError("refusing to write a non-finite value")
     rows = map("{:.12g},{:.12g}".format, z.real.tolist(), z.imag.tolist())
     return "\n".join(["re,im", *rows]) + "\n"
 

@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .dde_solver import solve_sigma
-from .errors import ContractError, ValidationError
-from .kernels import ALIGN_TOL, SQRT_E, StepFunction, dickman_rho, rho_minus_correction
+from .errors import BudgetError, ContractError, ValidationError
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, dickman_rho,
+                      rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -206,9 +208,28 @@ def mixed_square_inequality_violations(n_samples: int, seed: int = 0) -> int:
 
 DEFAULT_U_GRID = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
 
+#: Most restarts per u: each is a coordinate descent of up to sweeps x m_steps
+#: line searches, tens of milliseconds, so 1000 restarts already take minutes.
+MAX_RESTARTS = 1000
+
+#: Largest line-search degree floor(B*u): a line search solves up to d + 2
+#: kernels where golden section solved about 16, so gamma-b at B = 10
+#: (degree 60) already took 1.5x the golden-section time.
+MAX_LINE_DEGREE = 100
+
 
 def _snap(x: float, h: float) -> float:
     return round(x / h) * h
+
+
+def _interpolated_argmin(ts: np.ndarray, vals: np.ndarray) -> float:
+    """Argmin on [-1, 1] of the polynomial through (ts, vals) over the endpoints
+    and the real roots of its derivative, in the Chebyshev basis."""
+    coef = cheb.chebfit(ts, vals, len(ts) - 1)
+    crit = cheb.chebroots(cheb.chebtrim(cheb.chebder(coef)))
+    crit = crit.real[(np.abs(crit.imag) <= 1e-9) & (np.abs(crit.real) <= 1.0)]
+    cand = np.concatenate(([-1.0, 1.0], crit))
+    return float(cand[np.argmin(cheb.chebval(cand, coef))])
 
 
 def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
@@ -221,16 +242,22 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     The kernel is 1 on [0, 1], takes m_steps free levels in [-1, 1] on equal
     panels of [1, u], and vanishes beyond u; the outer loop ranges over
     u_grid (scaled so B*u >= 1 when defaulted) and the inner optimizer is
-    coordinate descent with golden-section line searches from one all-minus
-    start plus seeded random restarts.  The panel parameterization only
-    explores part of the admissible class, so the result is an upper bound
-    for the true minimum; it is checked against the two-sided bracket
-    [-rho(B) - 1e-4, 0).
+    coordinate descent from one all-minus start plus seeded random restarts.
+    On the grid, sigma(B*u) is a polynomial in each level, of degree at most
+    d = floor(B*u / a) for a level whose panel starts at a, so each line
+    search solves the d + 1 kernels at the Chebyshev-Lobatto nodes
+    cos(pi k/d), interpolates exactly and takes the interpolant's global
+    minimum on [-1, 1]; a step is taken only if a solve at that minimum
+    beats the current value.  The panel parameterization only explores part
+    of the admissible class, so the result is an upper bound for the true
+    minimum; it is checked against the two-sided bracket [-rho(B) - 1e-4, 0).
     """
     if not 0.0 < B < math.inf:
         raise ValidationError("B must be positive and finite")
     if m_steps < 1 or restarts < 1:
         raise ValidationError("m_steps and restarts must be at least 1")
+    if restarts > MAX_RESTARTS:
+        raise BudgetError(f"restarts = {restarts} exceeds the budget {MAX_RESTARTS}")
     if u_grid is None:
         scale = max(1.0, 1.0 / (B * DEFAULT_U_GRID[0]))
         u_grid = tuple(u * scale for u in DEFAULT_U_GRID)
@@ -240,6 +267,13 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
             raise ValidationError("infeasible grid: need B*u >= 1 for every u")
         if any(u <= 1.0 for u in u_grid):
             raise ValidationError("kernel support needs u > 1")
+    for u in u_grid:
+        _check_grid(max(B, 1.0) * u, h)
+        if math.floor(B * u + ALIGN_TOL) > MAX_LINE_DEGREE:
+            raise BudgetError(f"line-search degree floor(B*u) = {math.floor(B * u)} "
+                              f"exceeds the budget {MAX_LINE_DEGREE}")
+        if m_steps * h > u - 1.0 + ALIGN_TOL:  # before the edge loop allocates
+            raise ValidationError(f"{m_steps} panels of [1, {u}] do not fit on the h={h} grid")
 
     rho_floor = dickman_rho(B)
     rng = np.random.default_rng(seed)
@@ -259,6 +293,10 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         m = m_steps
         target = B * u
         u_top = max(_snap(math.ceil(target / h) * h, h), edges[-1])
+        # sigma(target) has degree <= floor(target / a) in a level whose panel
+        # starts at a: each use of the level delays by at least a.
+        lobatto = [np.cos(np.pi * np.arange(d + 1) / d)
+                   for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
         def objective(levels) -> float:
             nonlocal max_abs_seen, evaluations
@@ -276,20 +314,23 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         while len(starts) < restarts:
             starts.append(rng.uniform(-1.0, 1.0, m))
 
-        for y0 in starts[:max(restarts, len(starts))]:
+        for y0 in starts:
             y = np.array(y0, dtype=float)
             val = objective(y)
             for _ in range(sweeps):
                 improved = False
-                for j in range(m):
+                for j, nodes in enumerate(lobatto):
                     def line(t, j=j):
                         trial = y.copy()
                         trial[j] = t
                         return objective(trial)
-                    t_best, v_best, _w = golden_section(line, -1.0, 1.0, 5e-3)
-                    if v_best < val - 1e-12:
-                        y[j] = t_best
-                        val = v_best
+                    vals = np.array([line(t) for t in nodes])
+                    t = _interpolated_argmin(nodes, vals)
+                    v = vals[nodes == t]  # solved already when t is a node
+                    v = v[0] if v.size else line(t)
+                    if v < val - 1e-12:
+                        y[j] = t
+                        val = float(v)
                         improved = True
                 if not improved:
                     break

@@ -1,30 +1,6 @@
 import numpy as np
 import pytest
 
-from meanspec.kernels import StepFunction
-
-
-def make_real_kernel(rng, h_align, u_span, n_levels, value_lo=-1.0, value_hi=1.0):
-    """Random real step kernel with breakpoints on the h_align grid."""
-    lo = round(1.0 / h_align)
-    hi = round(u_span / h_align)
-    marks = np.sort(rng.choice(np.arange(lo, hi), size=n_levels, replace=False))
-    vals = rng.uniform(value_lo, value_hi, n_levels)
-    return StepFunction(tuple(marks * h_align), (1.0,) + tuple(vals[:-1]), vals[-1])
-
-
-def make_complex_kernel(rng, h_align, u_span, n_levels):
-    """Random kernel with values in the square hull of {1, -1, i, -i}."""
-    lo = round(1.0 / h_align)
-    hi = round(u_span / h_align)
-    marks = np.sort(rng.choice(np.arange(lo, hi), size=n_levels, replace=False))
-    vals = []
-    while len(vals) < n_levels:
-        x, y = rng.uniform(-1.0, 1.0, 2)
-        if abs(x) + abs(y) <= 1.0:
-            vals.append(complex(x, y))
-    return StepFunction(tuple(marks * h_align), (1.0,) + tuple(vals[:-1]), vals[-1])
-
 
 @pytest.fixture
 def rng():

@@ -118,6 +118,13 @@ class TestGammaB:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--h", "inf"), ("--h", "0"),
+                                             ("--steps", "10000000000")])
+    def test_bad_grid_or_steps_exits_one(self, capsys, flag, value):
+        assert main(["gamma-b", "--B", "1", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSpectrum:
     def test_spirals_csv(self, tmp_path):
@@ -141,6 +148,13 @@ class TestSpectrum:
     def test_bad_set_spec(self):
         assert main(["spectrum", "--set", "nonsense:1",
                      "--what", "spirals"]) == 1
+
+    @pytest.mark.parametrize("kmax", ["nan", "inf", "-1"])
+    def test_bad_kmax_exits_one(self, capsys, kmax):
+        assert main(["spectrum", "--set", "sk:3", "--what", "spirals", "--kmax", kmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_non_finite_point_exits_one(self, capsys):
         assert main(["spectrum", "--set", "points:1,0;nan,0",
@@ -306,6 +320,19 @@ class TestWriters:
             rows.extend(f"{z.real:.12g},{z.imag:.12g}" for z in map(complex, points))
             assert _points_csv(points) == "\n".join(rows) + "\n"
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.5, math.inf)])
+    def test_non_finite_points_are_refused(self, bad):
+        from meanspec.cli import _points_csv
+        from meanspec.errors import ContractError
+        with pytest.raises(ContractError):
+            _points_csv([0.5, bad])
+
+
+#: 1600 points on the unit circle, 1 among them: 3201 log-region factors,
+#: so the second level alone would form 1.02e7 products.
+ARC_1600 = "points:" + ";".join(f"{math.cos(a):.15f},{math.sin(a):.15f}"
+                                for a in np.linspace(0.0, 6.0, 1600))
+
 
 class TestInputBudgets:
     """Each over-budget input exits 3 with one line before any large allocation."""
@@ -325,6 +352,9 @@ class TestInputBudgets:
         ["bounds", "--kmax", "100000", "--umax", "8"],
         ["spectrum", "--set", "sk:100000000", "--what", "spirals"],
         ["gamma-prime", "--m", "2..100000"],
+        ["spectrum", "--set", ARC_1600, "--what", "logregion"],
+        ["gamma-b", "--B", "1", "--restarts", "100000000000"],
+        ["gamma-b", "--B", "20"],
     ])
     def test_exits_three_with_one_line(self, argv, chi_file, capsys):
         if argv[0] == "bounds":

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_complex_kernel, make_real_kernel
-from meanspec.dde_solver import (MAX_SOLVER_NODES, kernel_sup_difference,
+from meanspec.acceptance import random_complex_kernel, random_real_kernel
+from meanspec.dde_solver import (MAX_SOLVER_NODES, SigmaSolution, _validate_solution,
+                                 kernel_sup_difference,
                                  perturbation_gap, solve_sigma,
                                  trapezoid_convolution_with_kernel)
-from meanspec.errors import BudgetError, GridError, ValidationError
+from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import GridFunction
 from meanspec.extremal_search import delta_constants
 from meanspec.kernels import (SQRT_E, StepFunction, dickman_rho_grid,
@@ -112,14 +113,14 @@ class TestSolveSigma:
 class TestSolutionInvariants:
     def test_initial_segment_exact_and_bounded(self, rng):
         for _ in range(5):
-            k = make_complex_kernel(rng, 1e-3, 5.0, int(rng.integers(2, 6)))
+            k = random_complex_kernel(rng, 1e-3, 5.0, int(rng.integers(2, 6)))
             sol = solve_sigma(k, 6.0, 1e-3)
             m1 = round(1.0 / 1e-3)
             assert np.all(sol.sigma.samples[:m1 + 1] == 1.0)
             assert np.max(np.abs(sol.sigma.samples)) <= 1.0 + 1e-9
 
     def test_running_average_dominates_later_values(self, rng):
-        k = make_real_kernel(rng, 1e-3, 4.0, 4)
+        k = random_real_kernel(rng, 1e-3, 4.0, 4)
         sol = solve_sigma(k, 8.0, 1e-3)
         s = np.abs(sol.sigma.samples)
         a = sol.running_avg.samples
@@ -127,7 +128,7 @@ class TestSolutionInvariants:
             assert np.all(s[v_idx:] <= a[v_idx] + 1e-6)
 
     def test_running_average_nonincreasing(self, rng):
-        k = make_real_kernel(rng, 1e-3, 4.0, 5)
+        k = random_real_kernel(rng, 1e-3, 4.0, 5)
         sol = solve_sigma(k, 8.0, 1e-3)
         m1 = round(1.0 / 1e-3)
         assert np.max(np.diff(sol.running_avg.samples[m1:])) <= 1e-9
@@ -135,14 +136,16 @@ class TestSolutionInvariants:
     def test_positivity_when_deficit_integral_small(self, rng):
         # Values within 0.4 of 1 keep int (1-chi)/t below 1 up to u = 8.
         for _ in range(5):
-            k = make_real_kernel(rng, 1e-3, 8.0, 4, value_lo=0.6, value_hi=1.0)
+            marks = np.sort(rng.choice(np.arange(1000, 8000), size=4, replace=False))
+            vals = rng.uniform(0.6, 1.0, 4)
+            k = StepFunction(tuple(marks * 1e-3), (1.0,) + tuple(vals[:-1]), vals[-1])
             sol = solve_sigma(k, 8.0, 1e-3)
             assert np.min(sol.sigma.samples.real) > 0.0
 
     def test_real_kernel_range(self, rng):
         d1 = delta_constants()[0]
         for _ in range(10):
-            k = make_real_kernel(rng, 1e-3, 10.0, 8)
+            k = random_real_kernel(rng, 1e-3, 10.0, 8)
             s = solve_sigma(k, 10.0, 1e-3).sigma.samples.real
             assert s.min() >= d1 - 1e-4
             assert s.max() <= 1.0 + 1e-9
@@ -150,7 +153,7 @@ class TestSolutionInvariants:
     def test_mesh_refinement_order(self, rng):
         ratios = []
         for _ in range(5):
-            k = make_real_kernel(rng, 2e-3, 3.5, int(rng.integers(2, 7)))
+            k = random_real_kernel(rng, 2e-3, 3.5, int(rng.integers(2, 7)))
             sols = [solve_sigma(k, 4.0, h).sigma.samples
                     for h in (2e-3, 1e-3, 5e-4)]
             d1 = np.max(np.abs(sols[0] - sols[1][::2]))
@@ -179,8 +182,8 @@ class TestPerturbationGap:
 
     def test_random_pairs_respect_bound(self, rng):
         for _ in range(8):
-            k1 = make_real_kernel(rng, 1e-3, 4.0, 3)
-            k2 = make_real_kernel(rng, 1e-3, 4.0, 3)
+            k1 = random_real_kernel(rng, 1e-3, 4.0, 3)
+            k2 = random_real_kernel(rng, 1e-3, 4.0, 3)
             gap, bound = perturbation_gap(k1, k2, 4.0, 1e-3)
             assert gap <= bound + 1e-6
 
@@ -191,7 +194,7 @@ class TestBlockMarch:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_real_kernels_bit_identical(self, rng, h):
         for _ in range(10):
-            k = make_real_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
+            k = random_real_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
             got = solve_sigma(k, 6.0, h).sigma.samples
             assert got.dtype == np.float64
             assert np.array_equal(got, loop_march(k, 6.0, h))
@@ -199,7 +202,7 @@ class TestBlockMarch:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_complex_kernels_agree(self, rng, h):
         for _ in range(10):
-            k = make_complex_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
+            k = random_complex_kernel(rng, h, 5.0, int(rng.integers(1, 8)))
             got = solve_sigma(k, 6.0, h).sigma.samples
             assert np.max(np.abs(got - loop_march(k, 6.0, h))) <= 1e-14
 
@@ -231,11 +234,37 @@ class TestBlockMarch:
             assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+class TestValidator:
+    @pytest.mark.parametrize("breach, message", [("initial", "equal 1 exactly"),
+                                                 ("overshoot", "exceeded 1"),
+                                                 ("average", "running average")])
+    def test_rejects_each_broken_contract(self, breach, message):
+        h, m1 = 0.01, 100
+
+        def solution(s):
+            avg = np.empty_like(s)
+            avg[0] = 1.0
+            avg[1:] = GridFunction(h, np.abs(s)).cumulative()[1:] / (h * np.arange(1, len(s)))
+            return SigmaSolution(CHI_DICKMAN, GridFunction(h, s), GridFunction(h, avg))
+
+        s = np.ones(301)
+        s[m1 + 1:] = np.linspace(1.0, -0.5, 200)
+        _validate_solution(solution(s), m1)
+        if breach == "initial":
+            s[40] = 1.0 - 1e-15
+        elif breach == "overshoot":
+            s[250] = -1.0 - 1e-8
+        else:  # |sigma| grows back to 1 after falling to 0
+            s[150:] = np.where(np.arange(151) < 50, 0.0, 1.0)
+        with pytest.raises(ContractError, match=message):
+            _validate_solution(solution(s), m1)
+
+
 class TestResidualConvolution:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_matches_shifted_copy_form(self, rng, h):
-        cases = [make_real_kernel(rng, h, 7.0, 5) for _ in range(3)]
-        cases += [make_complex_kernel(rng, h, 7.0, 5) for _ in range(3)]
+        cases = [random_real_kernel(rng, h, 7.0, 5) for _ in range(3)]
+        cases += [random_complex_kernel(rng, h, 7.0, 5) for _ in range(3)]
         cases.append(StepFunction((1.0, 12.0), (1.0, -1.0), 0.5))  # break past the grid
         for k in cases:
             s = solve_sigma(k, 8.0, h, check_residual=False).sigma.samples

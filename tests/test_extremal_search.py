@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanspec.errors import ContractError, ValidationError
+from meanspec.errors import BudgetError, ContractError, ValidationError
 from meanspec.dde_solver import SigmaSolution, solve_sigma
-from meanspec.extremal_search import (MAX_POWER_RESIDUE_M, TAU_MAX,
-                                      average_bound_expressions,
+from meanspec.extremal_search import (MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M, MAX_RESTARTS,
+                                      TAU_MAX, _interpolated_argmin, average_bound_expressions,
                                       delta_constants, golden_section,
                                       log_gap_endpoint_values,
                                       minus_kernel_sign_changes,
@@ -16,8 +17,8 @@ from meanspec.extremal_search import (MAX_POWER_RESIDUE_M, TAU_MAX,
                                       power_residue_log_density_bound,
                                       projection_auxiliary_minimum,
                                       truncated_kernel_min_mean)
-from meanspec.kernels import (SQRT_E, GridFunction, StepFunction, dickman_rho,
-                              rho_minus_correction)
+from meanspec.kernels import (ALIGN_TOL, SQRT_E, GridFunction, StepFunction,
+                              dickman_rho, rho_minus_correction)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
@@ -259,3 +260,94 @@ class TestTruncatedKernelMinMean:
         assert chi(0.5) == 1.0
         assert chi(10.0) == 0.0
         assert all(abs(v) <= 1.0 + 1e-12 for v in chi.segment_values())
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"h": math.nan}, ValidationError), ({"h": math.inf}, ValidationError),
+        ({"h": 0.0}, ValidationError), ({"h": -1e-3}, ValidationError),
+        ({"B": 1e9}, BudgetError), ({"restarts": MAX_RESTARTS + 1}, BudgetError),
+        ({"B": (MAX_LINE_DEGREE + 1) / 2.0}, BudgetError),
+        ({"m_steps": 10 ** 10}, ValidationError),
+    ])
+    def test_inputs_rejected_before_any_solve(self, kwargs, error, monkeypatch):
+        import meanspec.extremal_search as es
+        monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
+        args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
+        with pytest.raises(error):
+            truncated_kernel_min_mean(**args)
+
+
+class TestPolynomialLineSearch:
+    """sigma(B*u) is a polynomial of degree floor(B*u / a) in a level whose panel starts at a."""
+
+    @pytest.mark.parametrize("target", [2.0, 2.001, 3.0, 4.11, 5.997, 6.0])
+    def test_lobatto_interpolant_matches_fresh_solves(self, target):
+        h = 1e-3
+        rng = np.random.default_rng(round(target * 1000))
+        edges = tuple(np.round(1.0 + 2.0 * np.arange(7) / 6, 3))
+        u_top = max(round(math.ceil(target / h - ALIGN_TOL)) * h, 3.0)
+        y = rng.uniform(-1.0, 1.0, 6)
+
+        def value(j, t):
+            z = y.copy()
+            z[j] = t
+            chi = StepFunction(edges, (1.0,) + tuple(z), 0.0)
+            return solve_sigma(chi, u_top, h, check_residual=False).value_at(target)
+
+        for j, a in enumerate(edges[:-1]):
+            d = max(1, math.floor(target / a + ALIGN_TOL))
+            nodes = np.cos(np.pi * np.arange(d + 1) / d)
+            coef = cheb.chebfit(nodes, [value(j, t) for t in nodes], d)
+            for t in rng.uniform(-1.0, 1.0, 3):
+                assert abs(cheb.chebval(t, coef) - value(j, t)) <= 1e-12
+
+    @pytest.mark.parametrize("poly, argmin", [
+        (lambda t: (t - 0.3) ** 2 + 1.0, 0.3),
+        (lambda t: t ** 3 - t, 1.0 / math.sqrt(3.0)),
+        (lambda t: 2.0 - t, 1.0),
+        (lambda t: -(t ** 4) + 0.1 * t, -1.0),
+    ])
+    def test_interpolated_argmin(self, poly, argmin):
+        d = 6
+        nodes = np.cos(np.pi * np.arange(d + 1) / d)
+        assert _interpolated_argmin(nodes, poly(nodes)) == pytest.approx(argmin, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [0.0, 0.5])
+    def test_constant_line_has_an_argmin(self, value):
+        # A panel that cannot reach B*u leaves the objective constant along it.
+        nodes = np.cos(np.pi * np.arange(5) / 4)
+        assert -1.0 <= _interpolated_argmin(nodes, np.full(5, value)) <= 1.0
+
+    @pytest.mark.parametrize("lie", ["interior", "worst_node"])
+    def test_interpolated_values_never_accepted(self, lie, monkeypatch):
+        import meanspec.extremal_search as es
+        if lie == "interior":
+            monkeypatch.setattr(es, "_interpolated_argmin", lambda ts, vals: 0.123)
+        else:
+            monkeypatch.setattr(es, "_interpolated_argmin",
+                                lambda ts, vals: float(ts[np.argmax(vals)]))
+        r = truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=2,
+                                      h=1e-3, seed=0, sweeps=2)
+        start = solve_sigma(StepFunction((1.0, 2.0), (1.0, -1.0), 0.0), 2.0, 1e-3).value_at(2.0)
+        assert r.value <= start
+        assert r.value == solve_sigma(r.argmin, 2.0, 1e-3).value_at(2.0)
+
+    #: (value, evaluations) of criterion 7's searches with the golden-section
+    #: line search that the polynomial one replaced (commit aa154b4).
+    GOLDEN_CRITERION_7 = {1.0: (-0.6321879980102635, 1545),
+                          1.5: (-0.25015598186318155, 1641),
+                          2.0: (-0.04924599580831656, 1737)}
+
+    @pytest.mark.parametrize("B", [1.0, 1.5, 2.0])
+    def test_criterion_7_no_worse_with_fewer_solves(self, B):
+        r = truncated_kernel_min_mean(B, m_steps=6, u_grid=(1.5, 2.0, 3.0), restarts=3,
+                                      h=1e-3, seed=0, sweeps=2)
+        value, evaluations = self.GOLDEN_CRITERION_7[B]
+        assert -dickman_rho(B) - 1e-4 <= r.value <= value
+        assert r.diagnostics["evaluations"] < evaluations
+
+    def test_readme_gamma_b_no_worse(self):
+        # meanspec gamma-b --B 1.0 --steps 16 --restarts 8 --seed 0 read
+        # -0.6568327479787103 after 29,232 solves with golden section (aa154b4).
+        r = truncated_kernel_min_mean(1.0, m_steps=16, restarts=8, h=1e-3, seed=0)
+        assert -dickman_rho(1.0) - 1e-4 <= r.value <= -0.6568327479787103
+        assert r.diagnostics["evaluations"] < 29232

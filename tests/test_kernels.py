@@ -72,9 +72,9 @@ class TestStepFunction:
             StepFunction.from_json('{"breaks": [1.0]}')
 
     def test_initial_segment_is_one_for_random_kernels(self, rng):
-        from conftest import make_complex_kernel
+        from meanspec.acceptance import random_complex_kernel
         for _ in range(10):
-            k = make_complex_kernel(rng, 1e-3, 4.0, int(rng.integers(2, 6)))
+            k = random_complex_kernel(rng, 1e-3, 4.0, int(rng.integers(2, 6)))
             for t in rng.uniform(0.0, 1.0, 20):
                 if t < 1.0:
                     assert k(t) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import make_complex_kernel, make_real_kernel
+from meanspec.acceptance import random_complex_kernel, random_real_kernel
 from meanspec.dde_solver import solve_sigma
 from meanspec.errors import BudgetError, ContractError, ValidationError
 from meanspec.kernels import GridFunction, StepFunction, convolve, rho_minus
@@ -58,7 +58,7 @@ def direct_powers(g, k: int, u_max: float, h: float) -> np.ndarray:
 
 class TestIteratedIntegral:
     def test_order_zero_is_one(self, rng):
-        k = make_real_kernel(rng, 1e-3, 3.0, 3)
+        k = random_real_kernel(rng, 1e-3, 3.0, 3)
         I0 = iterated_integral(k, 0, 4.0, 1e-3)
         assert np.all(I0.samples == 1.0)
 
@@ -74,7 +74,7 @@ class TestIteratedIntegral:
 
     def test_nonnegative_for_real_kernels(self, rng):
         for _ in range(5):
-            k = make_real_kernel(rng, 1e-3, 4.0, 4)
+            k = random_real_kernel(rng, 1e-3, 4.0, 4)
             for j in (1, 2, 3):
                 assert np.min(iterated_integral(k, j, 5.0, 1e-3).samples) >= -1e-12
 
@@ -107,7 +107,7 @@ class TestRecurrence:
 
     def test_random_kernels(self, rng):
         for _ in range(3):
-            k = make_real_kernel(rng, 1e-4, 3.5, 3)
+            k = random_real_kernel(rng, 1e-4, 3.5, 3)
             assert self._residual(k, 6, 4.0, 1e-4) <= 1e-8
 
 
@@ -204,7 +204,7 @@ class TestSandwich:
 
     def test_random_kernels_hold(self, rng):
         for _ in range(10):
-            k = make_real_kernel(rng, 1e-3, 7.5, int(rng.integers(2, 8)))
+            k = random_real_kernel(rng, 1e-3, 7.5, int(rng.integers(2, 8)))
             sandwich(k, 12, 8.0, 1e-3)
 
     def test_complex_kernel_rejected(self):
@@ -255,12 +255,12 @@ class TestComplexBounds:
 
     def test_random_kernels_hold(self, rng):
         for _ in range(10):
-            k = make_complex_kernel(rng, 1e-3, 7.5, int(rng.integers(2, 8)))
+            k = random_complex_kernel(rng, 1e-3, 7.5, int(rng.integers(2, 8)))
             complex_bounds(k, 8.0, 1e-3)
 
     def test_moment_inequalities(self, rng):
         for _ in range(5):
-            k = make_complex_kernel(rng, 1e-3, 4.0, 4)
+            k = random_complex_kernel(rng, 1e-3, 4.0, 4)
             rep = complex_bounds(k, 6.0, 1e-3)
             R1, R2 = (g.samples for g in rep.r_series)
             C1, C2 = (g.samples for g in rep.c_series)
