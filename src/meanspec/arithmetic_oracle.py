@@ -2,16 +2,19 @@
 
 A segmented sieve evaluates completely multiplicative functions exactly:
 each segment applies f(p) along the strided multiples of every power of every
-prime up to sqrt(x), and the one cofactor left above sqrt(x) last, so f(n)
-is the product of the supplied f(p) over the factorization of n.  It
-accumulates partial sums, logarithmic sums, Euler products, and the prime
-reciprocal deficit.  A spec's values form a short palette, so f at the
-cofactors is one vectorised palette lookup; the segment's integers are int32
-arrays, and f(n) accumulates in float64 when the palette is real and in
-complex128 otherwise.  On top of it sit the mean-vs-solver comparisons,
-Kronecker symbols, averages over fundamental discriminants in a progression,
-the subset-sum counts behind the m-th power residue bounds, and exact
-logarithmic densities for root-of-unity valued functions.
+prime up to sqrt(x), and then every integer takes f at its cofactor left
+above sqrt(x) (1 or a prime), so f(n) is the product of the supplied f(p)
+over the factorization of n.  It accumulates partial sums, logarithmic sums,
+Euler products, and the prime reciprocal deficit.  A spec's values form a
+short palette over integer edges, with a slot for f(1) = 1 below the first
+prime, so f at the cofactors is one unmasked ``np.searchsorted`` and a
+gather; the segment's integers are int32 arrays, and f(n) accumulates in the
+narrowest exact dtype: int8 when every value is -1, 0 or 1, float64 for
+other real values and complex128 otherwise.  On top of it sit the
+mean-vs-solver comparisons, Kronecker symbols, averages over fundamental
+discriminants in a progression, the subset-sum counts behind the m-th power
+residue bounds, and exact logarithmic densities for root-of-unity valued
+functions.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # tracemalloc peaks at 63-65 bytes per segment integer in sieve_sums on a
-    # complex spec with an extra weight, plus about 130 kB of numpy cast
-    # buffers (55-57 bytes without the weight, 46 on a real spec, 36-40 in
-    # mth_root_log_density); 88 keeps the peak under 0.9 of a 1 MB budget.
-    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 88))
+    # tracemalloc peaks at 58 bytes per segment integer in sieve_sums on a
+    # complex spec with an extra weight, plus about 150 kB of numpy cast
+    # buffers (50 bytes without the weight, 41 on a float64 spec, 26-34 on
+    # an int8 one, 32 in mth_root_log_density); 80 keeps the peak at 0.86
+    # of a 1 MB budget.
+    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 80))
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -84,6 +88,29 @@ def _prime_table(table: dict) -> dict:
     return {int(p): out[p] for p in keys}
 
 
+def _step_edges(breaks, y: float) -> np.ndarray:
+    """For each break b, the smallest integer p >= 2 with log(p) / log(y) >= b,
+    clamped to MAX_SIEVE_X + 1.  The edge is found with that float test
+    itself, so every prime lands in the segment of chi(log p / log y)."""
+    top = MAX_SIEVE_X + 1
+    log_y = math.log(y)
+    b = np.asarray(breaks, dtype=np.float64)
+
+    def reached(p):
+        return np.log(p.astype(np.float64)) / log_y >= b
+
+    # exp() of the clamped exponent lands within a step or two of the edge.
+    guess = np.exp(np.minimum(b, math.log(top) / log_y) * log_y)
+    edges = np.clip(np.ceil(guess), 2, top).astype(np.int64)
+    while True:
+        down = (edges > 2) & reached(edges - 1)
+        up = (edges < top) & ~reached(edges)
+        if not (down.any() or up.any()):
+            return edges
+        edges[down] -= 1
+        edges[up] += 1
+
+
 @dataclass(frozen=True)
 class MultiplicativeSpec:
     """Rule assigning f(p) to every prime.
@@ -93,11 +120,13 @@ class MultiplicativeSpec:
     Complete multiplicativity is by construction: f(n) is the product of
     f(p)^a over the factorization of n.
 
-    Either way f takes its values in a short ``palette`` (complex128):
-    chi's segment values, or the default followed by the table's values in
-    ascending key order.  ``palette_index`` maps primes to palette slots with
-    one ``np.searchsorted``, over the breaks of chi at log p / log y, or over
-    the sorted keys with misses sent to the default.
+    Either way f takes its values in a short ``palette`` (complex128) over
+    integer edges: slot 0 holds f(1) = 1 below the first edge at 2, and
+    each further edge opens the next slot.  In step mode a break b of chi
+    becomes the smallest integer p with log(p) / log(y) >= b (clamped to
+    MAX_SIEVE_X + 1) and the slots hold chi's segment values; in table mode
+    each key k owns [k, k + 1) with the default in the gaps.
+    ``palette_index`` is one ``np.searchsorted`` over those edges.
     """
 
     mode: str
@@ -111,7 +140,7 @@ class MultiplicativeSpec:
         if self.mode == "step":
             if self.chi is None or not 1.0 < self.y < math.inf:
                 raise ValidationError("step mode needs a kernel and a finite y > 1")
-            marks = np.asarray(self.chi.breaks, dtype=np.float64)
+            edges = _step_edges(self.chi.breaks, self.y)
             values = self.chi.segment_values()
         elif self.mode == "table":
             table = _prime_table(self.table)
@@ -122,14 +151,17 @@ class MultiplicativeSpec:
             if not abs(self.default) <= 1.0 + DISC_TOL:
                 raise ValidationError("default value is not in the closed unit disc")
             object.__setattr__(self, "table", table)
-            # The leading 0 is no prime, so its slot (the default) takes the misses.
-            marks = np.array([0, *table], dtype=np.int64)
-            values = [self.default, *table.values()]
+            # Key k owns [k, k + 1); the default fills the gaps.
+            edges = [e for k in table for e in (k, k + 1)]
+            values = [self.default]
+            for v in table.values():
+                values += [v, self.default]
         else:
             raise ValidationError(f"unknown spec mode {self.mode!r}")
-        palette = np.array(values, dtype=np.complex128)
+        # Slot 0 holds f(1) = 1, below the first prime.
+        palette = np.array([1.0, *values], dtype=np.complex128)
         palette.setflags(write=False)
-        object.__setattr__(self, "_marks", marks)
+        object.__setattr__(self, "_edges", np.array([2, *edges], dtype=np.int32))
         object.__setattr__(self, "palette", palette)
 
     @classmethod
@@ -142,12 +174,9 @@ class MultiplicativeSpec:
         return cls("table", table=dict(table), default=complex(default))
 
     def palette_index(self, ps) -> np.ndarray:
-        """Slot of f(p) in ``palette`` for each prime p in ps."""
-        if self.mode == "step":
-            t = np.log(np.asarray(ps, dtype=np.float64)) / math.log(self.y)
-            return np.searchsorted(self._marks, t, side="right")
-        j = np.searchsorted(self._marks, ps, side="right") - 1
-        return np.where(self._marks[j] == ps, j, 0)
+        """Slot of f(p) in ``palette`` for each prime p in ps (and of
+        f(1) = 1 for p = 1): the number of edges <= p."""
+        return np.searchsorted(self._edges, ps, side="right")
 
     def values_at_primes(self, ps) -> np.ndarray:
         return self.palette[self.palette_index(ps)]
@@ -226,7 +255,10 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     view [start::q] of the multiples of q: there the divided-out part s gains
     a factor p and acc is updated in place by op(acc, v), v the caller's value
     for p, primes ascending and then exponents ascending.  rem = n // s is
-    then 1 or the one prime factor of n above sqrt(x).
+    then 1 or the one prime factor of n above sqrt(x), so the caller applies
+    its value at rem to every integer unmasked, the value at 1 being the
+    identity.  acc has the caller's dtype: the narrowest exact one for f in
+    sieve_sums, int64 exponents in the density.
     """
     seg = _segment_length()
     for lo in range(1, x + 1, seg):
@@ -253,8 +285,11 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     (1 + f(p)/p + ...)(1 - 1/p), the prime deficit sum |1 - f(p)|/p, and
     optionally sum f(n)/n^s for each requested exponent s.
 
-    f(n) accumulates in float64 when every palette value is real (so
-    integer-valued f gives exact partial sums) and in complex128 otherwise.
+    f(n) accumulates in int8 when every palette value is -1, 0 or 1 (so
+    the partial sums are exact integers), in float64 for other real
+    palettes and in complex128 otherwise.  Every integer then takes f at its
+    cofactor rem with no mask (f(1) = 1 has its own slot); the primes above
+    sqrt(x) are the n > 1 with rem == n.
     """
     x = _check_budget(x)
     partial = 0.0 + 0.0j
@@ -262,23 +297,23 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
-    palette = spec.palette if spec.palette.imag.any() else spec.palette.real
+    palette = spec.palette
+    if not palette.imag.any():
+        unit = np.isin(palette.real, (-1.0, 0.0, 1.0)).all()
+        palette = palette.real.astype(np.int8 if unit else np.float64)
     base = primes_upto(math.isqrt(x))
     fp_base = palette[spec.palette_index(base)]
     ps = base.astype(np.float64)
     theta *= _theta_factor_product(ps, fp_base)
     deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
     for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, palette.dtype):
-        big = rem > 1
-        # rem and fp keep only the cofactors above sqrt(x), and then fp only
-        # the primes, which frees the cofactor values before the sums.
-        rem = rem[big]
-        fp = palette[spec.palette_index(rem)]
-        acc[big] *= fp
-        is_prime = rem == n[big]
-        if is_prime.any():
-            ps = rem[is_prime].astype(np.float64)
-            fp = fp[is_prime]
+        acc *= palette[spec.palette_index(rem)]
+        # rem == n at n = 1 and at the primes above sqrt(x).
+        ps = rem[rem == n]
+        ps = ps[ps > 1]
+        if len(ps):
+            fp = palette[spec.palette_index(ps)]
+            ps = ps.astype(np.float64)
             theta *= _theta_factor_product(ps, fp)
             deficit += float(np.sum(np.abs(1.0 - fp) / ps))
         partial += complex(np.sum(acc))
@@ -287,7 +322,7 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
         for s in extras:
             extras[s] += complex(np.sum(acc / nf ** s))
         # Free this segment before the next one is built.
-        del n, acc, rem, big, fp, is_prime, nf
+        del n, acc, rem, ps, nf
     return SieveResult(x, partial, logsum, theta, deficit, extras)
 
 
@@ -542,9 +577,8 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     base = primes_upto(math.isqrt(x))
     base_exps = exps[spec.palette_index(base)]
     for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, np.int64):
-        big = rem > 1
-        expo[big] += exps[spec.palette_index(rem[big])]
+        expo += exps[spec.palette_index(rem)]
         good = (expo % m) == 0
         total += float(np.sum(1.0 / n[good].astype(np.float64)))
-        del n, expo, rem, big, good  # free this segment before the next
+        del n, expo, rem, good  # free this segment before the next
     return total / math.log(x)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanspec import arithmetic_oracle
-from meanspec.arithmetic_oracle import (MultiplicativeSpec, SieveResult,
+from meanspec.arithmetic_oracle import (MAX_SIEVE_X, MultiplicativeSpec, SieveResult,
                                         discriminant_char_average,
                                         kronecker, log_mean_vs_integral,
                                         mean_vs_sigma, mth_root_log_density,
@@ -47,8 +48,8 @@ def event_segments(x):
 
 def event_list_sieve_sums(spec, x, extra_weights=(), dtype=None):
     """Reference sieve_sums that replays the event list through fancy indices,
-    accumulating in dtype (by default the sieve's rule: float64 when every
-    palette value is real)."""
+    accumulating in dtype (by default float64 when every palette value is
+    real, which the sieve's int8 accumulation of -1, 0, 1 must match)."""
     dtype = dtype or (np.complex128 if spec.palette.imag.any() else np.float64)
 
     def values(ps):
@@ -106,15 +107,21 @@ def event_list_density(spec, x, m):
     return total / math.log(x)
 
 
+def log_formula_index(spec, ps):
+    """Reference segment of chi for each p of a step spec: the lookup of
+    log p / log y against the breaks that the integer edges replaced."""
+    t = np.log(np.asarray(ps, dtype=np.float64)) / math.log(spec.y)
+    return np.searchsorted(np.asarray(spec.chi.breaks, dtype=np.float64), t, side="right")
+
+
 def dict_values_at_primes(spec, ps):
     """Reference f(p): the per-prime dict lookup (table) and the break-free
     special case (step) that the palette index replaced."""
     if spec.mode == "step":
-        t = np.log(ps.astype(np.float64)) / math.log(spec.y)
         segs = np.asarray(spec.chi.segment_values(), dtype=np.complex128)
         if not spec.chi.breaks:
             return np.full(len(ps), segs[0])
-        return segs[np.searchsorted(np.asarray(spec.chi.breaks), t, side="right")]
+        return segs[log_formula_index(spec, ps)]
     return np.array([spec.table.get(int(p), spec.default) for p in ps],
                     dtype=np.complex128)
 
@@ -177,11 +184,13 @@ class TestSegmentLoop:
 
     @pytest.mark.parametrize("budget_mb", [1, 4])
     def test_traced_peak_within_budget(self, monkeypatch, budget_mb):
-        # A complex spec with an extra weight is the costliest per integer.
+        # A complex spec with an extra weight is the costliest per integer;
+        # the step spec and the 0/-1 table accumulate in int8.
         monkeypatch.setenv("SPECTRUM_BUDGET_MB", str(budget_mb))
         x = 10 ** 6
         calls = [lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, x ** 0.25), x,
                                     extra_weights=(0.5,)),
+                 lambda: sieve_sums(MultiplicativeSpec.from_table({2: 0.0, 3: -1.0}, -1.0), x),
                  lambda: sieve_sums(MultiplicativeSpec.from_table({2: 1j, 3: -1.0}), x,
                                     extra_weights=(0.5,)),
                  lambda: mth_root_log_density(LIOUVILLE, x, 2)]
@@ -229,6 +238,65 @@ class TestPalette:
             2: -1.0, 3: 0.0}
 
 
+class TestIntegerEdges:
+    """Step breaks become integer edges that place every integer as the log
+    formula does; slot 0 holds f(1) = 1 in both modes."""
+
+    @staticmethod
+    def assert_matches_log_formula(spec, ns):
+        ns = ns[(ns >= 2) & (ns <= MAX_SIEVE_X)]
+        for dtype in (np.int32, np.int64):
+            got = spec.palette_index(ns.astype(dtype))
+            assert np.array_equal(got, log_formula_index(spec, ns) + 1)
+
+    def test_every_integer_near_an_edge(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            y = float(np.exp(rng.uniform(math.log(1.5), math.log(1e4))))
+            if rng.integers(2):
+                y = float(round(y))
+            k = int(rng.integers(1, 7))
+            # About half the breaks sit at log(p) / log(y) for an integer p, where
+            # only the float test decides p's side.
+            at_integer = np.log(rng.integers(math.ceil(y), 10 ** 9, k).astype(float)) / math.log(y)
+            breaks = np.where(rng.integers(0, 2, k) == 1, at_integer, rng.uniform(1.0, 5.0, k))
+            breaks = tuple(np.unique(breaks).tolist())
+            k = len(breaks)
+            values = (1.0,) + tuple(float((-1) ** j) for j in range(1, k))
+            spec = MultiplicativeSpec.step(StepFunction(breaks, values, 0.0), y)
+            self.assert_matches_log_formula(
+                spec, (spec._edges[:, None].astype(np.int64) + np.arange(-64, 65)).ravel())
+
+    def test_y_just_above_one(self):
+        # log y = 1e-7: every prime lies past every break, so f is Liouville's.
+        spec = MultiplicativeSpec.step(StepFunction((1.5, 3.0), (1.0, 0.0), -1.0), 1 + 1e-7)
+        assert spec._edges.tolist() == [2, 2, 2]
+        ns = np.concatenate([np.arange(2, 200), np.arange(MAX_SIEVE_X - 64, MAX_SIEVE_X + 1)])
+        self.assert_matches_log_formula(spec, ns)
+        assert sieve_sums(spec, 10 ** 4).partial_sum == sieve_sums(LIOUVILLE, 10 ** 4).partial_sum
+
+    def test_edge_beyond_the_budget_is_clamped(self):
+        # y^60 = 10^60 neither overflows nor walks up to its edge.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = MultiplicativeSpec.step(StepFunction((1.0, 60.0), (1.0, -1.0), 1.0), 10.0)
+        assert spec._edges.tolist() == [2, 10, MAX_SIEVE_X + 1]
+        self.assert_matches_log_formula(spec, np.arange(MAX_SIEVE_X - 64, MAX_SIEVE_X + 1))
+        assert sieve_sums(spec, 10 ** 5).partial_sum == -17196
+
+    @pytest.mark.parametrize("spec", [
+        MultiplicativeSpec.step(CHI_MINUS, 7.0),
+        MultiplicativeSpec.step(StepFunction((1.0,), (1.0,), 0.6 + 0.8j), 1.5),
+        LIOUVILLE,
+        MultiplicativeSpec.from_table({}, 0.0),
+        MultiplicativeSpec.from_table({2: 1j, 3: 0.0}, -1.0),
+    ])
+    def test_one_has_its_own_slot(self, spec):
+        assert spec.palette_index(np.array([1])).tolist() == [0]
+        assert spec.values_at_primes(np.array([1]))[0] == 1
+        assert sieve_sums(spec, 1).partial_sum == 1
+
+
 REAL_SPECS = [
     MultiplicativeSpec.step(CHI_MINUS, 7.0),
     MultiplicativeSpec.step(StepFunction((1.2, 1.7), (1.0, 0.0), -1.0), 30.0),
@@ -237,20 +305,43 @@ REAL_SPECS = [
 ]
 
 
+def spy_accumulator_dtype(monkeypatch):
+    """Record the accumulator dtype of every _factor_segments call."""
+    seen = []
+    factor_segments = arithmetic_oracle._factor_segments
+
+    def spy(*args):
+        seen.append(np.dtype(args[-1]))
+        return factor_segments(*args)
+
+    monkeypatch.setattr(arithmetic_oracle, "_factor_segments", spy)
+    return seen
+
+
 class TestRealAccumulator:
-    """Real specs accumulate in float64; {-1, 0, 1} values keep every partial
-    sum an exact integer, so it must equal complex128 accumulation."""
+    """Specs valued in {-1, 0, 1} accumulate in int8, so every partial sum is
+    an exact integer and must equal complex128 accumulation; other real
+    palettes accumulate in float64."""
 
     @pytest.mark.parametrize("x", [3001, 10 ** 4, 10 ** 6])
     @pytest.mark.parametrize("spec", REAL_SPECS)
-    def test_matches_complex_accumulation(self, spec, x):
+    def test_matches_complex_accumulation(self, monkeypatch, spec, x):
+        seen = spy_accumulator_dtype(monkeypatch)
         r = sieve_sums(spec, x, extra_weights=(0.5,))
+        assert seen == [np.int8]
         ref = event_list_sieve_sums(spec, x, (0.5,), dtype=np.complex128)
         assert r.partial_sum == ref.partial_sum
         assert (r.theta, r.prime_deficit) == (ref.theta, ref.prime_deficit)
         assert abs(r.log_sum - ref.log_sum) <= 1e-14 * max(1.0, abs(ref.log_sum))
         ref_half = ref.extra_weight_sums[0.5]
         assert abs(r.extra_weight_sums[0.5] - ref_half) <= 1e-14 * max(1.0, abs(ref_half))
+
+    def test_other_real_values_stay_float64(self, monkeypatch):
+        seen = spy_accumulator_dtype(monkeypatch)
+        spec = MultiplicativeSpec.from_table({2: 0.5, 3: -1.0}, 1.0)
+        r = sieve_sums(spec, 10 ** 4, extra_weights=(0.5,))
+        assert seen == [np.float64]
+        assert sieve_fields(r) == sieve_fields(event_list_sieve_sums(spec, 10 ** 4, (0.5,)))
 
 
 class TestSieveSums:
@@ -499,6 +590,61 @@ class TestMthRootDensity:
         # The whole palette is checked, even a value no n <= x reaches.
         with pytest.raises(ValidationError):
             mth_root_log_density(MultiplicativeSpec.from_table({10007: 0.5}, -1.0), 100, 2)
+
+
+SMALL_PRIMES = primes_upto(60).tolist()
+UNIT_VALUES = [-1.0, 0.0, 1.0]
+DISC_VALUES = UNIT_VALUES + [1j, -1j, 0.5, 0.6 + 0.8j, -0.5j, W3, W3 * W3]
+
+
+@st.composite
+def small_specs(draw, values):
+    """A step spec (0-3 breaks in [1, 4], y in [1.5, 100]) or a table spec
+    (up to six primes below 60), valued in the list ``values``."""
+    value = st.sampled_from(values)
+    if draw(st.booleans()):
+        breaks = sorted(draw(st.lists(st.floats(1.0, 4.0), max_size=3, unique=True)))
+        segs = [1.0] + [draw(value) for _ in breaks]
+        chi = StepFunction(tuple(breaks), tuple(segs[:-1]), segs[-1])
+        return MultiplicativeSpec.step(chi, draw(st.floats(1.5, 100.0)))
+    keys = draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=6, unique=True))
+    return MultiplicativeSpec.from_table({p: draw(value) for p in keys}, draw(value))
+
+
+@st.composite
+def root_specs(draw):
+    """(spec, m) with every value an m-th root of unity."""
+    m = draw(st.integers(1, 6))
+    roots = [complex(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m))
+             for k in range(m)]
+    return draw(small_specs(roots)), m
+
+
+class TestSieveProperties:
+    """Random small specs: the sieve against the per-n reference and the
+    density against the event-list replay."""
+
+    @given(small_specs(UNIT_VALUES), st.integers(1, 3000))
+    @settings(max_examples=100)
+    def test_unit_values_exact_against_naive(self, spec, x):
+        r = sieve_sums(spec, x)
+        partial, logsum = naive_sums(spec, x)
+        assert r.partial_sum == partial
+        assert abs(r.log_sum - logsum) <= 1e-12 * (1.0 + math.log(x))
+
+    @given(small_specs(DISC_VALUES), st.integers(1, 3000))
+    @settings(max_examples=100)
+    def test_disc_values_against_naive(self, spec, x):
+        r = sieve_sums(spec, x)
+        partial, logsum = naive_sums(spec, x)
+        assert abs(r.partial_sum - partial) <= 1e-12 * x
+        assert abs(r.log_sum - logsum) <= 1e-12 * (1.0 + math.log(x))
+
+    @given(root_specs(), st.integers(2, 3000))
+    @settings(max_examples=100)
+    def test_density_against_event_list(self, spec_m, x):
+        spec, m = spec_m
+        assert repr(mth_root_log_density(spec, x, m)) == repr(event_list_density(spec, x, m))
 
 
 class TestDiscriminantAverage:
