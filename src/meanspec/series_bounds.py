@@ -7,12 +7,12 @@ alternating partial sums sigma_k = sum_{j<=k} (-1)^j I_j / j! sandwich the
 true solution for real kernels; for complex kernels the analogous moments
 of 1 - Re(chi) and |Im(chi)| bound the real and imaginary parts.
 
-Every power comes from one engine, _PanelConvolution: it folds the left and
-right panel-end trapezoid sums into one kernel, transforms that kernel once,
-and then spends one forward and one inverse FFT per power.  kappa vanishes
-below its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j
-vanishes on the nodes <= j*p0; a power with j*p0 >= n - 1 is exactly zero
-on the whole grid and is not computed.
+Every power comes from one engine, _PanelConvolution, which folds the left
+and right panel-end trapezoid sums into one kernel w.  kappa vanishes below
+its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j is
+exactly zero on the nodes <= j*p0.  I_1 is a running sum of w; each I_j with
+j >= 2 is one FFT convolution of the supports of I_{j-1} and w, of length
+n - 1 - j*p0, and a power with j*p0 >= n - 1 is zero on the whole grid.
 """
 
 from __future__ import annotations
@@ -36,8 +36,12 @@ MAX_SERIES_ORDER = 64
 QUAD_SLACK_COEFF = 50.0
 
 
-def _envelope_slack(h: float) -> float:
-    return 1e-6 + QUAD_SLACK_COEFF * h * h
+def _envelope_slack(h: float, slack: float | None) -> float:
+    if slack is None:
+        return 1e-6 + QUAD_SLACK_COEFF * h * h
+    if not math.isfinite(slack):
+        raise ValidationError(f"slack must be finite, got {slack}")
+    return slack
 
 
 class _PanelConvolution:
@@ -46,7 +50,7 @@ class _PanelConvolution:
     left[j] and right[j] (length n - 1) are the limits of the kernel k at
     the left and right end of panel [jh, (j+1)h), taken from inside the
     panel.  The two end sums share one folded kernel w[j] = left[j] +
-    right[j-1], whose transform is taken once.
+    right[j-1].
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, h: float):
@@ -57,29 +61,40 @@ class _PanelConvolution:
         support = np.flatnonzero((left != 0) | (right != 0))
         # First panel on which the kernel is nonzero (n - 1 if there is none).
         self._p0 = int(support[0]) if support.size else n - 1
-        self._left, self._h, self._dtype = left, h, w.dtype
-        self._size = sfft.next_fast_len(2 * n - 1, real=True)
-        if np.iscomplexobj(w):
-            self._fwd, self._inv = sfft.fft, sfft.ifft
-        else:
-            self._fwd, self._inv = sfft.rfft, sfft.irfft
-        self._w_hat = self._fwd(w, self._size)
+        self._w, self._left, self._h = w, left, h
+        self._real = not np.iscomplexobj(w)
+        self._fwd, self._inv = ((sfft.rfft, sfft.irfft) if self._real
+                                else (sfft.fft, sfft.ifft))
+
+    def _linear(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+        """First m terms of the linear convolution a * b (len(a), len(b) <= m)."""
+        size = sfft.next_fast_len(2 * m - 1, self._real)
+        return self._inv(self._fwd(a, size) * self._fwd(b, size), size)[:m]
 
     def __call__(self, F: np.ndarray) -> np.ndarray:
         n = len(F)
-        conv = self._inv(self._fwd(F, self._size) * self._w_hat, self._size)[:n]
+        conv = self._linear(F, self._w, n)
         conv[:-1] -= self._left * F[0]
         out = 0.5 * self._h * conv
         out[0] = 0
         return out
 
     def powers(self, k: int):
-        """Yield I_0 = 1, I_1, ..., I_k; powers with j*p0 >= n - 1 are exact zeros."""
-        n = len(self._left) + 1
-        cur = np.ones(n, dtype=self._dtype)
+        """Yield I_0 = 1, I_1, ..., I_k; I_j is exactly zero on the nodes <= j*p0."""
+        n, p0, w = len(self._w), self._p0, self._w
+        cur = np.ones(n, dtype=w.dtype)
         yield cur
         for j in range(1, k + 1):
-            cur = self(cur) if j * self._p0 < n - 1 else np.zeros(n, dtype=self._dtype)
+            if j == 1:  # w * 1 is a running sum
+                conv = np.cumsum(w)
+                conv[:-1] -= self._left
+            else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
+                lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
+                conv = np.zeros(n, dtype=w.dtype)
+                if m > 0:
+                    conv[lo + p0:] = self._linear(cur[lo:lo + m], w[p0:p0 + m], m)
+            cur = 0.5 * self._h * conv
+            cur[:j * p0 + 1] = 0
             yield cur
 
 
@@ -96,7 +111,9 @@ def _nodes(u_max: float, h: float) -> int:
     return int(math.ceil(u_max / h - 1e-9)) + 1
 
 
-def _check_order(k: int) -> None:
+def _check_order(k: int, name: str = "k") -> None:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer")
     if k > MAX_SERIES_ORDER:
         raise BudgetError(f"series order {k} exceeds the budget {MAX_SERIES_ORDER}")
 
@@ -114,8 +131,6 @@ def _partial_sums(chi: StepFunction, k: int, n: int, h: float):
 def iterated_integral(chi: StepFunction, k: int, u_max: float,
                       h: float) -> GridFunction:
     """I_k on the grid: the k-fold convolution power 1 * kappa^{*k}."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
     _check_order(k)
     n = _nodes(u_max, h)
     *_, power = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
@@ -125,8 +140,6 @@ def iterated_integral(chi: StepFunction, k: int, u_max: float,
 def sigma_partial(chi: StepFunction, k: int, u_max: float,
                   h: float) -> GridFunction:
     """Alternating partial sum sigma_k = sum_{j=0}^{k} (-1)^j I_j / j!."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
     _check_order(k)
     *_, total = _partial_sums(chi, k, _nodes(u_max, h), h)
     return GridFunction(h, total)
@@ -138,20 +151,21 @@ def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
     Uses |1 - chi| <= 2, so |I_j(u)| <= (2 log u)^j; nonnegative and
     nondecreasing in u.
     """
-    _check_order(k_max)
+    _check_order(k_max, "k_max")
     n = _nodes(u_max, h)
     x = 2.0 * np.log(np.maximum(h * np.arange(n), 1.0))
-    term = np.ones(n)
-    for j in range(1, k_max + 1):
-        term *= x / j
-    out = np.zeros(n)
-    j = k_max + 1
-    while True:
-        term = term * x / j
-        out += term
-        if term.max() < 1e-18 or j > 500:
-            break
-        j += 1
+    # The sum stops at the first term whose largest value, at x[-1], is
+    # below 1e-18 (or at j = 501); it runs by Horner from that term down.
+    term, j_last = 1.0, 0
+    while j_last <= k_max or (term >= 1e-18 and j_last <= 500):
+        j_last += 1
+        term = term * x[-1] / j_last
+    out = np.ones(n)
+    for j in range(j_last, k_max + 1, -1):
+        out *= x
+        out /= j
+        out += 1.0
+    out *= x ** (k_max + 1) / math.factorial(k_max + 1)
     return GridFunction(h, out)
 
 
@@ -189,9 +203,10 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     """
     if not chi.is_real:
         raise ValidationError("sandwich needs a real kernel; use complex_bounds")
+    _check_order(k_max, "k_max")
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    _check_order(k_max)
+    tol = _envelope_slack(h, slack)
     k_lo = 2 * ((k_max - 1) // 2) + 1
     k_up = 2 * (k_max // 2)
     n = _nodes(u_max, h)
@@ -203,7 +218,6 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
 
     sol = solve_sigma(chi, u_max, h)
     s = sol.sigma.samples[:n].real
-    tol = _envelope_slack(h) if slack is None else slack
     worst = max(float(np.max(lower - s)), float(np.max(s - upper)))
     if worst > tol:
         raise ContractError(f"envelope violated by {worst:.3e} (slack {tol:.1e})")
@@ -220,6 +234,7 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     (R2 + C2)/2, where R_k/C_k are the k-fold moments of 1 - Re(chi) and
     |Im chi|.
     """
+    tol = _envelope_slack(h, slack)
     n = _nodes(u_max, h)
     c = chi.panel_values(n - 1, h)
     _, R1, R2 = _kappa(1.0 - c.real, h).powers(2)
@@ -232,7 +247,6 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     s = sol.sigma.samples[:n]
     s_hat = sol_hat.sigma.samples[:n].real
 
-    tol = _envelope_slack(h) if slack is None else slack
     checks = {
         "imag part exceeds C1": np.abs(s.imag) - C1,
         "real-part drift exceeds C2/2": np.abs(s.real - s_hat) - 0.5 * C2,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,33 @@ def direct_powers(g, k: int, u_max: float, h: float) -> np.ndarray:
                 acc += gp[p] / ((p + 1) * h) * F[i - p - 1]
             nxt[i] = 0.5 * h * acc
         powers.append(nxt)
+    return np.array(powers)
+
+
+def full_window_powers(g: np.ndarray, k: int, h: float) -> np.ndarray:
+    """I_0..I_k for kappa = g/t by full-window FFT convolutions on all n nodes.
+
+    g holds the n - 1 panel values of the numerator; every power convolves
+    the whole previous power with the whole folded kernel, with no use of
+    the supports.
+    """
+    n = len(g) + 1
+    t = h * np.arange(n - 1)
+    left = np.zeros_like(g)
+    left[1:] = g[1:] / t[1:]
+    w = np.zeros(n, dtype=g.dtype)
+    w[:-1] = left
+    w[1:] += g / (t + h)
+    size = 2 * n
+    powers = [np.ones(n, dtype=g.dtype)]
+    for _ in range(k):
+        F = powers[-1]
+        conv = np.fft.ifft(np.fft.fft(F, size) * np.fft.fft(w, size))[:n]
+        conv = conv if np.iscomplexobj(g) else conv.real
+        conv[:-1] -= left * F[0]
+        out = 0.5 * h * conv
+        out[0] = 0
+        powers.append(out)
     return np.array(powers)
 
 
@@ -136,24 +164,67 @@ class TestEngine:
         for j in (1, 2, 3):
             assert np.all(iterated_integral(StepFunction(), j, 4.0, 1e-3).samples == 0.0)
 
+    @pytest.mark.parametrize("chi, u_max", [
+        (StepFunction((1.5,), (1.0,), -1.0), 4.0),
+        (StepFunction(), 4.0),
+        (CHI_REAL, 1.9),
+        (CHI_COMPLEX, 1.9),
+    ], ids=["p0_not_inverse_h", "all_ones", "m_le_0_real", "m_le_0_complex"])
+    def test_support_cases_match_direct_sum(self, chi, u_max):
+        # p0 = 1.5/h; p0 = n - 1 (every power past I_0 is zero); and
+        # j*p0 >= n - 1 for every j >= 2 (only I_1 is nonzero).
+        ref = direct_powers(lambda t: 1.0 - chi(t), 4, u_max, self.H)
+        for j in range(5):
+            got = iterated_integral(chi, j, u_max, self.H).samples
+            assert np.max(np.abs(got - ref[j])) <= 1e-12
+
+    @pytest.mark.parametrize("chi", [
+        CHI_MINUS, StepFunction((1.5,), (1.0,), -1.0), CHI_REAL, CHI_COMPLEX,
+        StepFunction((1.0, 2.2), (1.0, 0.5 - 0.5j), -0.3 + 0.9j),
+    ])
+    def test_powers_match_full_window_fft(self, chi):
+        h, n = 1e-3, 8001
+        g = 1.0 - chi.panel_values(n - 1, h)
+        if chi.is_real:
+            g = g.real
+        got = np.array(list(_kappa(g, h).powers(12)))
+        ref = full_window_powers(g, 12, h)
+        # I_1's running sum rounds sequentially: about 1e-14 of the largest power.
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chi, p0", [
+        (CHI_MINUS, 1000), (StepFunction((1.5,), (1.0,), -1.0), 1500),
+        (CHI_COMPLEX, 1000),
+    ])
+    def test_powers_are_exact_zeros_below_support(self, chi, p0):
+        for j in range(1, 8):
+            samples = iterated_integral(chi, j, 8.0, 1e-3).samples
+            assert np.all(samples[:j * p0 + 1] == 0.0)
+            if j * p0 < 8000:
+                assert samples[j * p0 + 1:].any()
+
     @pytest.mark.parametrize("chi, p0", [
         (StepFunction((1.0, 3.2), (1.0, -0.4), 0.7), 1000),
         (StepFunction((1.5,), (1.0,), -1.0), 1500),
     ])
     def test_sandwich_fft_calls(self, monkeypatch, chi, p0):
+        # I_1 is a running sum; each I_j with j >= 2 and m = n - 1 - j*p0 > 0
+        # nodes to fill takes two forward transforms and one inverse, all of
+        # length next_fast_len(2m - 1).
         calls = []
 
         def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+            def wrapper(x, n=None, *args, **kwargs):
+                calls.append((fn.__name__, n))
+                return fn(x, n, *args, **kwargs)
             return wrapper
 
         for name in ("rfft", "irfft", "fft", "ifft"):
             monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
         sandwich(chi, 12, 8.0, 1e-3)
-        computed = sum(j * p0 < 8000 for j in range(1, 13))
-        assert len(calls) == 1 + 2 * computed
+        sizes = [scipy.fft.next_fast_len(2 * (8000 - j * p0) - 1, True)
+                 for j in range(2, 13) if j * p0 < 8000]
+        assert calls == [(name, size) for size in sizes for name in ("rfft", "rfft", "irfft")]
 
 
 class TestSigmaPartial:
@@ -231,6 +302,29 @@ class TestSandwich:
                      lambda: tail_envelope(k, 4.0, 1e-3)):
             with pytest.raises(BudgetError):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: tail_envelope(-1, 4.0, 1e-3),
+        lambda: tail_envelope(2.0, 4.0, 1e-3),
+        lambda: sandwich(CHI_MINUS, 2.5, 4.0, 1e-3),
+        lambda: sandwich(CHI_MINUS, -2, 4.0, 1e-3),
+        lambda: iterated_integral(CHI_MINUS, 1.5, 4.0, 1e-3),
+        lambda: sigma_partial(CHI_MINUS, -1, 4.0, 1e-3),
+    ], ids=["tail_negative", "tail_float", "sandwich_fraction", "sandwich_negative",
+            "integral_fraction", "partial_negative"])
+    def test_order_must_be_nonnegative_integer(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+                call()
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        # worst > nan is False, so a NaN slack would switch the check off.
+        with pytest.raises(ValidationError, match="slack must be finite"):
+            sandwich(CHI_MINUS, 3, 4.0, 1e-3, slack=slack)
+        with pytest.raises(ValidationError, match="slack must be finite"):
+            complex_bounds(CHI_COMPLEX, 4.0, 1e-3, slack=slack)
 
     def test_orders_past_u_max_add_exact_zeros(self):
         a = sandwich(CHI_REAL, 5, 4.0, 1e-3)
