@@ -12,9 +12,8 @@ over the integers.
 
 from .dde_solver import SigmaSolution, perturbation_gap, solve_sigma
 from .errors import BudgetError, ContractError, GridError, ValidationError
-from .kernels import (GridFunction, StepFunction, convolve, dickman_rho,
-                      dickman_rho_grid, rho_minus, rho_minus_correction,
-                      rho_minus_grid)
+from .kernels import (GridFunction, StepFunction, dickman_rho, dickman_rho_grid,
+                      rho_minus, rho_minus_correction, rho_minus_grid)
 from .series_bounds import (BoundsReport, complex_bounds, iterated_integral,
                             sandwich, sigma_partial, tail_envelope)
 from .spectrum_region import (RegionCloud, SetSpec, ang, containment_report,
@@ -37,7 +36,7 @@ __all__ = [
     "GridError", "GridFunction", "MultiplicativeSpec", "RegionCloud",
     "SetSpec", "SieveResult", "SigmaSolution", "StepFunction",
     "ValidationError", "ang", "complex_bounds", "containment_report",
-    "convolve", "delta_constants", "dickman_rho", "dickman_rho_grid",
+    "delta_constants", "dickman_rho", "dickman_rho_grid",
     "euler_spiral_cloud", "iterated_integral", "kronecker",
     "log_mean_vs_integral", "log_spectrum_region", "mean_vs_sigma",
     "minus_kernel_sign_changes", "mth_root_log_density",

@@ -17,7 +17,7 @@ from . import arithmetic_oracle as oracle
 from . import extremal_search as extremal
 from . import series_bounds as series
 from . import spectrum_region as region
-from .dde_solver import solve_sigma
+from .dde_solver import perturbation_gap, solve_sigma
 from .errors import ContractError
 from .kernels import (SQRT_E, StepFunction, dickman_rho, dickman_rho_grid,
                       rho_minus, rho_minus_correction, rho_minus_grid)
@@ -110,10 +110,14 @@ def check_solver_cross() -> CheckResult:
             d1 = np.max(np.abs(sols[0] - sols[1][::2]))
             d2 = np.max(np.abs(sols[1] - sols[2][::2]))
             ratios.append(d1 / d2)
+        # |sigma - sigma_hat| <= u^chi0 - 1, chi0 = sup |chi - chi_hat|.
+        gap, bound = perturbation_gap(StepFunction((1.0,), (1.0,), -1.0),
+                                      StepFunction((1.0,), (1.0,), -0.9), 3.0, 1e-3)
         ok = (gap_minus <= 5e-6 and gap_rho <= 5e-6
-              and all(3.5 <= r <= 4.5 for r in ratios))
+              and all(3.5 <= r <= 4.5 for r in ratios) and gap <= bound)
         return ok, (f"sup gaps {gap_minus:.2e}/{gap_rho:.2e}, "
-                    f"richardson in [{min(ratios):.3f}, {max(ratios):.3f}]")
+                    f"richardson in [{min(ratios):.3f}, {max(ratios):.3f}], "
+                    f"perturbation gap {gap:.4f} <= {bound:.4f}")
     return _run("3 solver cross-check", body)
 
 
@@ -158,14 +162,23 @@ def check_minimizations() -> CheckResult:
         corr_int, _ = quad(lambda t: rho_minus_correction(t * SQRT_E),
                            2.0 / SQRT_E, 1.0 + 1.0 / SQRT_E,
                            epsabs=1e-10, limit=200)
+        # The average bound raises if its two pieces exceed their cap.
+        pairs = [(s * tau, tau) for tau in np.linspace(0.0, extremal.TAU_MAX, 9)
+                 for s in np.linspace(0.0, 1.0, 9)]
+        for lam, tau in pairs:
+            extremal.average_bound_expressions(lam, tau)
+        square_violations = extremal.mixed_square_inequality_violations(10 ** 6)
         ok = (all(d <= 5e-4 for d in devs.values())
               and abs(proj.argmin - 0.08055) <= 1e-4
               and proj.value >= 112.0 / 411.0
               and abs(v1 - 0.19) <= 5e-3 and abs(v2 - 0.1829) <= 5e-4
-              and abs(corr_int - 0.0416) <= 1e-3)
+              and abs(corr_int - 0.0416) <= 1e-3
+              and square_violations == 0)
         return ok, (f"density-bound devs {max(devs.values()):.1e}, "
                     f"alpha0={proj.argmin:.6f}, endpoints ({v1:.4f}, {v2:.4f}), "
-                    f"corr integral={corr_int:.5f}")
+                    f"corr integral={corr_int:.5f}, average bound capped on "
+                    f"{len(pairs)} (lam, tau) pairs, mixed-square violations "
+                    f"{square_violations} in 1e6")
     return _run("6 explicit minimizations", body)
 
 
@@ -290,6 +303,11 @@ def check_arithmetic_oracle(full: bool = False) -> CheckResult:
                             oracle.mth_root_log_density(spec3, 10 ** 6, 3))
         ok = ok and dens3_min >= 0.25 - 0.02
         details.append(f"densities m=2 {dens2:.4f}, m=3 min {dens3_min:.4f}")
+
+        disc = oracle.discriminant_char_average(10 ** 5, 1.0, 2, {2: 1})
+        ok = ok and abs(disc.average - disc.truncated_sum) <= 0.25 * abs(disc.truncated_sum)
+        details.append(f"discriminant average {disc.average.real:.4f} vs "
+                       f"truncated sum {disc.truncated_sum.real:.4f}")
 
         if full:
             # The extremal two-level function: f(p) = 1 below x^(1/(1+sqrt e)),

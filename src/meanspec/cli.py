@@ -141,6 +141,8 @@ def _parse_m_range(text: str):
         raise ValidationError(f"--m must be an integer or a range like 3..6, "
                               f"got {text!r}") from None
     lo, hi = ends[0], ends[-1]
+    if hi < lo:
+        raise ValidationError(f"--m {text} is an empty range; write it as low..high")
     if hi - lo + 1 > MAX_M_VALUES:
         raise BudgetError(f"--m {text} holds {hi - lo + 1} values, over the budget {MAX_M_VALUES}")
     return range(lo, hi + 1)

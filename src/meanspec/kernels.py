@@ -5,10 +5,10 @@ right-continuous piecewise-constant complex function on [0, oo) whose
 initial segment is identically 1; it plays the role of the kernel in the
 delay integral equation.  A GridFunction holds samples of a continuous
 function on the uniform grid u = 0, h, 2h, ...  On top of these the module
-provides the composite-trapezoid convolution, piecewise Taylor series for the
-Dickman function and its factor-two signed variant (after Marsaglia, Zaman &
-Marsaglia, Math. Comp. 53, 1989), and the logarithmic integral correction
-that the signed variant picks up past u = 2.
+provides piecewise Taylor series for the Dickman function and its factor-two
+signed variant (after Marsaglia, Zaman & Marsaglia, Math. Comp. 53, 1989),
+and the logarithmic integral correction that the signed variant picks up
+past u = 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.integrate import quad
 
 from .errors import BudgetError, GridError, ValidationError
@@ -206,44 +205,6 @@ class GridFunction:
         rows = map("{:.12g},{:.12g},{:.12g}".format,
                    self.u.tolist(), s.real.tolist(), s.imag.tolist())
         return "\n".join(["u,re,im", *rows]) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "GridFunction":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip().lower() != "u,re,im":
-            raise ValidationError("grid CSV must start with header 'u,re,im'")
-        us, vals = [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 3:
-                raise ValidationError(f"malformed grid CSV row: {ln!r}")
-            us.append(float(parts[0]))
-            vals.append(complex(float(parts[1]), float(parts[2])))
-        if len(us) < 2:
-            raise ValidationError("grid CSV needs at least two rows")
-        h = us[1] - us[0]
-        if h <= 0 or any(abs(us[i] - i * h) > 1e-6 * max(1.0, us[-1]) for i in range(len(us))):
-            raise ValidationError("grid CSV rows are not uniformly spaced")
-        arr = np.asarray(vals)
-        if np.all(arr.imag == 0):
-            arr = arr.real
-        return cls(h, arr)
-
-
-def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Composite-trapezoid convolution (f*g)(u) = int_0^u f(t) g(u-t) dt.
-
-    Both inputs must share the grid step; the result lives on the common
-    grid prefix.
-    """
-    if not math.isclose(f.h, g.h, rel_tol=1e-12, abs_tol=0.0):
-        raise GridError(f"grid steps differ: {f.h} vs {g.h}")
-    n = min(len(f), len(g))
-    a = f.samples[:n]
-    b = g.samples[:n]
-    full = signal.convolve(a, b, method="auto")[:n]
-    out = f.h * (full - 0.5 * a[0] * b - 0.5 * b[0] * a)
-    return GridFunction(f.h, out)
 
 
 def _check_grid(u_max: float, h: float) -> None:

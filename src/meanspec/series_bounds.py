@@ -7,10 +7,10 @@ alternating partial sums sigma_k = sum_{j<=k} (-1)^j I_j / j! sandwich the
 true solution for real kernels; for complex kernels the analogous moments
 of 1 - Re(chi) and |Im(chi)| bound the real and imaginary parts.
 
-Every power comes from one engine, _PanelConvolution, which folds the left
-and right panel-end trapezoid sums into one kernel w.  kappa vanishes below
-its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j is
-exactly zero on the nodes <= j*p0.  I_1 is a running sum of w; each I_j with
+Every power comes from one engine, the generator _powers, which folds the
+left and right panel-end trapezoid sums into one kernel w.  kappa vanishes
+below its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j
+is exactly zero on the nodes <= j*p0.  I_1 is a running sum of w; each I_j with
 j >= 2 is one FFT convolution of the supports of I_{j-1} and w, of length
 n - 1 - j*p0, and a power with j*p0 >= n - 1 is zero on the whole grid.
 """
@@ -44,66 +44,43 @@ def _envelope_slack(h: float, slack: float | None) -> float:
     return slack
 
 
-class _PanelConvolution:
-    """Trapezoid rule for F -> int_0^{u_i} k(t) F(u_i - t) dt on n nodes.
+def _powers(g: np.ndarray, h: float, k: int):
+    """Yield I_0 = 1, I_1, ..., I_k for kappa = g/t, given the panel values g.
 
-    left[j] and right[j] (length n - 1) are the limits of the kernel k at
-    the left and right end of panel [jh, (j+1)h), taken from inside the
-    panel.  The two end sums share one folded kernel w[j] = left[j] +
-    right[j-1].
+    The trapezoid rule on panel [jh, (j+1)h) takes the limits of kappa at
+    the panel's left and right end from inside the panel: left[j] =
+    g[j]/(jh) (zero for j = 0) and right[j] = g[j]/((j+1)h).  The two end
+    sums share one folded kernel w[j] = left[j] + right[j-1].  I_j is
+    exactly zero on the nodes <= j*p0, p0 the first panel where g is nonzero.
     """
-
-    def __init__(self, left: np.ndarray, right: np.ndarray, h: float):
-        n = len(left) + 1
-        w = np.zeros(n, dtype=np.result_type(left, right))
-        w[:-1] = left
-        w[1:] += right
-        support = np.flatnonzero((left != 0) | (right != 0))
-        # First panel on which the kernel is nonzero (n - 1 if there is none).
-        self._p0 = int(support[0]) if support.size else n - 1
-        self._w, self._left, self._h = w, left, h
-        self._real = not np.iscomplexobj(w)
-        self._fwd, self._inv = ((sfft.rfft, sfft.irfft) if self._real
-                                else (sfft.fft, sfft.ifft))
-
-    def _linear(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-        """First m terms of the linear convolution a * b (len(a), len(b) <= m)."""
-        size = sfft.next_fast_len(2 * m - 1, self._real)
-        return self._inv(self._fwd(a, size) * self._fwd(b, size), size)[:m]
-
-    def __call__(self, F: np.ndarray) -> np.ndarray:
-        n = len(F)
-        conv = self._linear(F, self._w, n)
-        conv[:-1] -= self._left * F[0]
-        out = 0.5 * self._h * conv
-        out[0] = 0
-        return out
-
-    def powers(self, k: int):
-        """Yield I_0 = 1, I_1, ..., I_k; I_j is exactly zero on the nodes <= j*p0."""
-        n, p0, w = len(self._w), self._p0, self._w
-        cur = np.ones(n, dtype=w.dtype)
-        yield cur
-        for j in range(1, k + 1):
-            if j == 1:  # w * 1 is a running sum
-                conv = np.cumsum(w)
-                conv[:-1] -= self._left
-            else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
-                lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
-                conv = np.zeros(n, dtype=w.dtype)
-                if m > 0:
-                    conv[lo + p0:] = self._linear(cur[lo:lo + m], w[p0:p0 + m], m)
-            cur = 0.5 * self._h * conv
-            cur[:j * p0 + 1] = 0
-            yield cur
-
-
-def _kappa(g: np.ndarray, h: float) -> _PanelConvolution:
-    """Engine for kappa = g/t, given the panel values g of the numerator."""
-    t_left = h * np.arange(len(g))
+    n = len(g) + 1
+    t_left = h * np.arange(n - 1)
     left = np.zeros_like(g)
     left[1:] = g[1:] / t_left[1:]
-    return _PanelConvolution(left, g / (t_left + h), h)
+    right = g / (t_left + h)
+    w = np.zeros(n, dtype=np.result_type(left, right))
+    w[:-1] = left
+    w[1:] += right
+    support = np.flatnonzero((left != 0) | (right != 0))
+    p0 = int(support[0]) if support.size else n - 1
+    real = not np.iscomplexobj(w)
+    fwd, inv = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    cur = np.ones(n, dtype=w.dtype)
+    yield cur
+    for j in range(1, k + 1):
+        if j == 1:  # w * 1 is a running sum
+            conv = np.cumsum(w)
+            conv[:-1] -= left
+        else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
+            lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
+            conv = np.zeros(n, dtype=w.dtype)
+            if m > 0:
+                size = sfft.next_fast_len(2 * m - 1, real)
+                conv[lo + p0:] = inv(fwd(cur[lo:lo + m], size)
+                                     * fwd(w[p0:p0 + m], size), size)[:m]
+        cur = 0.5 * h * conv
+        cur[:j * p0 + 1] = 0
+        yield cur
 
 
 def _nodes(u_max: float, h: float) -> int:
@@ -120,7 +97,7 @@ def _check_order(k: int, name: str = "k") -> None:
 
 def _partial_sums(chi: StepFunction, k: int, n: int, h: float):
     """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers."""
-    powers = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
+    powers = _powers(1.0 - chi.panel_values(n - 1, h), h, k)
     total = next(powers)
     yield total
     for j, power in enumerate(powers, start=1):
@@ -133,7 +110,7 @@ def iterated_integral(chi: StepFunction, k: int, u_max: float,
     """I_k on the grid: the k-fold convolution power 1 * kappa^{*k}."""
     _check_order(k)
     n = _nodes(u_max, h)
-    *_, power = _kappa(1.0 - chi.panel_values(n - 1, h), h).powers(k)
+    *_, power = _powers(1.0 - chi.panel_values(n - 1, h), h, k)
     return GridFunction(h, power)
 
 
@@ -237,8 +214,8 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     tol = _envelope_slack(h, slack)
     n = _nodes(u_max, h)
     c = chi.panel_values(n - 1, h)
-    _, R1, R2 = _kappa(1.0 - c.real, h).powers(2)
-    _, C1, C2 = _kappa(np.abs(c.imag), h).powers(2)
+    _, R1, R2 = _powers(1.0 - c.real, h, 2)
+    _, C1, C2 = _powers(np.abs(c.imag), h, 2)
 
     sol = solve_sigma(chi, u_max, h)
     chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values),

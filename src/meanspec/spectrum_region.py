@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .kernels import DISC_TOL, SQRT_E, StepFunction
+from .kernels import DISC_TOL, SQRT_E
 
 #: Largest k for the k-th roots of unity: each level of the log-region
 #: products multiplies its size by up to 2k + 1, and k = 64 already takes
@@ -31,7 +31,7 @@ MAX_ROOTS_OF_UNITY = 64
 #: 4.3e6 distinct points it left another 26 s.
 MAX_LOG_PRODUCTS = 10 ** 7
 
-#: Collinearity band for the orientation predicates.
+#: Width of the boundary band that point_in_polygon counts as inside.
 GEOM_EPS = 1e-12
 
 #: Disc containment constant: the spectrum of a set with angle theta lies in
@@ -47,9 +47,11 @@ def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
-def convex_hull(points, eps: float = GEOM_EPS):
+def convex_hull(points):
     """Monotone-chain convex hull, counterclockwise, degenerate-safe.
 
+    Only an exactly zero cross product counts as collinear: an absolute band
+    pops true vertices of products whose x values differ by about 1e-12.
     Returns one point for a single-point cloud and the two extreme points
     for a collinear one.
     """
@@ -59,11 +61,11 @@ def convex_hull(points, eps: float = GEOM_EPS):
         return pts
     lower, upper = [], []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= eps:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= eps:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -440,10 +442,3 @@ def containment_report(cloud: RegionCloud, S: SetSpec,
                                   + len(report["projection_violations"])
                                   + len(report["envelope_violations"]))
     return report
-
-
-def kernel_in_hull(chi: StepFunction, S: SetSpec, tol: float = 1e-12) -> None:
-    """Raise unless every kernel value lies in the convex hull of S."""
-    for v in chi.segment_values():
-        if not point_in_polygon(v, S.hull, eps=tol):
-            raise ValidationError(f"kernel value {v} outside the hull of {S.label}")

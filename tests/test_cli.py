@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import meanspec
 from meanspec.cli import main
 from meanspec.kernels import StepFunction
 from meanspec.arithmetic_oracle import MultiplicativeSpec
@@ -99,6 +103,12 @@ class TestGammaPrime:
         assert main(["gamma-prime", "--m", "3..x"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_reversed_range_exits_one(self, capsys):
+        assert main(["gamma-prime", "--m", "6..3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestGammaB:
@@ -374,3 +384,13 @@ class TestInputBudgets:
         assert main(["gamma-prime", "--m", "10000000000000000000000"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    # scipy.signal, which loads scipy.stats, cost every run start-up time and memory.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meanspec.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import meanspec.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, GridError, ValidationError
-from meanspec.kernels import (MAX_DELAY_U, SQRT_E, GridFunction, StepFunction, convolve,
+from meanspec.kernels import (MAX_DELAY_U, SQRT_E, GridFunction, StepFunction,
                               dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
@@ -101,56 +101,6 @@ class TestGridFunction:
         g = GridFunction(0.5, np.array([0.0, 1.0, 4.0]))
         assert g.value_at(0.25) == pytest.approx(0.5)
         assert g.value_at(1.0) == pytest.approx(4.0)
-
-    def test_csv_round_trip(self):
-        g = GridFunction(0.125, np.array([1.0, 0.5 + 0.25j, -1.0j]))
-        again = GridFunction.from_csv(g.to_csv())
-        assert again.h == pytest.approx(g.h)
-        assert np.allclose(again.samples, g.samples)
-
-    def test_csv_header_required(self):
-        with pytest.raises(ValidationError):
-            GridFunction.from_csv("a,b,c\n0,1,0\n")
-
-
-class TestConvolve:
-    def test_ones_give_identity(self):
-        one = GridFunction(0.01, np.ones(201))
-        c = convolve(one, one)
-        assert np.max(np.abs(c.samples - c.u)) <= 1e-10
-
-    def test_iterated_identity(self):
-        one = GridFunction(0.01, np.ones(201))
-        c = convolve(convolve(one, one), one)
-        assert np.max(np.abs(c.samples - c.u ** 2 / 2)) <= 1e-6
-
-    def test_linear_times_exponential(self):
-        # Composite trapezoid carries an exact h^2/12 error term here, so the
-        # achievable ceiling at h=1e-3 is ~2.3e-7; h=5e-4 lands below 1e-7.
-        for h, tol in ((1e-3, 2.5e-7), (5e-4, 1e-7)):
-            n = round(1.0 / h) + 1
-            t = GridFunction(h, h * np.arange(n))
-            e = GridFunction(h, np.exp(h * np.arange(n)))
-            c = convolve(t, e)
-            exact = np.exp(c.u) - c.u - 1.0
-            assert np.max(np.abs(c.samples - exact)) <= tol
-
-    def test_symmetric(self, rng):
-        h = 1e-3
-        n = 1001
-        f = GridFunction(h, np.cos(3.0 * h * np.arange(n)))
-        g = GridFunction(h, np.exp(-h * np.arange(n)) * (1 + 0.5j))
-        d = np.abs(convolve(f, g).samples - convolve(g, f).samples)
-        assert np.max(d) <= 1e-10
-
-    def test_mismatched_step_rejected(self):
-        with pytest.raises(GridError):
-            convolve(GridFunction(0.1, np.ones(5)), GridFunction(0.2, np.ones(5)))
-
-    def test_common_prefix_length(self):
-        f = GridFunction(0.1, np.ones(11))
-        g = GridFunction(0.1, np.ones(5))
-        assert len(convolve(f, g)) == 5
 
 
 class TestDickmanRho:

@@ -10,7 +10,7 @@ from meanspec.kernels import SQRT_E, StepFunction, rho_minus_grid
 from meanspec.spectrum_region import (DISC_COEFF, MAX_ROOTS_OF_UNITY, PROJ_COEFF, RegionCloud,
                                       SetSpec, ang, containment_report,
                                       convex_hull, euler_spiral_cloud,
-                                      hausdorff_distance, kernel_in_hull,
+                                      hausdorff_distance,
                                       log_spectrum_products,
                                       log_spectrum_region, point_in_polygon,
                                       sector_set_contour, special_radii)
@@ -74,12 +74,6 @@ class TestSetSpec:
 
     def test_sector_angle(self):
         assert SetSpec.sector(0.7).angle == pytest.approx(0.7)
-
-    def test_kernel_in_hull(self):
-        S = SetSpec.from_points([1.0, -1.0])
-        kernel_in_hull(StepFunction((1.0,), (1.0,), -0.5), S, tol=1e-9)
-        with pytest.raises(ValidationError):
-            kernel_in_hull(StepFunction((1.0,), (1.0,), 0.5j), S, tol=1e-9)
 
 
 class TestEulerSpiralCloud:
@@ -217,6 +211,19 @@ class TestLogSpectrumRegion:
             a = _hull_edge_samples(log_spectrum_region(S, depth))
             b = _hull_edge_samples(log_spectrum_region(S, depth + 1))
             assert hausdorff_distance(a, b) <= factor ** depth + 1e-9
+
+    @pytest.mark.parametrize("k, depth", [(5, 2), (10, 3), (13, 3)])
+    def test_every_product_inside_polygon(self, k, depth):
+        # Leftmost products 1e-12 apart in x once cost the hull a true vertex.
+        S = SetSpec.roots_of_unity(k)
+        pts = log_spectrum_products(S, depth)
+        poly = np.asarray(log_spectrum_region(S, depth))
+        edges = np.roll(poly, -1) - poly
+        # Signed distance of every product from every ccw edge line (> 0 inside).
+        dist = ((edges.real[:, None] * (pts.imag[None, :] - poly.imag[:, None])
+                 - edges.imag[:, None] * (pts.real[None, :] - poly.real[:, None]))
+                / np.abs(edges)[:, None])
+        assert dist.min() >= -1e-12
 
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
