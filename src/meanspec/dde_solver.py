@@ -13,27 +13,16 @@ the recurrence, before returning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, GridError, ValidationError
-from .kernels import ALIGN_TOL, GridFunction, StepFunction, _check_grid
+from .kernels import ALIGN_TOL, GridFunction, StepFunction, _grid_steps
 from .kernels import MAX_SOLVER_NODES  # noqa: F401 - the solver's node budget, re-exported
 
 #: Residual contract of the solver: |u*sigma(u) - trapz(sigma*chi)(u)| <= RESIDUAL_TOL * u.
 RESIDUAL_TOL = 1e-9
-
-
-def _grid_size(u_max: float, h: float) -> int:
-    _check_grid(u_max, h)
-    if u_max < 1.0:
-        raise ValidationError("u_max must be at least 1")
-    m1 = round(1.0 / h)
-    if abs(m1 * h - 1.0) > ALIGN_TOL:
-        raise GridError(f"grid step {h} must divide 1.0 exactly")
-    return max(int(math.ceil(u_max / h - ALIGN_TOL)), m1)
 
 
 def _march(jumps, n: int, h: float, m1: int, complex_mode: bool):
@@ -107,9 +96,13 @@ def solve_sigma(chi: StepFunction, u_max: float, h: float,
     The grid step must divide 1.0 and every breakpoint of chi.  The returned
     samples satisfy the discrete equation to RESIDUAL_TOL * u per node.
     """
-    n = _grid_size(u_max, h)
-    chi.require_aligned(h)
+    n = _grid_steps(u_max, h)
+    if u_max < 1.0:
+        raise ValidationError("u_max must be at least 1")
     m1 = round(1.0 / h)
+    if abs(m1 * h - 1.0) > ALIGN_TOL:
+        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    chi.require_aligned(h)
     jumps = [(round(b / h), dv) for b, dv in chi.jumps() if round(b / h) <= n]
     complex_mode = not chi.is_real
     if not complex_mode:

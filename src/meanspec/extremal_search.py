@@ -234,9 +234,7 @@ def _interpolated_argmin(ts: np.ndarray, vals: np.ndarray) -> float:
 
 def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
                               h: float = 1e-3, restarts: int = 8,
-                              seed: int = 0,
-                              warm_start: StepFunction | None = None,
-                              sweeps: int = 3) -> ExtremalResult:
+                              seed: int = 0, sweeps: int = 3) -> ExtremalResult:
     """Search for the most negative sigma(B*u) over truncated sign kernels.
 
     The kernel is 1 on [0, 1], takes m_steps free levels in [-1, 1] on equal
@@ -308,9 +306,6 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
             return val
 
         starts = [np.full(m, -1.0)]
-        if warm_start is not None:
-            starts.append(np.array([complex(warm_start(0.5 * (a + b))).real
-                                    for a, b in zip(edges[:-1], edges[1:])]))
         while len(starts) < restarts:
             starts.append(rng.uniform(-1.0, 1.0, m))
 

@@ -215,6 +215,12 @@ def _check_grid(u_max: float, h: float) -> None:
         raise BudgetError(f"u_max/h = {u_max / h:.3g} exceeds the budget {MAX_SOLVER_NODES}")
 
 
+def _grid_steps(u_max: float, h: float) -> int:
+    """Steps n of the grid 0, h, ..., n*h covering [0, u_max] (at least one)."""
+    _check_grid(u_max, h)
+    return max(1, int(math.ceil(u_max / h - ALIGN_TOL)))
+
+
 def _horner(coeffs, s):
     """sum_i coeffs[i] * s**i by Horner's rule, on a float or an array s."""
     y = coeffs[-1]
@@ -254,8 +260,7 @@ def _delay_samples(u: np.ndarray, factor: float) -> np.ndarray:
 
 
 def _delay_grid(u_max: float, h: float, factor: float) -> GridFunction:
-    _check_grid(u_max, h)
-    u = h * np.arange(max(1, int(math.ceil(u_max / h - ALIGN_TOL))) + 1)
+    u = h * np.arange(_grid_steps(u_max, h) + 1)
     return GridFunction(h, _delay_samples(u, factor))
 
 

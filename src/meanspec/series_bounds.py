@@ -25,7 +25,7 @@ from scipy import fft as sfft
 
 from .dde_solver import solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
-from .kernels import GridFunction, StepFunction, _check_grid
+from .kernels import GridFunction, StepFunction, _grid_steps
 
 #: Largest series order k: I_k vanishes on [0, k], so orders past u_max add
 #: only exact zeros; 64 is eight times the CLI's default u_max.
@@ -83,11 +83,6 @@ def _powers(g: np.ndarray, h: float, k: int):
         yield cur
 
 
-def _nodes(u_max: float, h: float) -> int:
-    _check_grid(u_max, h)
-    return int(math.ceil(u_max / h - 1e-9)) + 1
-
-
 def _check_order(k: int, name: str = "k") -> None:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValidationError(f"{name} must be a nonnegative integer")
@@ -109,7 +104,7 @@ def iterated_integral(chi: StepFunction, k: int, u_max: float,
                       h: float) -> GridFunction:
     """I_k on the grid: the k-fold convolution power 1 * kappa^{*k}."""
     _check_order(k)
-    n = _nodes(u_max, h)
+    n = _grid_steps(u_max, h) + 1
     *_, power = _powers(1.0 - chi.panel_values(n - 1, h), h, k)
     return GridFunction(h, power)
 
@@ -118,7 +113,7 @@ def sigma_partial(chi: StepFunction, k: int, u_max: float,
                   h: float) -> GridFunction:
     """Alternating partial sum sigma_k = sum_{j=0}^{k} (-1)^j I_j / j!."""
     _check_order(k)
-    *_, total = _partial_sums(chi, k, _nodes(u_max, h), h)
+    *_, total = _partial_sums(chi, k, _grid_steps(u_max, h) + 1, h)
     return GridFunction(h, total)
 
 
@@ -129,7 +124,7 @@ def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
     nondecreasing in u.
     """
     _check_order(k_max, "k_max")
-    n = _nodes(u_max, h)
+    n = _grid_steps(u_max, h) + 1
     x = 2.0 * np.log(np.maximum(h * np.arange(n), 1.0))
     # The sum stops at the first term whose largest value, at x[-1], is
     # below 1e-18 (or at j = 501); it runs by Horner from that term down.
@@ -186,7 +181,7 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     tol = _envelope_slack(h, slack)
     k_lo = 2 * ((k_max - 1) // 2) + 1
     k_up = 2 * (k_max // 2)
-    n = _nodes(u_max, h)
+    n = _grid_steps(u_max, h) + 1
     for j, total in enumerate(_partial_sums(chi, max(k_lo, k_up), n, h)):
         if j == k_lo:
             lower = total
@@ -212,7 +207,7 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     |Im chi|.
     """
     tol = _envelope_slack(h, slack)
-    n = _nodes(u_max, h)
+    n = _grid_steps(u_max, h) + 1
     c = chi.panel_values(n - 1, h)
     _, R1, R2 = _powers(1.0 - c.real, h, 2)
     _, C1, C2 = _powers(np.abs(c.imag), h, 2)

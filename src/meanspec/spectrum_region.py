@@ -21,15 +21,17 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .kernels import DISC_TOL, SQRT_E
 
-#: Largest k for the k-th roots of unity: each level of the log-region
-#: products multiplies its size by up to 2k + 1, and k = 64 already takes
-#: 5 s and 250 MB.
+#: Largest k for the k-th roots of unity: sk:64 has 129 log-region factors,
+#: and its region at depth 8 takes about 0.5 s.
 MAX_ROOTS_OF_UNITY = 64
 
-#: Products per level of the log-region products: a level of 1.1e7 (sk:40
-#: at depth 8) took 18 s and 1 GB to form, and the convex hull of the
-#: 4.3e6 distinct points it left another 26 s.
-MAX_LOG_PRODUCTS = 10 ** 7
+#: Products per level of the log region: the largest hull-pruned level of
+#: sk:64, up to depth 64, forms 29,541.  A level of 9.5e5 (a 575-point arc at
+#: depth 2) and the pure-Python hull of its products take about 5 s and 220 MB.
+MAX_LOG_PRODUCTS = 10 ** 6
+
+#: Largest log-region depth: the region of sk:64 at depth 64 takes about 8 s.
+MAX_LOG_DEPTH = 64
 
 #: Width of the boundary band that point_in_polygon counts as inside.
 GEOM_EPS = 1e-12
@@ -194,11 +196,11 @@ class SetSpec:
         return cls("roots-of-unity", pts, hull, cls._angle_of(pts), f"roots:{k}")
 
     @classmethod
-    def sector(cls, theta: float, arc_points: int = 64) -> "SetSpec":
-        """All z in the disc with |arg(1-z)| <= theta (plus z = 1)."""
+    def sector(cls, theta: float) -> "SetSpec":
+        """All z in the disc with |arg(1-z)| <= theta, sampled as 1 and 64 arc points."""
         if not (0.0 < theta < math.pi / 2):
             raise ValidationError("sector angle must lie in (0, pi/2)")
-        phis = np.linspace(math.pi - 2 * theta, math.pi + 2 * theta, arc_points)
+        phis = np.linspace(math.pi - 2 * theta, math.pi + 2 * theta, 64)
         gens = (1.0 + 0.0j,) + tuple(cmath.exp(1j * p) for p in phis)
         hull = tuple(convex_hull(gens))
         return cls("sector", gens, hull, theta, f"sector:{theta}")
@@ -362,32 +364,54 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
                              "alpha": alpha, "closed": True})
 
 
-def log_spectrum_products(S: SetSpec, depth: int, max_points: int = 200000) -> np.ndarray:
-    """All distinct products of (1+s)/2 over hull samples, lengths <= depth."""
+def _log_factors(S: SetSpec, depth: int) -> np.ndarray:
+    """The distinct factors (1+s)/2 over hull samples, after the depth checks."""
     if depth < 1:
         raise ValidationError("depth must be at least 1")
+    if depth > MAX_LOG_DEPTH:
+        raise BudgetError(f"depth = {depth} exceeds the budget {MAX_LOG_DEPTH}")
     hull = [complex(p) for p in S.hull]
     gens = list(hull)
     if len(hull) >= 2:
         gens += [0.5 * (a + b) for a, b in zip(hull, hull[1:] + hull[:1])]
         gens.append(sum(hull) / len(hull))
-    factors = np.unique(np.round(np.asarray([(1.0 + g) / 2.0 for g in gens]), 12))
+    # S contains 1, so 1.0 is a factor (appended in case S holds 1 only to
+    # within DISC_TOL): each level then holds the one before it, and the
+    # level of depth d holds every product of length <= d.
+    return np.unique(np.append(np.round([(1.0 + g) / 2.0 for g in gens], 12), 1.0))
+
+
+def _next_level(level: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Distinct products of level with factors, rounded to 12 digits."""
+    if len(level) * len(factors) > MAX_LOG_PRODUCTS:
+        raise BudgetError(f"{len(level)} x {len(factors)} products exceed the budget "
+                          f"{MAX_LOG_PRODUCTS}; lower the depth")
+    # + 0.0 turns -0.0 into 0.0: the sign of a zero must not depend on which
+    # of several equal products np.unique keeps.
+    return np.unique(np.round(np.outer(level, factors).ravel(), 12) + 0.0)
+
+
+def log_spectrum_products(S: SetSpec, depth: int) -> np.ndarray:
+    """All distinct products of (1+s)/2 over hull samples, lengths <= depth."""
+    factors = _log_factors(S, depth)
     level = np.array([1.0 + 0.0j])
-    collected = [level]
     for _ in range(depth):
-        if len(level) * len(factors) > MAX_LOG_PRODUCTS:
-            raise BudgetError(f"{len(level)} x {len(factors)} products exceed the budget "
-                              f"{MAX_LOG_PRODUCTS}; lower the depth")
-        level = np.unique(np.round(np.outer(level, factors).ravel(), 12))
-        collected.append(level)
-        if sum(len(c) for c in collected) > max_points:
-            break
-    return np.unique(np.concatenate(collected))
+        level = _next_level(level, factors)
+    return level
 
 
 def log_spectrum_region(S: SetSpec, depth: int):
-    """Convex polygon (ccw vertices) bounding the logarithmic spectrum of S."""
-    return tuple(convex_hull(log_spectrum_products(S, depth)))
+    """Convex polygon (ccw vertices) bounding the logarithmic spectrum of S.
+
+    Multiplying by a fixed factor is linear, so hull(L.F) = hull(V.F) for V
+    the hull vertices of L: each level keeps only its hull vertices, and the
+    region is the hull of the last level.
+    """
+    factors = _log_factors(S, depth)
+    hull = [1.0 + 0.0j]
+    for _ in range(depth):
+        hull = convex_hull(_next_level(np.asarray(hull), factors))
+    return tuple(hull)
 
 
 def containment_report(cloud: RegionCloud, S: SetSpec,

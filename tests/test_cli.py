@@ -155,6 +155,10 @@ class TestSpectrum:
         payload = json.loads(capsys.readouterr().out)
         assert payload["vertices"][0] == payload["vertices"][-1]
 
+    def test_logregion_keeps_the_requested_depth(self, capsys):
+        assert main(["spectrum", "--set", "sk:44", "--what", "logregion"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 8
+
     def test_bad_set_spec(self):
         assert main(["spectrum", "--set", "nonsense:1",
                      "--what", "spirals"]) == 1
@@ -339,7 +343,7 @@ class TestWriters:
 
 
 #: 1600 points on the unit circle, 1 among them: 3201 log-region factors,
-#: so the second level alone would form 1.02e7 products.
+#: so the second level would form 2340 hull vertices x 3201 = 7.49e6 products.
 ARC_1600 = "points:" + ";".join(f"{math.cos(a):.15f},{math.sin(a):.15f}"
                                 for a in np.linspace(0.0, 6.0, 1600))
 
@@ -363,6 +367,7 @@ class TestInputBudgets:
         ["spectrum", "--set", "sk:100000000", "--what", "spirals"],
         ["gamma-prime", "--m", "2..100000"],
         ["spectrum", "--set", ARC_1600, "--what", "logregion"],
+        ["spectrum", "--set", "interval:-1,1", "--what", "logregion", "--depth", "1000000000"],
         ["gamma-b", "--B", "1", "--restarts", "100000000000"],
         ["gamma-b", "--B", "20"],
     ])

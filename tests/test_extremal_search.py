@@ -239,14 +239,6 @@ class TestTruncatedKernelMinMean:
         assert vals[1] <= vals[0] + 1e-12
         assert vals[2] <= vals[1] + 1e-12
 
-    def test_warm_start_refinement_never_worse(self):
-        coarse = truncated_kernel_min_mean(1.0, m_steps=3, u_grid=(2.0,),
-                                           restarts=2, h=2e-3, seed=1, sweeps=2)
-        fine = truncated_kernel_min_mean(1.0, m_steps=6, u_grid=(2.0,),
-                                         restarts=2, h=2e-3, seed=1, sweeps=2,
-                                         warm_start=coarse.argmin)
-        assert fine.value <= coarse.value + 1e-9
-
     def test_infeasible_grid_rejected(self):
         with pytest.raises(ValidationError):
             truncated_kernel_min_mean(0.25, u_grid=(2.0,))

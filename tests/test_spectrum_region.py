@@ -7,8 +7,8 @@ import pytest
 from meanspec.errors import BudgetError, ValidationError
 from meanspec.extremal_search import delta_constants
 from meanspec.kernels import SQRT_E, StepFunction, rho_minus_grid
-from meanspec.spectrum_region import (DISC_COEFF, MAX_ROOTS_OF_UNITY, PROJ_COEFF, RegionCloud,
-                                      SetSpec, ang, containment_report,
+from meanspec.spectrum_region import (DISC_COEFF, MAX_LOG_DEPTH, MAX_ROOTS_OF_UNITY, PROJ_COEFF,
+                                      RegionCloud, SetSpec, ang, containment_report,
                                       convex_hull, euler_spiral_cloud,
                                       hausdorff_distance,
                                       log_spectrum_products,
@@ -186,6 +186,15 @@ def _hull_edge_samples(poly, per_edge=200):
     return np.asarray(pts)
 
 
+def _min_edge_distance(poly, pts):
+    """Least signed distance of pts from the ccw edge lines of poly (> 0 inside)."""
+    edges = np.roll(poly, -1) - poly
+    dist = ((edges.real[:, None] * (pts.imag[None, :] - poly.imag[:, None])
+             - edges.imag[:, None] * (pts.real[None, :] - poly.real[:, None]))
+            / np.abs(edges)[:, None])
+    return dist.min()
+
+
 class TestLogSpectrumRegion:
     def test_singleton(self):
         poly = log_spectrum_region(SetSpec.from_points([1.0]), 4)
@@ -212,22 +221,35 @@ class TestLogSpectrumRegion:
             b = _hull_edge_samples(log_spectrum_region(S, depth + 1))
             assert hausdorff_distance(a, b) <= factor ** depth + 1e-9
 
-    @pytest.mark.parametrize("k, depth", [(5, 2), (10, 3), (13, 3)])
+    @pytest.mark.parametrize("k, depth", [(5, 2), (10, 3), (13, 3),
+                                          (12, 4), (15, 3), (15, 4), (11, 5)])
     def test_every_product_inside_polygon(self, k, depth):
         # Leftmost products 1e-12 apart in x once cost the hull a true vertex.
+        # From (12, 4) on, the pruned levels' vertices differ from those of
+        # the hull of all products.  Every product inside and every vertex a
+        # product make the polygon that hull to within 1e-12.
         S = SetSpec.roots_of_unity(k)
         pts = log_spectrum_products(S, depth)
         poly = np.asarray(log_spectrum_region(S, depth))
-        edges = np.roll(poly, -1) - poly
-        # Signed distance of every product from every ccw edge line (> 0 inside).
-        dist = ((edges.real[:, None] * (pts.imag[None, :] - poly.imag[:, None])
-                 - edges.imag[:, None] * (pts.real[None, :] - poly.real[:, None]))
-                / np.abs(edges)[:, None])
-        assert dist.min() >= -1e-12
+        assert _min_edge_distance(poly, pts) >= -1e-12
+        assert np.all(np.isin(poly, pts))
+
+    def test_last_level_reaches_full_depth(self):
+        # Each factor applied to the depth-7 vertices lands in the depth-8 polygon.
+        S = SetSpec.roots_of_unity(9)
+        factors = log_spectrum_products(S, 1)
+        step = np.outer(np.asarray(log_spectrum_region(S, 7)), factors).ravel()
+        assert _min_edge_distance(np.asarray(log_spectrum_region(S, 8)), step) >= -1e-12
 
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             log_spectrum_region(SetSpec.roots_of_unity(4), 0)
+
+    def test_depth_budget(self):
+        assert len(log_spectrum_region(SetSpec.real_interval(-1.0, 1.0), MAX_LOG_DEPTH)) == 2
+        for f in (log_spectrum_region, log_spectrum_products):
+            with pytest.raises(BudgetError):
+                f(SetSpec.roots_of_unity(4), MAX_LOG_DEPTH + 1)
 
 
 class TestContainmentReport:
