@@ -7,10 +7,12 @@ above sqrt(x) (1 or a prime), so f(n) is the product of the supplied f(p)
 over the factorization of n.  It accumulates partial sums, logarithmic sums,
 Euler products, and the prime reciprocal deficit.  A spec's values form a
 short palette over integer edges, with a slot for f(1) = 1 below the first
-prime, so f at the cofactors is one unmasked ``np.searchsorted`` and a
-gather; the segment's integers are int32 arrays, and f(n) accumulates in the
-narrowest exact dtype: int8 when every value is -1, 0 or 1, float64 for
-other real values and complex128 otherwise.  On top of it sit the
+prime; a cofactor is 1 or a prime above sqrt(x), so only the few edges above
+sqrt(x) tell two apart, and f at the cofactors is one comparison per such
+edge and a gather.  The segment's integers are int32 arrays, and f(n)
+accumulates in the narrowest exact dtype: int8 when every value is -1, 0 or
+1, float64 for other real values and complex128 otherwise; the density's
+exponents mod m likewise in int8 while they fit.  On top of it sit the
 mean-vs-solver comparisons, Kronecker symbols, averages over fundamental
 discriminants in a progression, the subset-sum counts behind the m-th power
 residue bounds, and exact logarithmic densities for root-of-unity valued
@@ -48,11 +50,11 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # tracemalloc peaks at 58 bytes per segment integer in sieve_sums on a
-    # complex spec with an extra weight, plus about 150 kB of numpy cast
-    # buffers (50 bytes without the weight, 41 on a float64 spec, 26-34 on
-    # an int8 one, 32 in mth_root_log_density); 80 keeps the peak at 0.86
-    # of a 1 MB budget.
+    # tracemalloc peaks at 56 bytes per segment integer in sieve_sums on a
+    # complex spec with an extra weight, plus about 140 kB of numpy cast
+    # buffers (48 bytes without the weight, 32-40 on a float64 spec, 25-33
+    # on an int8 one, 18 in mth_root_log_density); 80 keeps the peak at
+    # 0.83 of a 1 MB budget.
     return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 80))
 
 
@@ -126,7 +128,8 @@ class MultiplicativeSpec:
     becomes the smallest integer p with log(p) / log(y) >= b (clamped to
     MAX_SIEVE_X + 1) and the slots hold chi's segment values; in table mode
     each key k owns [k, k + 1) with the default in the gaps.
-    ``palette_index`` is one ``np.searchsorted`` over those edges.
+    ``palette_index`` is one ``np.searchsorted`` over those edges; the sieve
+    finds its cofactors' slots by comparing with the edges above sqrt(x).
     """
 
     mode: str
@@ -244,8 +247,38 @@ def _check_budget(x: int) -> int:
     if x < 1:
         raise ValidationError("x must be at least 1")
     if x > MAX_SIEVE_X:
-        raise BudgetError(f"x = {x} exceeds the sieve budget {MAX_SIEVE_X}")
+        shown = f"{x:.3g}" if x < 1e300 else f"10^{math.log10(x):.0f}"
+        raise BudgetError(f"x = {shown} exceeds the sieve budget {MAX_SIEVE_X}")
     return x
+
+
+#: Edges in (isqrt(x), x] that _cofactor_slots compares against one pass
+#: each; with more it falls back to palette_index.  A pass costs about 1 ns
+#: per integer and the searchsorted 10-17 ns, so 8 passes still win.
+_MAX_HI_EDGES = 8
+
+
+def _cofactor_slots(spec: MultiplicativeSpec, x: int, rem: np.ndarray) -> np.ndarray:
+    """``spec.palette_index(rem)`` (intp) for cofactors rem of n <= x, each 1
+    or a prime above isqrt(x).
+
+    The k0 edges <= isqrt(x) lie below every such prime and above 1, and
+    edges above x lie above every rem, so the slot is k0 * (rem > 1) plus one
+    comparison per edge in (isqrt(x), x], as long as there are at most
+    _MAX_HI_EDGES of those.  The slots stay intp: narrower ones would only
+    widen to an intp temporary in the gather.
+    """
+    edges = spec._edges
+    k0 = int(np.searchsorted(edges, math.isqrt(x), side="right"))
+    hi = edges[k0:np.searchsorted(edges, x, side="right")]
+    if len(hi) > _MAX_HI_EDGES:
+        return spec.palette_index(rem)
+    slots = np.empty(len(rem), dtype=np.intp)
+    np.greater(rem, 1, out=slots)
+    slots *= k0
+    for e in hi.tolist():
+        slots += rem >= e
+    return slots
 
 
 def _factor_segments(x: int, base, base_vals, op, identity, dtype):
@@ -256,9 +289,10 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     a factor p and acc is updated in place by op(acc, v), v the caller's value
     for p, primes ascending and then exponents ascending.  rem = n // s is
     then 1 or the one prime factor of n above sqrt(x), so the caller applies
-    its value at rem to every integer unmasked, the value at 1 being the
-    identity.  acc has the caller's dtype: the narrowest exact one for f in
-    sieve_sums, int64 exponents in the density.
+    its value at rem (by _cofactor_slots) to every integer unmasked, the
+    value at 1 being the identity.  acc has the caller's dtype, the
+    narrowest exact one: for f in sieve_sums, and for the exponents mod m in
+    the density (int8 while (x.bit_length() + 1) * (m - 1) <= 127).
     """
     seg = _segment_length()
     for lo in range(1, x + 1, seg):
@@ -307,22 +341,23 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     theta *= _theta_factor_product(ps, fp_base)
     deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
     for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, palette.dtype):
-        acc *= palette[spec.palette_index(rem)]
-        # rem == n at n = 1 and at the primes above sqrt(x).
-        ps = rem[rem == n]
-        ps = ps[ps > 1]
+        fr = palette[_cofactor_slots(spec, x, rem)]
+        acc *= fr
+        # rem == n at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
+        at = np.flatnonzero(rem == n)[1 if n[0] == 1 else 0:]
+        fp = fr[at]
+        ps = n[at].astype(np.float64)
         if len(ps):
-            fp = palette[spec.palette_index(ps)]
-            ps = ps.astype(np.float64)
             theta *= _theta_factor_product(ps, fp)
             deficit += float(np.sum(np.abs(1.0 - fp) / ps))
+        del fr, at, fp, ps
         partial += complex(np.sum(acc))
-        nf = n.astype(np.float64)
+        nf = np.arange(n[0], n[-1] + 1, dtype=np.float64)
         logsum += complex(np.sum(acc / nf))
         for s in extras:
             extras[s] += complex(np.sum(acc / nf ** s))
         # Free this segment before the next one is built.
-        del n, acc, rem, ps, nf
+        del n, acc, rem, nf
     return SieveResult(x, partial, logsum, theta, deficit, extras)
 
 
@@ -573,11 +608,15 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     if x < 2:
         raise ValidationError("x must be at least 2 for a logarithmic density")
     total = 0.0
-    exps = _root_exponents(spec.palette, m)
+    # n <= x has fewer than x.bit_length() prime factors, each adding an
+    # exponent <= m - 1: int8 holds every sum for m <= 6 at x <= 10^7.
+    bound = (x.bit_length() + 1) * (m - 1)
+    dtype = np.int8 if bound <= 127 else np.int16 if bound <= 32767 else np.int64
+    exps = _root_exponents(spec.palette, m).astype(dtype)
     base = primes_upto(math.isqrt(x))
     base_exps = exps[spec.palette_index(base)]
-    for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, np.int64):
-        expo += exps[spec.palette_index(rem)]
+    for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, dtype):
+        expo += exps[_cofactor_slots(spec, x, rem)]
         good = (expo % m) == 0
         total += float(np.sum(1.0 / n[good].astype(np.float64)))
         del n, expo, rem, good  # free this segment before the next

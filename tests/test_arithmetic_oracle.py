@@ -297,6 +297,134 @@ class TestIntegerEdges:
         assert sieve_sums(spec, 1).partial_sum == 1
 
 
+def step_with_breaks(k, cycle=(-1.0, 0.0, 1j)):
+    """Step spec with k breaks at 1, 1.05, ... and levels running through
+    cycle, so neighbouring slots differ; at y = 200 and x = 10^4 all k edges
+    lie in (sqrt(x), x] for k <= 10."""
+    levels = [cycle[j % len(cycle)] for j in range(k)]
+    return MultiplicativeSpec.step(
+        StepFunction(tuple(1.0 + 0.05 * j for j in range(k)), (1.0, *levels[:-1]),
+                     levels[-1]), 200.0)
+
+
+def hi_edges(spec, x):
+    """Number of the spec's edges in (isqrt(x), x]."""
+    edges = spec._edges
+    return int(np.sum((edges > math.isqrt(x)) & (edges <= x)))
+
+
+def cofactors(x):
+    """1 and every prime in (isqrt(x), x], in int32 like the sieve's rem,
+    with 1 at both ends."""
+    ps = primes_upto(x)
+    return np.concatenate([[1], ps[ps > math.isqrt(x)], [1]]).astype(np.int32)
+
+
+def wide_table(cycle=(-1.0, 0.0, 1j, 0.6 + 0.8j)):
+    """Table of the 40 primes in (100, 300]: more keys above sqrt(10^4) than
+    _cofactor_slots compares one by one."""
+    ps = primes_upto(300)
+    return MultiplicativeSpec.from_table(
+        {p: cycle[i % len(cycle)] for i, p in enumerate(ps[ps > 100][:40].tolist())},
+        cycle[-1])
+
+
+WIDE_TABLE = wide_table()
+
+
+def spy_palette_index(monkeypatch):
+    """Record the length of every array passed to palette_index."""
+    seen = []
+    palette_index = MultiplicativeSpec.palette_index
+
+    def spy(self, ps):
+        seen.append(len(ps))
+        return palette_index(self, ps)
+
+    monkeypatch.setattr(MultiplicativeSpec, "palette_index", spy)
+    return seen
+
+
+class TestCofactorSlots:
+    """The per-edge comparison slots of the cofactors equal palette_index."""
+
+    @staticmethod
+    def assert_slots_match(spec, x, rem):
+        got = arithmetic_oracle._cofactor_slots(spec, x, rem)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, spec.palette_index(rem))
+
+    @pytest.mark.parametrize("spec, n_hi", [
+        (LIOUVILLE, 0),
+        (MultiplicativeSpec.step(CHI_MINUS, 10 ** (4 / (1 + SQRT_E))), 0),
+        (MultiplicativeSpec.step(CHI_MINUS, 500.0), 1),
+        (MultiplicativeSpec.step(StepFunction((1.0, 1.2, 1.4), (1.0, -1.0, 0.0), 1j), 200.0), 3),
+        (step_with_breaks(arithmetic_oracle._MAX_HI_EDGES), arithmetic_oracle._MAX_HI_EDGES),
+    ])
+    def test_few_edges_above_the_root(self, monkeypatch, spec, n_hi):
+        x = 10 ** 4
+        assert hi_edges(spec, x) == n_hi
+        rem = cofactors(x)
+        seen = spy_palette_index(monkeypatch)
+        self.assert_slots_match(spec, x, rem)
+        assert seen == [len(rem)]  # the reference alone
+
+    def test_edges_at_and_next_to_the_root(self):
+        # Key 101 has edges 101 = isqrt(101^2) and 102 = isqrt + 1.
+        self.assert_slots_match(MultiplicativeSpec.from_table({101: 1j}, -1.0), 101 ** 2,
+                                cofactors(101 ** 2))
+        # And an edge at x itself, a prime that is its own cofactor.
+        for x in (10007, 10008):
+            self.assert_slots_match(MultiplicativeSpec.from_table({10007: 1j}, -1.0), x,
+                                    cofactors(x))
+        spec = MultiplicativeSpec.step(CHI_MINUS, 500.0)
+        assert spec._edges.tolist() == [2, 500]
+        for x in (499 ** 2, 500 ** 2 - 1, 500 ** 2, 500 ** 2 + 1):
+            self.assert_slots_match(spec, x, cofactors(x))
+
+    def test_repeated_edges(self):
+        spec = MultiplicativeSpec.step(StepFunction((1.5, 3.0), (1.0, 0.0), -1.0), 1 + 1e-7)
+        assert spec._edges.tolist() == [2, 2, 2]
+        for x in range(1, 30):
+            self.assert_slots_match(spec, x, cofactors(x))
+
+    def test_clamped_edge_at_the_budget(self):
+        spec = MultiplicativeSpec.step(StepFunction((1.0, 60.0), (1.0, -1.0), 1.0), 10.0)
+        assert spec._edges.tolist() == [2, 10, MAX_SIEVE_X + 1]
+        ps = primes_upto(2 * 10 ** 4)
+        rem = np.concatenate([[1], ps[ps > 10 ** 4], [99999989, 1]]).astype(np.int32)
+        self.assert_slots_match(spec, MAX_SIEVE_X, rem)
+
+    @pytest.mark.parametrize("spec", [WIDE_TABLE,
+                                      step_with_breaks(arithmetic_oracle._MAX_HI_EDGES + 1)])
+    def test_more_edges_fall_back_to_palette_index(self, monkeypatch, spec):
+        x = 10 ** 4
+        assert hi_edges(spec, x) > arithmetic_oracle._MAX_HI_EDGES
+        rem = cofactors(x)
+        seen = spy_palette_index(monkeypatch)
+        self.assert_slots_match(spec, x, rem)
+        assert seen == [len(rem)] * 2
+
+    @pytest.mark.parametrize("build", [
+        wide_table, lambda cycle: step_with_breaks(3, cycle),
+        lambda cycle: step_with_breaks(arithmetic_oracle._MAX_HI_EDGES, cycle),
+        lambda cycle: step_with_breaks(arithmetic_oracle._MAX_HI_EDGES + 1, cycle)])
+    def test_sieve_and_density_match_event_list(self, build):
+        x = 10 ** 4
+        spec = build((-1.0, 0.0, 1j, 0.6 + 0.8j))
+        assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+                == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+        roots = build((W3, W3 * W3, 1.0))
+        assert repr(mth_root_log_density(roots, x, 3)) == repr(event_list_density(roots, x, 3))
+
+    def test_no_segment_sized_lookup_on_the_extremal_spec(self, monkeypatch):
+        x = 10 ** 6
+        spec = MultiplicativeSpec.step(CHI_MINUS, x ** (1 / (1 + SQRT_E)))
+        seen = spy_palette_index(monkeypatch)
+        sieve_sums(spec, x)
+        assert seen and max(seen) <= len(primes_upto(math.isqrt(x)))
+
+
 REAL_SPECS = [
     MultiplicativeSpec.step(CHI_MINUS, 7.0),
     MultiplicativeSpec.step(StepFunction((1.2, 1.7), (1.0, 0.0), -1.0), 30.0),
@@ -590,6 +718,52 @@ class TestMthRootDensity:
         # The whole palette is checked, even a value no n <= x reaches.
         with pytest.raises(ValidationError):
             mth_root_log_density(MultiplicativeSpec.from_table({10007: 0.5}, -1.0), 100, 2)
+
+
+class TestDensityExponents:
+    """Density exponents mod m accumulate in int8 while
+    (x.bit_length() + 1) * (m - 1) <= 127, wider beyond, bitwise equal to the
+    int64 event-list reference."""
+
+    @staticmethod
+    def spy_dtype(monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(np.dtype(args[-1]))
+            return iter(())
+
+        monkeypatch.setattr(arithmetic_oracle, "_factor_segments", spy)
+        return seen
+
+    @pytest.mark.parametrize("x", [2, 10 ** 4, 10 ** 6, 10 ** 7])
+    def test_int8_up_to_sixth_roots(self, monkeypatch, x):
+        seen = self.spy_dtype(monkeypatch)
+        for m in range(1, 7):
+            mth_root_log_density(ONES, x, m)
+        assert seen == [np.int8] * 6
+
+    @pytest.mark.parametrize("x, m, dtype", [
+        (10 ** 7, 7, np.int16), (2 ** 13, 10, np.int16), (10 ** 7, 1311, np.int16),
+        (10 ** 7, 1312, np.int64), (10 ** 4, 10 ** 6, np.int64), (10 ** 4, 2 ** 62, np.int64)])
+    def test_wider_past_the_bound(self, monkeypatch, x, m, dtype):
+        seen = self.spy_dtype(monkeypatch)
+        mth_root_log_density(ONES, x, m)
+        assert seen == [dtype]
+
+    @pytest.mark.parametrize("k", [6, 10, 13])
+    def test_largest_int8_exponent_sums(self, monkeypatch, k):
+        # At x = 2^k, n = x has Omega(n) = x.bit_length() - 1 = k, and every
+        # value but f(1) has exponent m - 1, for the largest m that stays int8.
+        x = 2 ** k
+        m = 127 // (x.bit_length() + 1) + 1
+        w = complex(math.cos(2 * math.pi / m), math.sin(2 * math.pi / m))
+        spec = MultiplicativeSpec.from_table({}, w ** (m - 1))
+        assert (arithmetic_oracle._root_exponents(spec.palette, m)[1:] == m - 1).all()
+        seen = spy_accumulator_dtype(monkeypatch)
+        got = mth_root_log_density(spec, x, m)
+        assert seen == [np.int8]
+        assert repr(got) == repr(event_list_density(spec, x, m))
 
 
 SMALL_PRIMES = primes_upto(60).tolist()

@@ -370,14 +370,18 @@ class TestInputBudgets:
         ["spectrum", "--set", "interval:-1,1", "--what", "logregion", "--depth", "1000000000"],
         ["gamma-b", "--B", "1", "--restarts", "100000000000"],
         ["gamma-b", "--B", "20"],
+        ["oracle", "--x", "1e300"],
     ])
-    def test_exits_three_with_one_line(self, argv, chi_file, capsys):
+    def test_exits_three_with_one_line(self, argv, chi_file, spec_file, capsys):
         if argv[0] == "bounds":
             argv = argv[:1] + ["--chi", chi_file] + argv[1:]
+        if argv[0] == "oracle":
+            argv = argv[:1] + ["--spec", spec_file] + argv[1:]
         rc, peak = self._run_traced(argv)
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("resource budget exceeded: ") and err.count("\n") == 1
+        assert len(err) < 120
         assert peak < 1 << 20
 
     def test_largest_m_range_runs(self, capsys):
