@@ -4,7 +4,9 @@ A segmented sieve evaluates completely multiplicative functions exactly:
 each segment applies f(p) along the strided multiples of every power of every
 prime up to sqrt(x), and then every integer takes f at its cofactor left
 above sqrt(x) (1 or a prime), so f(n) is the product of the supplied f(p)
-over the factorization of n.  It accumulates partial sums, logarithmic sums,
+over the factorization of n.  Segments start from a wheel, the 5040-periodic
+pattern of the powers of 2, 3, 5 and 7 up to 16, 9, 5 and 7, and an update
+by f(p) = 1 is skipped.  It accumulates partial sums, logarithmic sums,
 Euler products, and the prime reciprocal deficit.  A spec's values form a
 short palette over integer edges, with a slot for f(1) = 1 below the first
 prime; a cofactor is 1 or a prime above sqrt(x), so only the few edges above
@@ -51,10 +53,10 @@ def _segment_length() -> int:
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
     # tracemalloc peaks at 56 bytes per segment integer in sieve_sums on a
-    # complex spec with an extra weight, plus about 140 kB of numpy cast
-    # buffers (48 bytes without the weight, 32-40 on a float64 spec, 25-33
-    # on an int8 one, 18 in mth_root_log_density); 80 keeps the peak at
-    # 0.83 of a 1 MB budget.
+    # complex spec with an extra weight, plus about 160 kB of numpy cast
+    # buffers and wheel patterns (48 bytes without the weight, 32-40 on a
+    # float64 spec, 25-33 on an int8 one, 18 in mth_root_log_density); 80
+    # keeps the peak at 0.86 of a 1 MB budget.
     return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 80))
 
 
@@ -243,7 +245,10 @@ def _theta_factor_product(ps: np.ndarray, fps: np.ndarray) -> complex:
 
 
 def _check_budget(x: int) -> int:
-    x = int(x)
+    try:
+        x = int(x)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"x must be a finite number, got {x!r}") from None
     if x < 1:
         raise ValidationError("x must be at least 1")
     if x > MAX_SIEVE_X:
@@ -281,31 +286,80 @@ def _cofactor_slots(spec: MultiplicativeSpec, x: int, rem: np.ndarray) -> np.nda
     return slots
 
 
+#: Top power of each wheel prime: 16 * 9 * 5 * 7 = 5040 is the period of
+#: the pattern that every segment starts from.
+_WHEEL_TOPS = {2: 16, 3: 9, 5: 5, 7: 7}
+
+
+def _tiled(pattern: np.ndarray, lo: int, size: int) -> np.ndarray:
+    """pattern[(lo - 1 + i) % len(pattern)] for i < size: the entries of
+    lo, lo + 1, ..., when entry k belongs to k + 1 modulo the period."""
+    period = len(pattern)
+    out = np.empty(size, dtype=pattern.dtype)
+    out[:period] = np.roll(pattern, 1 - lo)[:size]
+    # Doubling copies of whole periods keep the phase.
+    done = period
+    while done < size:
+        step = min(done, size - done)
+        out[done:done + step] = out[:step]
+        done += step
+    return out
+
+
 def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     """Yield (n, acc, rem) for each segment of [1, x].
 
     Each power q = p^e <= hi of a base prime p <= sqrt(x) owns the strided
     view [start::q] of the multiples of q: there the divided-out part s gains
     a factor p and acc is updated in place by op(acc, v), v the caller's value
-    for p, primes ascending and then exponents ascending.  rem = n // s is
-    then 1 or the one prime factor of n above sqrt(x), so the caller applies
-    its value at rem (by _cofactor_slots) to every integer unmasked, the
-    value at 1 being the identity.  acc has the caller's dtype, the
-    narrowest exact one: for f in sieve_sums, and for the exponents mod m in
-    the density (int8 while (x.bit_length() + 1) * (m - 1) <= 127).
+    for p, primes ascending and then exponents ascending.  An update by the
+    identity (f(p) = 1 under multiply, exponent 0 under add) is skipped.
+    rem = n // s is then 1 or the one prime factor of n above sqrt(x), so
+    the caller applies its value at rem (by _cofactor_slots) to every
+    integer unmasked, the value at 1 being the identity.  acc has the
+    caller's dtype, the narrowest exact one: for f in sieve_sums, and for
+    the exponents mod m in the density (int8 while
+    (x.bit_length() + 1) * (m - 1) <= 127).
+
+    The base primes among 2, 3, 5, 7 form a wheel: s starts each segment as
+    a tiled slice of the pattern of their powers up to _WHEEL_TOPS (period
+    5040 once 7 <= sqrt(x), 1 with no wheel prime), and the strided loop
+    starts each wheel prime at its first power above the top.  An exact
+    (integer) acc starts from the same pattern folded with op over the
+    values; a float64 or complex128 acc keeps every strided update, since a
+    wheel power above the top would otherwise multiply after the larger
+    primes and change the rounding.
     """
+    exact = np.dtype(dtype).kind == "i"
+    tops = [_WHEEL_TOPS.get(p, 1) for p in base.tolist()]
+    period = math.prod(tops)
+    s_wheel = np.ones(period, dtype=np.int32)
+    acc_wheel = np.full(period if exact else 1, identity, dtype=dtype)
+    for p, v, top in zip(base.tolist(), base_vals, tops):
+        q = p
+        while q <= top:
+            s_wheel[q - 1::q] *= p
+            if exact and v != identity:
+                # The multiples of q, as p's powers up to q are in place.
+                hit = s_wheel % q == 0
+                acc_wheel[hit] = op(acc_wheel[hit], v)
+            q *= p
     seg = _segment_length()
     for lo in range(1, x + 1, seg):
         hi = min(x, lo + seg - 1)
         n = np.arange(lo, hi + 1, dtype=np.int32)
-        s = np.ones(len(n), dtype=np.int32)
-        acc = np.full(len(n), identity, dtype=dtype)
-        for p, v in zip(base.tolist(), base_vals):
+        s = _tiled(s_wheel, lo, len(n))
+        acc = _tiled(acc_wheel, lo, len(n))
+        for p, v, top in zip(base.tolist(), base_vals, tops):
+            acc_top = top if exact else 1
+            idle = v == identity
             q = p
             while q <= hi:
                 start = (-lo) % q
-                s[start::q] *= p
-                op(acc[start::q], v, out=acc[start::q])
+                if q > top:
+                    s[start::q] *= p
+                if q > acc_top and not idle:
+                    op(acc[start::q], v, out=acc[start::q])
                 q *= p
         yield n, acc, np.floor_divide(n, s, out=s)
         # The caller drops its references too, so no two segments coexist.
@@ -600,8 +654,11 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     raises); the accumulated product is tracked as an exponent mod m so
     equality with 1 is an integer test.
     """
-    if m < 1:
+    # Written so that NaN fails the comparison.
+    if not m >= 1:
         raise ValidationError("m must be positive")
+    if m >= 2 ** 63:
+        raise ValidationError("m must be below 2^63, the int64 exponent range")
     x = _check_budget(x)
     if x > 10 ** 7:
         raise BudgetError("x exceeds the 10^7 density budget")

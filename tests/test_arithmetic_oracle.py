@@ -534,6 +534,13 @@ class TestSieveSums:
             _segment_length()
 
 
+    def test_non_finite_x_rejected(self):
+        for x in (math.nan, math.inf, -math.inf):
+            for call in (lambda: sieve_sums(ONES, x), lambda: mth_root_log_density(ONES, x, 2)):
+                with pytest.raises(ValidationError, match="x must be a finite number") as info:
+                    call()
+                assert "\n" not in str(info.value)
+
     def test_non_finite_specs_rejected(self):
         nan = float("nan")
         with pytest.raises(ValidationError):
@@ -720,6 +727,16 @@ class TestMthRootDensity:
             mth_root_log_density(MultiplicativeSpec.from_table({10007: 0.5}, -1.0), 100, 2)
 
 
+    def test_m_past_int64_rejected(self):
+        for m in (2 ** 63, 10 ** 30, math.inf):
+            with pytest.raises(ValidationError, match="below 2\\^63"):
+                mth_root_log_density(LIOUVILLE, 100, m)
+        with pytest.raises(ValidationError, match="m must be positive"):
+            mth_root_log_density(LIOUVILLE, 100, math.nan)
+        # f(n) = 1 exactly when Omega(n) is even, for every even m.
+        assert mth_root_log_density(LIOUVILLE, 100, 2 ** 62) == mth_root_log_density(LIOUVILLE, 100, 2)
+
+
 class TestDensityExponents:
     """Density exponents mod m accumulate in int8 while
     (x.bit_length() + 1) * (m - 1) <= 127, wider beyond, bitwise equal to the
@@ -819,6 +836,96 @@ class TestSieveProperties:
     def test_density_against_event_list(self, spec_m, x):
         spec, m = spec_m
         assert repr(mth_root_log_density(spec, x, m)) == repr(event_list_density(spec, x, m))
+
+
+#: Segment lengths for the wheel: 8, 26 and 120 start segments at wheel
+#: prime powers, 5040 on the period and 5041 one past it, and 7919 is prime.
+WHEEL_SEGMENTS = [8, 26, 120, 5040, 5041, 7919]
+#: The wheel prime powers at or below their tops, left to the pattern.
+WHEEL_POWERS = {2, 4, 8, 16, 3, 9, 5, 7}
+
+
+def spy_strided_ops(monkeypatch):
+    """Record (acc dtype, stride in items, value, identity) for every
+    nonempty call of the op that _factor_segments receives."""
+    calls = []
+    factor_segments = arithmetic_oracle._factor_segments
+
+    def spy(x, base, base_vals, op, identity, dtype):
+        def op_spy(a, v, out=None):
+            if a.size:
+                calls.append((np.dtype(dtype), a.strides[0] // a.itemsize, v, identity))
+            return op(a, v, out=out)
+
+        return factor_segments(x, base, base_vals, op_spy, identity, dtype)
+
+    monkeypatch.setattr(arithmetic_oracle, "_factor_segments", spy)
+    return calls
+
+
+class TestWheel:
+    """Segments start from the wheel pattern of 2, 3, 5, 7 and skip identity
+    updates, bitwise equal to the event-list references at every length."""
+
+    @given(small_specs(DISC_VALUES), st.integers(1, 12000), st.sampled_from(WHEEL_SEGMENTS))
+    @settings(max_examples=100)
+    def test_sieve_against_event_list(self, spec, x, seg):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+            assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+                    == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+
+    @given(root_specs(), st.integers(2, 12000), st.sampled_from(WHEEL_SEGMENTS))
+    @settings(max_examples=100)
+    def test_density_against_event_list(self, spec_m, x, seg):
+        spec, m = spec_m
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+            assert repr(mth_root_log_density(spec, x, m)) == repr(event_list_density(spec, x, m))
+
+    @pytest.mark.parametrize("seg", [120, 5040, 5041, 7919])
+    def test_segments_across_periods(self, monkeypatch, seg):
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+        assert_matches_event_list([2 * 5040 + 1, 11000])
+
+    @pytest.mark.parametrize("seg", WHEEL_SEGMENTS)
+    def test_seven_joins_the_wheel_at_49(self, monkeypatch, seg):
+        # isqrt(48) = 6 and isqrt(49) = 7; f(2) = 0 or f(3) = 0 zeroes whole
+        # residue classes of the pattern, in int8, float64 and complex128.
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+        zeros = [MultiplicativeSpec.from_table({2: 0.0, 7: 1.0}, -1.0),
+                 MultiplicativeSpec.from_table({2: 0.0, 3: 0.5}, -1.0),
+                 MultiplicativeSpec.from_table({3: 0.0, 5: 1j}, -1.0)]
+        for x in (48, 49, 50):
+            for spec in SIEVE_SPECS + zeros:
+                assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+                        == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+            for spec, m in DENSITY_SPECS:
+                assert (repr(mth_root_log_density(spec, x, m))
+                        == repr(event_list_density(spec, x, m)))
+
+    @pytest.mark.parametrize("run, seen", [
+        # f = 1 at 2, 3, 5 and 7: no wheel prime updates at all.
+        (lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, 1e5 ** (1 / (1 + SQRT_E))), 10 ** 5),
+         set()),
+        (lambda: mth_root_log_density(LIOUVILLE, 10 ** 5, 2), {32, 27, 25, 49}),
+        (lambda: mth_root_log_density(
+            MultiplicativeSpec.from_table({2: W3, 3: 1.0, 7: W3 * W3}, 1.0), 10 ** 5, 3),
+         {32, 49}),
+        # float64 and complex128 keep the wheel powers below the tops in order.
+        (lambda: sieve_sums(MultiplicativeSpec.from_table({2: 0.5, 3: 1.0}, -1.0), 10 ** 5),
+         {2, 4, 8, 16, 32, 5, 25, 7, 49}),
+        (lambda: sieve_sums(MultiplicativeSpec.from_table({2: 1j, 5: 1.0}, -1.0), 10 ** 5),
+         {2, 4, 8, 16, 32, 3, 9, 27, 7, 49})])
+    def test_no_identity_or_wheel_power_updates(self, monkeypatch, run, seen):
+        calls = spy_strided_ops(monkeypatch)
+        run()
+        assert calls
+        assert all(v != identity for *_, v, identity in calls)
+        wheel_strides = {p ** e for p in (2, 3, 5, 7) for e in range(1, 6) if p ** e <= 49}
+        assert {q for _, q, *_ in calls} & wheel_strides == seen
+        exact = {q for dtype, q, *_ in calls if dtype.kind == "i"}
+        assert not exact & WHEEL_POWERS
 
 
 class TestDiscriminantAverage:
