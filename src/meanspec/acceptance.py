@@ -245,13 +245,10 @@ def check_region_geometry() -> CheckResult:
             rep = region.containment_report(region.euler_spiral_cloud(S, 8.0), S)
             violations += rep["total_violations"]
         S_pm = region.SetSpec.from_points([1.0, -1.0])
-        sigma_cloud = region.RegionCloud(
-            rho_minus_grid(6.0, 1e-3).samples.astype(complex),
-            {"kind": "sigma-samples"})
+        sigma_cloud = region.RegionCloud(rho_minus_grid(6.0, 1e-3).samples.astype(complex))
         violations += region.containment_report(sigma_cloud, S_pm)["total_violations"]
         S6 = region.SetSpec.roots_of_unity(6)
-        products = region.RegionCloud(region.log_spectrum_products(S6, 6),
-                                      {"kind": "log-products"})
+        products = region.RegionCloud(region.log_spectrum_products(S6, 6))
         violations += region.containment_report(products, S6,
                                                 log_products=True)["total_violations"]
         ok = env_ok and hd_ok and violations == 0

@@ -256,6 +256,8 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         raise ValidationError("m_steps and restarts must be at least 1")
     if restarts > MAX_RESTARTS:
         raise BudgetError(f"restarts = {restarts} exceeds the budget {MAX_RESTARTS}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if u_grid is None:
         scale = max(1.0, 1.0 / (B * DEFAULT_U_GRID[0]))
         u_grid = tuple(u * scale for u in DEFAULT_U_GRID)

@@ -7,14 +7,16 @@ spiral family exp(-k(1-alpha)) over the hull, evaluates the explicit
 inscribed-disc radii, traces the attainable boundary contour for the
 symmetric three-point set of a given angle, builds the product region that
 bounds the logarithmic spectrum, and verifies disc, projection, and spiral
-envelope containments on sampled point clouds.
+envelope containments on sampled point clouds.  Point-in-polygon tests, the
+interior lattice and the spiral edge samples run on numpy arrays; the hull
+sorts with numpy and walks the exact monotone chain in Python.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +24,15 @@ from .errors import BudgetError, ValidationError
 from .kernels import DISC_TOL, SQRT_E
 
 #: Largest k for the k-th roots of unity: sk:64 has 129 log-region factors,
-#: and its region at depth 8 takes about 0.5 s.
+#: and its region at depth 8 takes about 0.25 s.
 MAX_ROOTS_OF_UNITY = 64
 
 #: Products per level of the log region: the largest hull-pruned level of
 #: sk:64, up to depth 64, forms 29,541.  A level of 9.5e5 (a 575-point arc at
-#: depth 2) and the pure-Python hull of its products take about 5 s and 220 MB.
+#: depth 2) and the hull of its products take about 2 s and 150 MB peak RSS.
 MAX_LOG_PRODUCTS = 10 ** 6
 
-#: Largest log-region depth: the region of sk:64 at depth 64 takes about 8 s.
+#: Largest log-region depth: the region of sk:64 at depth 64 takes about 6 s.
 MAX_LOG_DEPTH = 64
 
 #: Width of the boundary band that point_in_polygon counts as inside.
@@ -57,8 +59,12 @@ def convex_hull(points):
     Returns one point for a single-point cloud and the two extreme points
     for a collinear one.
     """
-    pts = sorted(set((complex(p).real, complex(p).imag) for p in points))
-    pts = [complex(x, y) for x, y in pts]
+    z = np.asarray(points, dtype=np.complex128).ravel()
+    # A stable sort keeps the first of equal points, so of -0.0 and 0.0 too.
+    z = z[np.lexsort((z.imag, z.real))]
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = z[1:] != z[:-1]
+    pts = z[first].tolist()
     if len(pts) <= 2:
         return pts
     lower, upper = [], []
@@ -76,69 +82,60 @@ def convex_hull(points):
     return hull
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(z - a)
-    t = max(0.0, min(1.0, ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom))
-    return abs(z - (a + t * ab))
+def point_in_polygon(z, poly, eps: float = GEOM_EPS):
+    """Even-odd containment with an eps-wide boundary band counted inside.
 
-
-def point_in_polygon(z: complex, poly, eps: float = GEOM_EPS) -> bool:
-    """Even-odd containment with an eps-wide boundary band counted inside."""
-    poly = [complex(p) for p in poly]
-    if len(poly) == 1:
-        return abs(z - poly[0]) <= eps
-    if len(poly) == 2:
-        return _segment_distance(z, poly[0], poly[1]) <= eps
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        if _segment_distance(z, a, b) <= eps:
-            return True
-    inside = False
-    x, y = z.real, z.imag
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        if (a.imag > y) != (b.imag > y):
-            x_cross = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-            if x_cross > x:
-                inside = not inside
-    return inside
+    z is one point (the answer is a bool) or an array of points (a bool
+    array of its shape); the test allocates a few points-by-edges float
+    arrays.  A polygon of one or two points is a degenerate edge that no
+    point crosses an odd number of times, so its band decides.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    a = np.asarray(poly, dtype=np.complex128).ravel()
+    b = np.roll(a, -1)
+    x, y = z.real[..., None], z.imag[..., None]
+    dx, dy = b.real - a.real, b.imag - a.imag
+    # Distance to each edge: the nearest point is a + t (b - a), t in [0, 1].
+    proj = (x - a.real) * dx + (y - a.imag) * dy
+    denom = dx * dx + dy * dy
+    t = np.clip(np.divide(proj, denom, out=np.zeros(proj.shape), where=denom > 0.0), 0.0, 1.0)
+    near = (np.hypot(x - (a.real + t * dx), y - (a.imag + t * dy)) <= eps).any(axis=-1)
+    crosses = (a.imag > y) != (b.imag > y)
+    x_cross = a.real + (y - a.imag) * dx / np.where(crosses, dy, 1.0)
+    inside = near | (np.count_nonzero(crosses & (x_cross > x), axis=-1) % 2 == 1)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def hausdorff_distance(points_a, points_b) -> float:
     """Symmetric Hausdorff distance between two finite point clouds."""
-    a = np.asarray([complex(p) for p in points_a])
-    b = np.asarray([complex(p) for p in points_b])
+    a = np.asarray(points_a, dtype=np.complex128)
+    b = np.asarray(points_b, dtype=np.complex128)
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def _interior_lattice(poly, cap: int = 200):
     """Deterministic triangular lattice of at most cap points inside poly."""
-    poly = [complex(p) for p in poly]
+    poly = np.asarray(poly, dtype=np.complex128)
     if len(poly) < 3:
         return []
-    xs = [p.real for p in poly]
-    ys = [p.imag for p in poly]
-    width = max(xs) - min(xs)
-    height = max(ys) - min(ys)
+    x0, y0 = poly.real.min(), poly.imag.min()
+    width = poly.real.max() - x0
+    height = poly.imag.max() - y0
     span = max(width, height)
     if span <= 0:
         return []
     spacing = span / 14.0
     while True:
-        pts = []
-        ny = int(height / (spacing * math.sqrt(3) / 2)) + 2
-        nx = int(width / spacing) + 2
-        for iy in range(ny):
-            y = min(ys) + iy * spacing * math.sqrt(3) / 2
-            offset = 0.5 * spacing if iy % 2 else 0.0
-            for ix in range(nx):
-                z = complex(min(xs) + offset + ix * spacing, y)
-                if point_in_polygon(z, poly, eps=1e-9):
-                    pts.append(z)
+        rows = np.arange(int(height / (spacing * math.sqrt(3) / 2)) + 2)
+        cols = np.arange(int(width / spacing) + 2)
+        lattice = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        lattice.real = (x0 + np.where(rows % 2, 0.5 * spacing, 0.0))[:, None] + cols * spacing
+        lattice.imag = (y0 + rows * spacing * math.sqrt(3) / 2)[:, None]
+        lattice = lattice.ravel()
+        pts = lattice[point_in_polygon(lattice, poly, eps=1e-9)]
         if len(pts) <= cap:
-            return pts
+            return pts.tolist()
         spacing *= 1.5
 
 
@@ -146,7 +143,6 @@ def _interior_lattice(poly, cap: int = 200):
 class SetSpec:
     """A closed subset of the unit disc containing 1, with hull and angle."""
 
-    kind: str
     generators: tuple
     hull: tuple
     angle: float
@@ -173,8 +169,7 @@ class SetSpec:
     @classmethod
     def from_points(cls, points, label: str = "") -> "SetSpec":
         pts = tuple(complex(p) for p in points)
-        hull = tuple(convex_hull(pts))
-        return cls("points", pts, hull, cls._angle_of(pts), label or "points")
+        return cls(pts, tuple(convex_hull(pts)), cls._angle_of(pts), label or "points")
 
     @classmethod
     def real_interval(cls, lo: float = -1.0, hi: float = 1.0) -> "SetSpec":
@@ -183,7 +178,7 @@ class SetSpec:
         if hi != 1.0:
             raise ValidationError("the interval must contain 1")
         gens = (complex(lo), complex(hi))
-        return cls("real-interval", gens, gens, 0.0, f"[{lo},{hi}]")
+        return cls(gens, gens, 0.0, f"[{lo},{hi}]")
 
     @classmethod
     def roots_of_unity(cls, k: int) -> "SetSpec":
@@ -192,8 +187,7 @@ class SetSpec:
         if k > MAX_ROOTS_OF_UNITY:
             raise BudgetError(f"k = {k} exceeds the roots-of-unity budget {MAX_ROOTS_OF_UNITY}")
         pts = tuple(cmath.exp(2j * math.pi * j / k) for j in range(k))
-        hull = tuple(convex_hull(pts))
-        return cls("roots-of-unity", pts, hull, cls._angle_of(pts), f"roots:{k}")
+        return cls(pts, tuple(convex_hull(pts)), cls._angle_of(pts), f"roots:{k}")
 
     @classmethod
     def sector(cls, theta: float) -> "SetSpec":
@@ -202,8 +196,7 @@ class SetSpec:
             raise ValidationError("sector angle must lie in (0, pi/2)")
         phis = np.linspace(math.pi - 2 * theta, math.pi + 2 * theta, 64)
         gens = (1.0 + 0.0j,) + tuple(cmath.exp(1j * p) for p in phis)
-        hull = tuple(convex_hull(gens))
-        return cls("sector", gens, hull, theta, f"sector:{theta}")
+        return cls(gens, tuple(convex_hull(gens)), theta, f"sector:{theta}")
 
     def on_unit_circle(self) -> bool:
         return all(abs(abs(p) - 1.0) <= 1e-9 for p in self.generators)
@@ -232,7 +225,6 @@ class RegionCloud:
     """A finite sample of a region of the unit disc."""
 
     points: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=np.complex128)
@@ -258,17 +250,14 @@ def euler_spiral_cloud(S: SetSpec, k_max: float = 8.0, n_alpha: int = 40,
     """
     if not 0.0 <= k_max < math.inf:
         raise ValidationError(f"k_max must be finite and nonnegative, got {k_max}")
-    hull = [complex(p) for p in S.hull]
-    alphas = list(hull)
+    hull = np.asarray(S.hull, dtype=np.complex128)
+    alphas = [hull]
     if len(hull) >= 2:
-        per_edge = max(1, n_alpha // max(1, len(hull)))
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            for t in np.linspace(0.0, 1.0, per_edge + 2)[1:-1]:
-                alphas.append(a + t * (b - a))
-    alphas.extend(_interior_lattice(hull))
+        ts = np.linspace(0.0, 1.0, max(1, n_alpha // len(hull)) + 2)[1:-1]
+        alphas.append((hull[:, None] + ts * (np.roll(hull, -1) - hull)[:, None]).ravel())
+    alphas.append(np.asarray(_interior_lattice(hull), dtype=np.complex128))
     ks = np.linspace(0.0, k_max, n_k)
-    alpha_arr = np.asarray(alphas, dtype=np.complex128)
-    pts = np.exp(-np.outer(ks, 1.0 - alpha_arr)).ravel()
+    pts = np.exp(-np.outer(ks, 1.0 - np.concatenate(alphas))).ravel()
 
     extras = []
     for side in (1.0, -1.0):
@@ -282,8 +271,7 @@ def euler_spiral_cloud(S: SetSpec, k_max: float = 8.0, n_alpha: int = 40,
         extras.append(np.linspace(r_end, 1.0, n_k).astype(np.complex128))
     if extras:
         pts = np.concatenate([pts] + extras)
-    return RegionCloud(pts, {"kind": "euler-spirals", "set": S.label,
-                             "k_max": k_max})
+    return RegionCloud(pts)
 
 
 def special_radii(spec: dict) -> float:
@@ -360,8 +348,7 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
     upper = np.concatenate([seg, arc, np.asarray(spiral, dtype=np.complex128)])
     lower = np.conjugate(upper[::-1])
     pts = np.concatenate([upper, lower[1:-1]])
-    return RegionCloud(pts, {"kind": "sector-contour", "theta": theta,
-                             "alpha": alpha, "closed": True})
+    return RegionCloud(pts)
 
 
 def _log_factors(S: SetSpec, depth: int) -> np.ndarray:

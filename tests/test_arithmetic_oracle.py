@@ -962,3 +962,25 @@ class TestDiscriminantAverage:
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):
             discriminant_char_average(10 ** 7, 1.0, 2, {2: 1})
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_rejected(self, B):
+        with pytest.raises(ValidationError, match="B must be finite"):
+            discriminant_char_average(10 ** 5, B, 2, {2: 1})
+
+    @pytest.mark.parametrize("B", [3.0, 1000.0, 1e308])
+    def test_term_budget_before_the_loop(self, B, monkeypatch):
+        import meanspec.arithmetic_oracle as ao
+        monkeypatch.setattr(ao, "kronecker", None)  # any term would raise TypeError
+        with pytest.raises(BudgetError, match="terms exceed the budget"):
+            discriminant_char_average(10 ** 5, B, 2, {2: 1})
+
+    def test_term_budget_edge(self, monkeypatch):
+        import meanspec.arithmetic_oracle as ao
+        res = discriminant_char_average(10 ** 4, 1.0, 2, {2: 1})
+        terms = res.count * int(math.log(10 ** 4) + 1e-9)
+        monkeypatch.setattr(ao, "MAX_KRONECKER_TERMS", terms)
+        assert discriminant_char_average(10 ** 4, 1.0, 2, {2: 1}) == res
+        monkeypatch.setattr(ao, "MAX_KRONECKER_TERMS", terms - 1)
+        with pytest.raises(BudgetError):
+            discriminant_char_average(10 ** 4, 1.0, 2, {2: 1})

@@ -129,7 +129,7 @@ class TestGammaB:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--h", "inf"), ("--h", "0"),
-                                             ("--steps", "10000000000")])
+                                             ("--steps", "10000000000"), ("--seed", "-1")])
     def test_bad_grid_or_steps_exits_one(self, capsys, flag, value):
         assert main(["gamma-b", "--B", "1", flag, value]) == 1
         err = capsys.readouterr().err

@@ -267,6 +267,18 @@ class TestTruncatedKernelMinMean:
         with pytest.raises(error):
             truncated_kernel_min_mean(**args)
 
+    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, 0.0, None, "0"])
+    def test_bad_seed_rejected_before_any_solve(self, seed, monkeypatch):
+        import meanspec.extremal_search as es
+        monkeypatch.setattr(es, "solve_sigma", None)
+        with pytest.raises(ValidationError, match="seed"):
+            truncated_kernel_min_mean(1.0, u_grid=(2.0,), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        args = dict(m_steps=3, u_grid=(2.0,), restarts=2, h=2e-3, sweeps=1)
+        a = truncated_kernel_min_mean(1.0, seed=np.int64(3), **args)
+        assert a.value == truncated_kernel_min_mean(1.0, seed=3, **args).value
+
 
 class TestPolynomialLineSearch:
     """sigma(B*u) is a polynomial of degree floor(B*u / a) in a level whose panel starts at a."""

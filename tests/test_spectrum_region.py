@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, ValidationError
 from meanspec.extremal_search import delta_constants
 from meanspec.kernels import SQRT_E, StepFunction, rho_minus_grid
-from meanspec.spectrum_region import (DISC_COEFF, MAX_LOG_DEPTH, MAX_ROOTS_OF_UNITY, PROJ_COEFF,
-                                      RegionCloud, SetSpec, ang, containment_report,
+from meanspec.spectrum_region import (DISC_COEFF, GEOM_EPS, MAX_LOG_DEPTH, MAX_ROOTS_OF_UNITY,
+                                      PROJ_COEFF, RegionCloud, SetSpec, _cross,
+                                      _interior_lattice, ang, containment_report,
                                       convex_hull, euler_spiral_cloud,
                                       hausdorff_distance,
                                       log_spectrum_products,
@@ -303,3 +306,225 @@ class TestGeometryPrimitives:
     def test_cloud_outside_disc_rejected(self):
         with pytest.raises(ValidationError):
             RegionCloud(np.array([1.5 + 0.0j]))
+
+
+# Per-point references for the array geometry: point_in_polygon with its
+# segment distance, the row-by-row interior lattice, and the hull that
+# deduplicates and sorts through a set of tuples.
+
+def _ref_segment_distance(z, a, b):
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(z - a)
+    t = max(0.0, min(1.0, ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom))
+    return abs(z - (a + t * ab))
+
+
+def _ref_point_in_polygon(z, poly, eps=GEOM_EPS):
+    poly = [complex(p) for p in poly]
+    if len(poly) == 1:
+        return abs(z - poly[0]) <= eps
+    if len(poly) == 2:
+        return _ref_segment_distance(z, poly[0], poly[1]) <= eps
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        if _ref_segment_distance(z, a, b) <= eps:
+            return True
+    inside = False
+    x, y = z.real, z.imag
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        if (a.imag > y) != (b.imag > y):
+            x_cross = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+            if x_cross > x:
+                inside = not inside
+    return inside
+
+
+def _ref_interior_lattice(poly, cap=200):
+    poly = [complex(p) for p in poly]
+    if len(poly) < 3:
+        return []
+    xs = [p.real for p in poly]
+    ys = [p.imag for p in poly]
+    width = max(xs) - min(xs)
+    height = max(ys) - min(ys)
+    span = max(width, height)
+    if span <= 0:
+        return []
+    spacing = span / 14.0
+    while True:
+        pts = []
+        ny = int(height / (spacing * math.sqrt(3) / 2)) + 2
+        nx = int(width / spacing) + 2
+        for iy in range(ny):
+            y = min(ys) + iy * spacing * math.sqrt(3) / 2
+            offset = 0.5 * spacing if iy % 2 else 0.0
+            for ix in range(nx):
+                z = complex(min(xs) + offset + ix * spacing, y)
+                if _ref_point_in_polygon(z, poly, eps=1e-9):
+                    pts.append(z)
+        if len(pts) <= cap:
+            return pts
+        spacing *= 1.5
+
+
+def _ref_convex_hull(points):
+    pts = sorted(set((complex(p).real, complex(p).imag) for p in points))
+    pts = [complex(x, y) for x, y in pts]
+    if len(pts) <= 2:
+        return pts
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:
+        return [pts[0], pts[-1]]
+    return hull
+
+
+#: Offsets from an edge, each well inside or well outside both bands tested
+#: (1e-12 and 1e-9 wide): the band distance is not bitwise that of the
+#: reference, so a point exactly at the band's width could go either way.
+_EDGE_OFFSETS = (1e-13, -1e-13, 5e-10, -5e-10, 2e-9, -2e-9)
+
+
+def _probe_points(poly, rng, n_random=40):
+    """Random points plus vertices, edge midpoints and points near the edges."""
+    poly = np.asarray(poly, dtype=complex)
+    edge = np.roll(poly, -1) - poly
+    mid = poly + 0.5 * edge
+    normal = 1j * edge / np.where(np.abs(edge) > 0, np.abs(edge), 1.0)
+    off = [mid + s * normal for s in _EDGE_OFFSETS]
+    near = [poly + f * edge + s * normal for f in (0.25, 0.9) for s in _EDGE_OFFSETS]
+    rand = rng.uniform(-1.2, 1.2, n_random) + 1j * rng.uniform(-1.2, 1.2, n_random)
+    return np.concatenate([poly, mid, *off, *near, rand])
+
+
+def _random_polygon(rng, n, convex):
+    z = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    if convex:
+        return convex_hull(z)
+    # A star-shaped polygon: vertices ordered by angle about their mean.
+    return list(z[np.argsort(np.angle(z - z.mean()))])
+
+
+def _assert_matches_reference(poly, z):
+    for eps in (GEOM_EPS, 1e-9):
+        got = point_in_polygon(z, poly, eps=eps)
+        want = [_ref_point_in_polygon(complex(p), poly, eps=eps) for p in z]
+        assert got.shape == z.shape
+        assert got.tolist() == want
+        assert all(point_in_polygon(complex(p), poly, eps=eps) is w for p, w in zip(z, want))
+
+
+class TestArrayPointInPolygon:
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_matches_scalar_reference(self, rng, convex):
+        for n in (3, 4, 5, 7, 12, 30):
+            for _ in range(4):
+                poly = _random_polygon(rng, n, convex)
+                _assert_matches_reference(poly, _probe_points(poly, rng))
+
+    def test_regular_hulls(self, rng):
+        for k in (3, 4, 6, 64):
+            poly = SetSpec.roots_of_unity(k).hull
+            _assert_matches_reference(poly, _probe_points(poly, rng))
+
+    @pytest.mark.parametrize("poly", [
+        [0.3 - 0.2j],
+        [1.0 + 0.0j, -1.0 + 0.0j],
+        [1.0 + 0.0j, 0.0 + 1.0j],
+        [0.2 + 0.1j, 0.2 + 0.9j],
+        [0.5 + 0.5j, 0.5 + 0.5j],
+        [-0.7 + 0.3j, 0.6 + 0.3000001j],
+    ])
+    def test_degenerate_polygons(self, rng, poly):
+        _assert_matches_reference(poly, _probe_points(poly, rng, n_random=200))
+
+    def test_shape_follows_the_points(self):
+        square = [0, 1, 1 + 1j, 1j]
+        grid = np.array([[0.5 + 0.5j, 2.0], [1.0 + 0.5j, -0.1j]])
+        assert point_in_polygon(grid, square).tolist() == [[True, False], [True, False]]
+        assert point_in_polygon(np.zeros(0, dtype=complex), square).shape == (0,)
+        assert point_in_polygon(0.5, []) is False
+
+
+class TestArrayInteriorLattice:
+    @pytest.mark.parametrize("k", range(1, MAX_ROOTS_OF_UNITY + 1))
+    def test_roots_of_unity(self, k):
+        hull = SetSpec.roots_of_unity(k).hull
+        assert repr(_interior_lattice(hull)) == repr(_ref_interior_lattice(hull))
+
+    def test_sectors(self):
+        for theta in np.linspace(0.02, 1.55, 30):
+            hull = SetSpec.sector(float(theta)).hull
+            assert repr(_interior_lattice(hull)) == repr(_ref_interior_lattice(hull))
+
+    def test_random_point_sets(self, rng):
+        for i in range(300):
+            hull = random_point_set(rng, n_extra=1 + i % 8).hull
+            assert repr(_interior_lattice(hull)) == repr(_ref_interior_lattice(hull))
+
+
+def _ref_spiral_alphas(hull, n_alpha=40):
+    hull = [complex(p) for p in hull]
+    alphas = list(hull)
+    if len(hull) >= 2:
+        per_edge = max(1, n_alpha // max(1, len(hull)))
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            for t in np.linspace(0.0, 1.0, per_edge + 2)[1:-1]:
+                alphas.append(a + t * (b - a))
+    alphas.extend(_ref_interior_lattice(hull))
+    return np.asarray(alphas, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("spec", [SetSpec.from_points([1.0]), SetSpec.real_interval(-0.3, 1.0),
+                                  SetSpec.from_points([1.0, -1.0 - 0.0j]),
+                                  SetSpec.from_points([1.0, -0.5 + 0.5j, 0.2 - 0.7j]),
+                                  SetSpec.roots_of_unity(5), SetSpec.roots_of_unity(64),
+                                  SetSpec.sector(0.7)])
+@pytest.mark.parametrize("n_alpha", [1, 40, 400])
+def test_spiral_alphas_match_per_edge_reference(spec, n_alpha):
+    ks = np.linspace(0.0, 8.0, 50)
+    want = np.exp(-np.outer(ks, 1.0 - _ref_spiral_alphas(spec.hull, n_alpha))).ravel()
+    got = euler_spiral_cloud(spec, n_alpha=n_alpha).points[:len(want)]
+    assert got.tobytes() == want.tobytes()
+
+
+#: Few coordinates, so clouds repeat points and lay them along lines; -0.0
+#: next to 0.0 makes duplicates that differ only in the sign of a zero.
+_COORDS = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 1e-12, 0.25, 0.5, 1.0])
+_CLOUDS = st.lists(st.builds(complex, _COORDS, _COORDS), max_size=60)
+
+
+class TestArrayConvexHull:
+    @given(_CLOUDS)
+    @settings(max_examples=300)
+    def test_matches_reference(self, cloud):
+        assert repr(convex_hull(cloud)) == repr(_ref_convex_hull(cloud))
+
+    @given(st.lists(st.builds(complex, st.sampled_from([-0.0, 0.0]), _COORDS),
+                    min_size=17, max_size=80),
+           st.lists(st.builds(complex, _COORDS, st.sampled_from([-0.0, 0.0])),
+                    min_size=17, max_size=80))
+    @settings(max_examples=200)
+    def test_signed_zero_duplicates_keep_the_first(self, on_y_axis, on_x_axis):
+        for cloud in (on_y_axis, on_x_axis, on_y_axis + on_x_axis):
+            assert repr(convex_hull(cloud)) == repr(_ref_convex_hull(cloud))
+            assert repr(convex_hull(np.asarray(cloud))) == repr(_ref_convex_hull(cloud))
+
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100)
+    def test_collinear_runs_and_random_clouds(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.choice(np.linspace(0.0, 1.0, 9), n)
+        line = (-0.5 + 0.25j) + t * (1.0 - 0.5j)
+        cloud = np.concatenate([line, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)])
+        for pts in (line, cloud, np.round(cloud, 1)):
+            assert repr(convex_hull(pts)) == repr(_ref_convex_hull(pts))
