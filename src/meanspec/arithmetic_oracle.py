@@ -550,6 +550,8 @@ def discriminant_char_average(X: int, B: float, z: int, f_signs: dict) -> Discri
     multiplicative f (f(p) = signs for p <= z, 0 above) for side-by-side
     comparison.
     """
+    if isinstance(X, float) and not math.isfinite(X):
+        raise ValidationError(f"X must be finite, got {X}")
     X = int(X)
     if X > 10 ** 6:
         raise BudgetError("X exceeds the 10^6 discriminant budget")
@@ -646,15 +648,32 @@ def subset_sum_counts(a, R, m: int) -> int:
     return total
 
 
+#: Largest order of a root of unity that the density recognises.  The m-th
+#: roots lie 2*pi/m apart, so past m = pi * 10^9 every unit value would pass
+#: the 1e-9 test as one of them.
+MAX_ROOT_ORDER = 10 ** 6
+
+
 def _root_exponents(values: np.ndarray, m: int) -> np.ndarray:
-    angles = np.angle(values)
-    exps = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
-    recon = np.exp(2j * math.pi * exps / m)
-    bad = np.abs(values - recon) > 1e-9
+    """e with values = exp(2*pi*i*e/m) to within 1e-9, each value a root of
+    unity of an order q that divides m, q <= MAX_ROOT_ORDER.
+
+    Each value is tested as a q-th root for every such q, and its nearest
+    q-th root taken; for m <= MAX_ROOT_ORDER that is its nearest m-th root.
+    """
+    q = np.arange(1, min(m, MAX_ROOT_ORDER) + 1, dtype=np.int64)
+    q = q[m % q == 0]
+    angles = np.angle(values)[:, None]
+    exps = np.rint(angles * q / (2.0 * math.pi)).astype(np.int64) % q
+    dist = np.abs(values[:, None] - np.exp(2j * math.pi * exps / q))
+    k = np.argmin(dist, axis=1)
+    bad = dist[np.arange(len(values)), k] > 1e-9
     if np.any(bad):
         raise ValidationError(
-            f"value {values[bad][0]} is not an m-th root of unity (m={m})")
-    return exps
+            f"value {values[bad][0]} is not an m-th root of unity of order at most "
+            f"{MAX_ROOT_ORDER} (m={m})")
+    # e < q, so e * (m // q) < m fits in int64.
+    return exps[np.arange(len(values)), k] * (m // q[k])
 
 
 def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
@@ -670,6 +689,9 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
         raise ValidationError("m must be positive")
     if m >= 2 ** 63:
         raise ValidationError("m must be below 2^63, the int64 exponent range")
+    if m != int(m):
+        raise ValidationError(f"m must be an integer, got {m}")
+    m = int(m)
     x = _check_budget(x)
     if x > 10 ** 7:
         raise BudgetError("x exceeds the 10^7 density budget")
@@ -680,7 +702,15 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     # exponent <= m - 1: int8 holds every sum for m <= 6 at x <= 10^7.
     bound = (x.bit_length() + 1) * (m - 1)
     dtype = np.int8 if bound <= 127 else np.int16 if bound <= 32767 else np.int64
-    exps = _root_exponents(spec.palette, m).astype(dtype)
+    exps = _root_exponents(spec.palette, m)
+    # The values generate the roots of order m // g: the sums are tested
+    # modulo that order, so they wrap int64 only if that order is huge.
+    g = math.gcd(m, *exps.tolist())
+    m //= g
+    if (x.bit_length() + 1) * (m - 1) > np.iinfo(np.int64).max:
+        raise ValidationError(f"the values generate roots of order {m}, too many for "
+                              f"int64 exponent sums at x = {x}")
+    exps = (exps // g).astype(dtype)
     base = primes_upto(math.isqrt(x))
     base_exps = exps[spec.palette_index(base)]
     for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, dtype):

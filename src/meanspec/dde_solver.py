@@ -9,6 +9,11 @@ jumps.  Every jump lies at u >= 1, so the march advances a whole unit
 interval of nodes per numpy step.  Every solve re-checks the discrete
 convolution identity, built from the trapezoid antiderivative and not from
 the recurrence, before returning.
+
+Real kernels that share their breakpoints march together: the same march
+carries a trailing batch axis, one column per kernel, bit for bit as one
+march each, and every column is held to the same contracts.  The extremal
+search's line searches, d + 1 kernels per restart, run this way.
 """
 
 from __future__ import annotations
@@ -18,20 +23,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GridError, ValidationError
-from .kernels import ALIGN_TOL, GridFunction, StepFunction, _grid_steps
+from .kernels import ALIGN_TOL, DISC_TOL, GridFunction, StepFunction, _grid_steps
 from .kernels import MAX_SOLVER_NODES  # noqa: F401 - the solver's node budget, re-exported
 
 #: Residual contract of the solver: |u*sigma(u) - trapz(sigma*chi)(u)| <= RESIDUAL_TOL * u.
 RESIDUAL_TOL = 1e-9
+
+#: Most samples, rows x (n + 1) float64 values (4 MB), that one batched
+#: march holds; more rows march in chunks, which changes no bit.  The march
+#: and its checks keep about three such arrays alive.  Unchunked, gamma-b at
+#: B = 10 would hold 8 restarts x 61 rows x 60,001 nodes (234 MB).
+MAX_BATCH_SAMPLES = 2 ** 19
 
 
 def _march(jumps, n: int, h: float, m1: int, complex_mode: bool):
     """sigma on nodes 0..n, one unit block [a, a + m1) per numpy step.
 
     Jump indices are >= m1, so a block's delayed reads all precede it; its
-    cumulative sum, seeded with sigma[a-1], adds in node-by-node order.
+    cumulative sum, seeded with sigma[a-1], adds in node-by-node order.  A
+    jump weight is a scalar, or an (R,) row for R kernels sharing the jump
+    locations; sigma is then (n+1, R), node-major, and each column equals
+    the one-kernel march bit for bit.
     """
-    sigma = np.ones(n + 1, dtype=np.complex128 if complex_mode else np.float64)
+    batch = np.broadcast_shapes(*(np.shape(dk) for _, dk in jumps))
+    sigma = np.ones((n + 1,) + batch, dtype=np.complex128 if complex_mode else np.float64)
     i0 = m1 + 1
     if i0 > n:
         return sigma
@@ -44,14 +59,15 @@ def _march(jumps, n: int, h: float, m1: int, complex_mode: bool):
     half_h = 0.5 * h
     for a in range(i0 + 1, n + 1, m1):
         b = min(a + m1, n + 1)
-        s = np.zeros(b - a, dtype=sigma.dtype)
+        s = np.zeros((b - a,) + batch, dtype=sigma.dtype)
         for mk, dk in jumps:
             lo = max(a, mk + 1)  # first node whose delayed read j = i - mk is >= 1
             if lo < b:
                 s[lo - a:] += dk * (sigma[lo - mk:b - mk] + sigma[lo - mk - 1:b - mk - 1])
-        step = half_h * s / (np.arange(a, b) * h - half_h)
+        u = (np.arange(a, b) * h - half_h).reshape((-1,) + (1,) * len(batch))
+        step = half_h * s / u
         step[0] += sigma[a - 1]
-        np.cumsum(step, out=sigma[a:b])
+        np.cumsum(step, axis=0, out=sigma[a:b])
     return sigma
 
 
@@ -89,6 +105,30 @@ class SigmaSolution:
         return self.sigma.value_at(u)
 
 
+def _grid(u_max: float, h: float):
+    """(n, m1): the grid 0, h, ..., n*h covers [0, u_max] and m1*h = 1."""
+    n = _grid_steps(u_max, h)
+    if u_max < 1.0:
+        raise ValidationError("u_max must be at least 1")
+    m1 = round(1.0 / h)
+    if abs(m1 * h - 1.0) > ALIGN_TOL:
+        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    return n, m1
+
+
+def _running_average(sigma: np.ndarray, h: float) -> np.ndarray:
+    """A(v) = (1/v) * int_0^v |sigma| per column, by the trapezoid antiderivative."""
+    a = np.abs(sigma)
+    avg = np.empty(a.shape)
+    avg[0] = a[0]
+    np.add(a[1:], a[:-1], out=avg[1:])
+    del a
+    avg[1:] *= 0.5 * h
+    np.cumsum(avg[1:], axis=0, out=avg[1:])
+    avg[1:] /= (h * np.arange(1, len(avg))).reshape((-1,) + (1,) * (avg.ndim - 1))
+    return avg
+
+
 def solve_sigma(chi: StepFunction, u_max: float, h: float,
                 *, check_residual: bool = True) -> SigmaSolution:
     """Solve u*sigma(u) = (sigma*chi)(u) with sigma = 1 on [0, 1].
@@ -96,12 +136,7 @@ def solve_sigma(chi: StepFunction, u_max: float, h: float,
     The grid step must divide 1.0 and every breakpoint of chi.  The returned
     samples satisfy the discrete equation to RESIDUAL_TOL * u per node.
     """
-    n = _grid_steps(u_max, h)
-    if u_max < 1.0:
-        raise ValidationError("u_max must be at least 1")
-    m1 = round(1.0 / h)
-    if abs(m1 * h - 1.0) > ALIGN_TOL:
-        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    n, m1 = _grid(u_max, h)
     chi.require_aligned(h)
     jumps = [(round(b / h), dv) for b, dv in chi.jumps() if round(b / h) <= n]
     complex_mode = not chi.is_real
@@ -118,28 +153,58 @@ def solve_sigma(chi: StepFunction, u_max: float, h: float,
         if worst > 0.0:
             raise ContractError(f"solver self-consistency residual exceeded by {worst:.3e}")
 
-    abs_grid = GridFunction(h, np.abs(sigma))
-    C_abs = abs_grid.cumulative()
-    avg = np.empty(n + 1)
-    avg[0] = abs(sigma[0])
-    avg[1:] = C_abs[1:] / (h * np.arange(1, n + 1))
-
-    sol = SigmaSolution(chi, GridFunction(h, sigma), GridFunction(h, avg))
+    sol = SigmaSolution(chi, GridFunction(h, sigma), GridFunction(h, _running_average(sigma, h)))
     _validate_solution(sol, m1)
     return sol
 
 
-def _validate_solution(sol: SigmaSolution, m1: int) -> None:
-    s = sol.sigma.samples
-    if not np.all(s[: m1 + 1] == 1):
+def _check_contracts(sigma: np.ndarray, avg: np.ndarray, m1: int) -> None:
+    """sigma = 1 on [0, 1], |sigma| <= 1 and a non-increasing running average
+    past u = 1, in every column of a batch."""
+    if not np.all(sigma[: m1 + 1] == 1):
         raise ContractError("sigma must equal 1 exactly on [0, 1]")
-    overshoot = float(np.max(np.abs(s))) - 1.0
+    overshoot = float(np.max(np.abs(sigma))) - 1.0
     if overshoot > 1e-9:
         raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
-    a = sol.running_avg.samples
-    growth = float(np.max(np.diff(a[m1:]))) if len(a) > m1 + 1 else 0.0
+    growth = float(np.max(np.diff(avg[m1:], axis=0))) if len(avg) > m1 + 1 else 0.0
     if growth > 1e-9:
         raise ContractError(f"running average increased past u=1 by {growth:.3e}")
+
+
+def _validate_solution(sol: SigmaSolution, m1: int) -> None:
+    _check_contracts(sol.sigma.samples, sol.running_avg.samples, m1)
+
+
+def _solve_rows(breaks, values, u_max: float, h: float, u: float) -> np.ndarray:
+    """sigma(u) for R real kernels that share their breakpoints, in one march.
+
+    Row r of the (R, len(breaks) + 1) matrix values holds the segment
+    constants of kernel r: the 1 on [0, breaks[0]) first, the tail last.
+    Entry r equals solve_sigma(kernel_r, u_max, h, check_residual=False)
+    .value_at(u) bit for bit, and every row is held to the same contracts.
+    Rows march in chunks of at most MAX_BATCH_SAMPLES samples.
+    """
+    n, m1 = _grid(u_max, h)
+    StepFunction(breaks, (1.0,) * len(breaks), 1.0).require_aligned(h)  # the breaks alone
+    values = np.asarray(values)
+    if (np.iscomplexobj(values) or values.ndim != 2 or values.shape[1] != len(breaks) + 1
+            or not np.all(values[:, 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
+        raise ValidationError("each row needs one real value in [-1, 1] per segment, 1 first")
+    if not 0.0 <= u <= n * h + ALIGN_TOL:
+        raise ValidationError(f"u={u} outside [0, {n * h}]")
+    marks = [round(b / h) for b in breaks]
+    jumps = np.diff(values.astype(np.float64), axis=1).T.copy()  # a contiguous row per break
+    x = min(u / h, float(n))  # linear interpolation as in GridFunction.value_at
+    j = min(int(x), n - 1)
+    frac = x - j
+    out = np.empty(len(values))
+    chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
+    for r in range(0, len(values), chunk):
+        sigma = _march([(mk, dk[r:r + chunk]) for mk, dk in zip(marks, jumps) if mk <= n],
+                       n, h, m1, False)
+        _check_contracts(sigma, _running_average(sigma, h), m1)
+        out[r:r + chunk] = sigma[j] + frac * (sigma[j + 1] - sigma[j])
+    return out
 
 
 def kernel_sup_difference(chi: StepFunction, chi_hat: StepFunction,

@@ -19,7 +19,7 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .dde_solver import solve_sigma
+from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
 from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, dickman_rho,
                       rho_minus_correction)
@@ -246,9 +246,12 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     search solves the d + 1 kernels at the Chebyshev-Lobatto nodes
     cos(pi k/d), interpolates exactly and takes the interpolant's global
     minimum on [-1, 1]; a step is taken only if a solve at that minimum
-    beats the current value.  The panel parameterization only explores part
-    of the admissible class, so the result is an upper bound for the true
-    minimum; it is checked against the two-sided bracket [-rho(B) - 1e-4, 0).
+    beats the current value.  The restarts advance in lockstep, so each
+    coordinate's solves for every restart still improving are one batched
+    march, with the results of one solve_sigma call per kernel.  The panel
+    parameterization only explores part of the admissible class, so the
+    result is an upper bound for the true minimum; it is checked against the
+    two-sided bracket [-rho(B) - 1e-4, 0).
     """
     if not 0.0 < B < math.inf:
         raise ValidationError("B must be positive and finite")
@@ -298,42 +301,54 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         lobatto = [np.cos(np.pi * np.arange(d + 1) / d)
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
-        def objective(levels) -> float:
+        def solve(levels: np.ndarray) -> np.ndarray:
+            """sigma(target) for the kernel of each row of levels, one batched march."""
             nonlocal max_abs_seen, evaluations
-            kernel = StepFunction(tuple(edges), (1.0,) + tuple(levels), 0.0)
-            sol = solve_sigma(kernel, u_top, h, check_residual=False)
-            val = complex(sol.value_at(target)).real
-            evaluations += 1
-            max_abs_seen = max(max_abs_seen, abs(val))
-            return val
+            segments = np.zeros((len(levels), m + 2))
+            segments[:, 0] = 1.0
+            segments[:, 1:-1] = levels
+            vals = _solve_rows(edges, segments, u_top, h, target)
+            evaluations += len(vals)
+            max_abs_seen = max(max_abs_seen, float(np.max(np.abs(vals))))
+            return vals
 
         starts = [np.full(m, -1.0)]
         while len(starts) < restarts:
             starts.append(rng.uniform(-1.0, 1.0, m))
 
-        for y0 in starts:
-            y = np.array(y0, dtype=float)
-            val = objective(y)
-            for _ in range(sweeps):
-                improved = False
-                for j, nodes in enumerate(lobatto):
-                    def line(t, j=j):
-                        trial = y.copy()
-                        trial[j] = t
-                        return objective(trial)
-                    vals = np.array([line(t) for t in nodes])
-                    t = _interpolated_argmin(nodes, vals)
-                    v = vals[nodes == t]  # solved already when t is a node
-                    v = v[0] if v.size else line(t)
-                    if v < val - 1e-12:
-                        y[j] = t
-                        val = float(v)
-                        improved = True
-                if not improved:
-                    break
-            if val < best_val:
-                best_val = val
-                best_kernel = StepFunction(tuple(edges), (1.0,) + tuple(y), 0.0)
+        # The restarts descend in lockstep, each on its own path: per sweep
+        # and coordinate, the line-search rows of every restart still
+        # improving form one batched solve, and so do the off-node argmins.
+        y = np.array(starts)
+        val = solve(y)
+        active = np.arange(restarts)
+        for _ in range(sweeps):
+            improved = np.zeros(len(active), dtype=bool)
+            for j, nodes in enumerate(lobatto):
+                trials = np.repeat(y[active], len(nodes), axis=0)
+                trials[:, j] = np.tile(nodes, len(active))
+                lines = solve(trials).reshape(len(active), len(nodes))
+                ts = np.array([_interpolated_argmin(nodes, vals) for vals in lines])
+                # A node's value was solved already; the others need a solve.
+                vs = np.empty(len(active))
+                k, i = np.nonzero(nodes == ts[:, None])
+                vs[k] = lines[k, i]
+                off = np.setdiff1d(np.arange(len(active)), k)
+                if off.size:
+                    trials = y[active[off]]
+                    trials[:, j] = ts[off]
+                    vs[off] = solve(trials)
+                step = vs < val[active] - 1e-12
+                y[active[step], j] = ts[step]
+                val[active[step]] = vs[step]
+                improved |= step
+            active = active[improved]
+            if not active.size:
+                break
+        for r in range(restarts):
+            if val[r] < best_val:
+                best_val = float(val[r])
+                best_kernel = StepFunction(tuple(edges), (1.0,) + tuple(y[r]), 0.0)
                 best_u = u
 
     if not (-rho_floor - 1e-4 <= best_val < 0.0):

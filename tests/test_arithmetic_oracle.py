@@ -737,6 +737,60 @@ class TestMthRootDensity:
         assert mth_root_log_density(LIOUVILLE, 100, 2 ** 62) == mth_root_log_density(LIOUVILLE, 100, 2)
 
 
+class TestRootOrders:
+    """A palette value counts as an m-th root of unity only as a root of an
+    order q | m with q <= MAX_ROOT_ORDER; past m = pi * 10^9 every unit
+    value lies within 1e-9 of some m-th root."""
+
+    @pytest.mark.parametrize("m", [10 ** 9 + 1, 4 * 10 ** 9 + 1, 10 ** 12 + 1, 2 ** 63 - 1])
+    def test_minus_one_is_no_root_of_odd_order(self, m):
+        with pytest.raises(ValidationError, match="not an m-th root of unity"):
+            mth_root_log_density(LIOUVILLE, 100, m)
+
+    def test_order_past_the_cap_rejected(self):
+        q = arithmetic_oracle.MAX_ROOT_ORDER + 1
+        w = complex(math.cos(2 * math.pi / q), math.sin(2 * math.pi / q))
+        with pytest.raises(ValidationError, match="order at most"):
+            mth_root_log_density(MultiplicativeSpec.from_table({}, w), 100, q)
+        with pytest.raises(ValidationError, match="order at most"):
+            mth_root_log_density(MultiplicativeSpec.from_table({}, w), 100, 2 * q)
+
+    @pytest.mark.parametrize("m", [3 ** 39, 3 * 2 ** 61, 3 * 10 ** 6, 3 * (2 ** 61 - 1)])
+    def test_huge_multiples_equal_the_order(self, m):
+        # exps near 2m/3 would wrap int64 sums; the order-3 test does not.
+        spec = MultiplicativeSpec.from_table({2: W3, 3: W3 * W3}, W3)
+        assert (repr(mth_root_log_density(spec, 10 ** 4, m))
+                == repr(mth_root_log_density(spec, 10 ** 4, 3)))
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 12, 720720])
+    def test_exponents_are_the_nearest_mth_roots(self, m):
+        # Below the cap the exponent is the plain rounding of angle * m / (2 pi).
+        values = np.exp(2j * np.pi * np.arange(12) / 12)
+        values = values[(np.arange(12) * m) % 12 == 0]
+        angles = np.angle(values)
+        expect = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
+        assert np.array_equal(arithmetic_oracle._root_exponents(values, m), expect)
+
+    def test_integer_m_only(self):
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            mth_root_log_density(LIOUVILLE, 100, 2.5)
+        assert mth_root_log_density(LIOUVILLE, 100, 2.0) == mth_root_log_density(LIOUVILLE, 100, 2)
+        assert (mth_root_log_density(LIOUVILLE, 100, np.int64(4))
+                == mth_root_log_density(LIOUVILLE, 100, 2))
+
+    def test_sums_past_int64_rejected(self):
+        # Roots of three coprime orders near 10^6 generate order about 10^18.
+        qs = (999983, 999979, 999961)
+        m = qs[0] * qs[1] * qs[2]
+        spec = MultiplicativeSpec.from_table(
+            {p: complex(math.cos(2 * math.pi / q), math.sin(2 * math.pi / q))
+             for p, q in zip((2, 3, 5), qs)}, 1.0)
+        assert (repr(mth_root_log_density(spec, 100, m))
+                == repr(event_list_density(spec, 100, m)))
+        with pytest.raises(ValidationError, match="int64 exponent sums"):
+            mth_root_log_density(spec, 10 ** 4, m)
+
+
 class TestDensityExponents:
     """Density exponents mod m accumulate in int8 while
     (x.bit_length() + 1) * (m - 1) <= 127, wider beyond, bitwise equal to the
@@ -967,6 +1021,11 @@ class TestDiscriminantAverage:
     def test_non_finite_b_rejected(self, B):
         with pytest.raises(ValidationError, match="B must be finite"):
             discriminant_char_average(10 ** 5, B, 2, {2: 1})
+
+    @pytest.mark.parametrize("X", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_x_rejected(self, X):
+        with pytest.raises(ValidationError, match="X must be finite"):
+            discriminant_char_average(X, 1.0, 2, {2: 1})
 
     @pytest.mark.parametrize("B", [3.0, 1000.0, 1e308])
     def test_term_budget_before_the_loop(self, B, monkeypatch):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meanspec import dde_solver
 from meanspec.acceptance import random_complex_kernel, random_real_kernel
 from meanspec.dde_solver import (MAX_SOLVER_NODES, SigmaSolution, _validate_solution,
                                  kernel_sup_difference,
@@ -293,3 +296,137 @@ class TestGridValidation:
         h = 1e-3
         with pytest.raises(BudgetError):
             solve_sigma(CHI_MINUS, (MAX_SOLVER_NODES + 1) * h, h)
+
+
+def _row_kernel(breaks, row):
+    return StepFunction(breaks, tuple(row[:-1]), row[-1])
+
+
+@st.composite
+def batched_rows(draw):
+    """Real kernels on shared breaks: (breaks, (R, k + 1) values, u_max, h, u).
+
+    Some rows repeat a neighbouring value, so their jump at that break is 0,
+    and some breaks may lie past u_max.
+    """
+    h = draw(st.sampled_from([1e-2, 5e-3, 2e-3]))
+    m1 = round(1.0 / h)
+    u_max = draw(st.sampled_from([1.0, 1.0 + h, 2.5, 4.0, 6.0]))
+    n = max(1, math.ceil(u_max / h - 1e-9))
+    marks = draw(st.lists(st.integers(m1, n + m1), min_size=0, max_size=6, unique=True))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (rows, len(marks) + 1))
+    values[:, 0] = 1.0
+    same = rng.random(values.shape) < 0.3
+    same[:, 0] = False
+    for k in range(1, values.shape[1]):
+        values[same[:, k], k] = values[same[:, k], k - 1]
+    values[rng.random(values.shape) < 0.1] = rng.choice([-1.0, 0.0, 1.0])
+    values[:, 0] = 1.0
+    u = draw(st.sampled_from([0.0, 0.5, 1.0, n * h])) if draw(st.booleans()) else \
+        draw(st.floats(0.0, n * h))
+    return tuple(float(mk * h) for mk in sorted(marks)), values, u_max, h, u
+
+
+class TestBatchedRows:
+    """_solve_rows marches R kernels at once, bit for bit as solve_sigma per row."""
+
+    @settings(max_examples=60)
+    @given(batched_rows())
+    def test_rows_equal_per_row_solves(self, case):
+        breaks, values, u_max, h, u = case
+        got = dde_solver._solve_rows(breaks, values, u_max, h, u)
+        sols = [solve_sigma(_row_kernel(breaks, row), u_max, h, check_residual=False)
+                for row in values]
+        ref = np.array([complex(s.value_at(u)).real for s in sols])
+        assert got.tobytes() == ref.tobytes()
+        # The whole march, column by column.
+        n, m1 = len(sols[0].sigma) - 1, round(1.0 / h)
+        jumps = [(round(b / h), values[:, k + 1] - values[:, k])
+                 for k, b in enumerate(breaks) if round(b / h) <= n]
+        sigma = dde_solver._march(jumps, n, h, m1, False)
+        assert sigma.shape == ((n + 1, len(values)) if jumps else (n + 1,))
+        # With no jump on the grid every row is the one all-ones column.
+        sigma = np.broadcast_to(sigma.reshape(n + 1, -1), (n + 1, len(values)))
+        assert sigma.T.tobytes() == np.array([s.sigma.samples for s in sols]).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 11, 40])
+    def test_chunks_change_no_bit(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        breaks, h, u_max = (1.0, 1.5, 2.25, 3.0), 5e-3, 4.0
+        values = np.hstack([np.ones((23, 1)), rng.uniform(-1.0, 1.0, (23, 4))])
+        values[::4, 2] = values[::4, 1]  # a zero jump at 1.5
+        whole = dde_solver._solve_rows(breaks, values, u_max, h, 3.9)
+        n = round(u_max / h)
+        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", chunk * (n + 1) + chunk // 2)
+        calls = []
+        march = dde_solver._march
+        monkeypatch.setattr(dde_solver, "_march",
+                            lambda jumps, *a: calls.append(np.shape(jumps[0][1])) or march(jumps, *a))
+        got = dde_solver._solve_rows(breaks, values, u_max, h, 3.9)
+        assert got.tobytes() == whole.tobytes()
+        assert calls == [(chunk,)] * (23 // chunk) + [(23 % chunk,)] * (23 % chunk > 0)
+
+    @pytest.mark.parametrize("breach, message", [("initial", "equal 1 exactly"),
+                                                 ("overshoot", "exceeded 1"),
+                                                 ("average", "running average")])
+    @pytest.mark.parametrize("row", [0, 6, 9])
+    def test_breach_in_one_row_raises(self, monkeypatch, breach, message, row):
+        h, m1 = 1e-2, 100
+        values = np.hstack([np.ones((10, 1)), np.full((10, 1), -1.0)])
+        march = dde_solver._march
+        chunks = []
+
+        def broken(*args):
+            sigma = march(*args)
+            chunks.append(sigma.shape[1])
+            if len(chunks) == row // 4 + 1:  # rows march four to a chunk
+                col = sigma[:, row % 4]
+                if breach == "initial":
+                    col[40] = 1.0 - 1e-15
+                elif breach == "overshoot":
+                    col[250] = -1.0 - 1e-8
+                else:  # |sigma| grows back to 1 after falling to 0
+                    col[150:] = np.where(np.arange(len(col) - 150) < 50, 0.0, 1.0)
+            return sigma
+
+        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", 4 * 301)
+        monkeypatch.setattr(dde_solver, "_march", broken)
+        with pytest.raises(ContractError, match=message):
+            dde_solver._solve_rows((1.0,), values, 3.0, h, 2.0)
+        assert chunks == [4, 4, 2][:row // 4 + 1]
+
+    def test_intact_rows_pass_the_contracts(self, monkeypatch):
+        values = np.hstack([np.ones((10, 1)), np.full((10, 1), -1.0)])
+        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", 4 * 301)
+        got = dde_solver._solve_rows((1.0,), values, 3.0, 1e-2, 2.0)
+        assert np.all(got == solve_sigma(CHI_MINUS, 3.0, 1e-2).value_at(2.0))
+
+    @pytest.mark.parametrize("breaks, values, u_max, h, u, error", [
+        ((1.0, 2.0), [[1.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),  # one value short
+        ((1.0,), [1.0, -1.0], 3.0, 1e-2, 2.0, ValidationError),  # not a matrix
+        ((1.0,), [[0.5, -1.0]], 3.0, 1e-2, 2.0, ValidationError),  # not 1 on [0, 1)
+        ((1.0,), [[1.0, -1.5]], 3.0, 1e-2, 2.0, ValidationError),
+        ((1.0,), [[1.0, math.nan]], 3.0, 1e-2, 2.0, ValidationError),
+        ((1.0,), [[1.0, 1j]], 3.0, 1e-2, 2.0, ValidationError),
+        ((0.5,), [[1.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),
+        ((2.0, 1.5), [[1.0, 0.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),
+        ((1.005,), [[1.0, -1.0]], 3.0, 1e-2, 2.0, GridError),
+        ((1.0,), [[1.0, -1.0]], 3.0, 3e-3, 2.0, GridError),
+        ((1.0,), [[1.0, -1.0]], 0.5, 1e-2, 0.5, ValidationError),
+        ((1.0,), [[1.0, -1.0]], math.inf, 1e-2, 2.0, ValidationError),
+        ((1.0,), [[1.0, -1.0]], 1e9, 1e-3, 2.0, BudgetError),
+        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, 3.5, ValidationError),
+        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, -0.5, ValidationError),
+        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, math.nan, ValidationError),
+    ])
+    def test_invalid_input_rejected_before_the_march(self, monkeypatch, breaks, values,
+                                                     u_max, h, u, error):
+        monkeypatch.setattr(dde_solver, "_march", None)  # a march would raise TypeError
+        with pytest.raises(error) as info:
+            dde_solver._solve_rows(breaks, np.array(values), u_max, h, u)
+        assert info.type is error
+
+    def test_no_rows(self):
+        assert dde_solver._solve_rows((1.0,), np.ones((0, 2)), 3.0, 1e-2, 2.0).shape == (0,)

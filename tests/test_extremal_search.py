@@ -355,3 +355,132 @@ class TestPolynomialLineSearch:
         r = truncated_kernel_min_mean(1.0, m_steps=16, restarts=8, h=1e-3, seed=0)
         assert -dickman_rho(1.0) - 1e-4 <= r.value <= -0.6568327479787103
         assert r.diagnostics["evaluations"] < 29232
+
+
+def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
+    """The search loop with one solve_sigma call per kernel, restart after restart.
+
+    The reference for the lockstep search: same starts, same line searches,
+    same stop rule; returns (value, argmin, u, max_abs_sigma, evaluations).
+    """
+    snap = lambda x: round(x / h) * h  # noqa: E731
+    rng = np.random.default_rng(seed)
+    best_val, best_kernel, best_u = math.inf, None, None
+    max_abs_seen, evaluations = 0.0, 0
+    for u_raw in u_grid:
+        u = snap(u_raw)
+        edges = sorted({snap(1.0 + (u - 1.0) * j / m_steps) for j in range(m_steps + 1)})
+        target = B * u
+        u_top = max(snap(math.ceil(target / h) * h), edges[-1])
+        lobatto = [np.cos(np.pi * np.arange(d + 1) / d)
+                   for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
+
+        def objective(levels):
+            nonlocal max_abs_seen, evaluations
+            kernel = StepFunction(tuple(edges), (1.0,) + tuple(levels), 0.0)
+            sol = solve_sigma(kernel, u_top, h, check_residual=False)
+            val = complex(sol.value_at(target)).real
+            evaluations += 1
+            max_abs_seen = max(max_abs_seen, abs(val))
+            return val
+
+        starts = [np.full(m_steps, -1.0)]
+        while len(starts) < restarts:
+            starts.append(rng.uniform(-1.0, 1.0, m_steps))
+        for y0 in starts:
+            y = np.array(y0, dtype=float)
+            val = objective(y)
+            for _ in range(sweeps):
+                improved = False
+                for j, nodes in enumerate(lobatto):
+                    def line(t, j=j):
+                        trial = y.copy()
+                        trial[j] = t
+                        return objective(trial)
+                    vals = np.array([line(t) for t in nodes])
+                    t = _interpolated_argmin(nodes, vals)
+                    v = vals[nodes == t]
+                    v = v[0] if v.size else line(t)
+                    if v < val - 1e-12:
+                        y[j] = t
+                        val = float(v)
+                        improved = True
+                if not improved:
+                    break
+            if val < best_val:
+                best_val = val
+                best_kernel = StepFunction(tuple(edges), (1.0,) + tuple(y), 0.0)
+                best_u = u
+    return best_val, best_kernel, best_u, max_abs_seen, evaluations
+
+
+class TestLockstepSearch:
+    """The restarts' line searches run as batched marches, bit for bit as one
+    solve_sigma call per kernel, restart after restart."""
+
+    @pytest.mark.parametrize("B, u_grid, m_steps, restarts, sweeps, seed, h", [
+        (1.0, (2.0,), 4, 2, 2, 0, 1e-3),
+        (1.0, (1.5, 2.0, 3.0), 6, 3, 2, 0, 1e-3),
+        (1.37, (2.0,), 1, 1, 1, 5, 2e-3),
+        (1.37, (1.5, 2.5), 3, 5, 3, 11, 2e-3),
+        (1.5, (2.0, 3.0), 6, 3, 2, 2 ** 31 - 1, 1e-3),
+        (2.0, (1.5, 3.0), 2, 4, 4, 7, 2e-3),
+        (2.0, (3.0,), 6, 8, 1, 123, 5e-3),
+        (0.75, (2.0, 4.0), 5, 6, 3, 9, 5e-3),
+        (3.0, (2.0,), 8, 2, 2, 4, 5e-3),
+    ])
+    def test_equals_per_call_search(self, B, u_grid, m_steps, restarts, sweeps, seed, h):
+        r = truncated_kernel_min_mean(B, m_steps=m_steps, u_grid=u_grid, h=h,
+                                      restarts=restarts, seed=seed, sweeps=sweeps)
+        value, argmin, u, max_abs, evaluations = per_call_search(
+            B, m_steps, u_grid, h, restarts, seed, sweeps)
+        assert repr(r.value) == repr(value)
+        assert repr(r.argmin) == repr(argmin)
+        assert (r.diagnostics["u"], r.diagnostics["evaluations"]) == (u, evaluations)
+        assert repr(r.diagnostics["max_abs_sigma"]) == repr(max_abs)
+
+    def test_batches_hold_every_active_restart(self, monkeypatch):
+        import meanspec.extremal_search as es
+        sizes = []
+        solve_rows = es._solve_rows
+        monkeypatch.setattr(es, "_solve_rows",
+                            lambda breaks, values, *a: sizes.append(len(values))
+                            or solve_rows(breaks, values, *a))
+        r = truncated_kernel_min_mean(1.0, m_steps=6, u_grid=(2.0,), restarts=3,
+                                      h=1e-3, seed=0, sweeps=2)
+        assert sizes[0] == 3  # every start in one solve
+        assert sizes[1] == 3 * 3  # d + 1 = 3 Lobatto rows for the panel at 1, per restart
+        assert sum(sizes) == r.diagnostics["evaluations"]
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"h": math.nan}, ValidationError), ({"h": math.inf}, ValidationError),
+        ({"h": 0.0}, ValidationError), ({"h": -1e-3}, ValidationError),
+        ({"B": 1e9}, BudgetError), ({"B": math.nan}, ValidationError),
+        ({"restarts": MAX_RESTARTS + 1}, BudgetError), ({"restarts": 0}, ValidationError),
+        ({"B": (MAX_LINE_DEGREE + 1) / 2.0}, BudgetError),
+        ({"m_steps": 10 ** 10}, ValidationError), ({"m_steps": 0}, ValidationError),
+        ({"u_grid": (1.0,)}, ValidationError), ({"B": 0.25}, ValidationError),
+        ({"seed": -1}, ValidationError), ({"seed": 1.5}, ValidationError),
+    ])
+    def test_inputs_rejected_before_any_batched_solve(self, kwargs, error, monkeypatch):
+        import meanspec.extremal_search as es
+        monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
+        monkeypatch.setattr(es, "_solve_rows", None)
+        args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
+        with pytest.raises(error):
+            truncated_kernel_min_mean(**args)
+
+    def test_breach_in_a_batch_raises(self, monkeypatch):
+        import meanspec.dde_solver as dde
+        march = dde._march
+
+        def overshoot(*args):
+            sigma = march(*args)
+            if sigma.ndim == 2 and sigma.shape[1] > 2:
+                sigma[-1, 2] = 1.5
+            return sigma
+
+        monkeypatch.setattr(dde, "_march", overshoot)
+        with pytest.raises(ContractError, match="exceeded 1"):
+            truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=3,
+                                      h=1e-3, seed=0, sweeps=1)
