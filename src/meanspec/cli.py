@@ -204,6 +204,8 @@ def _points_csv(points) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    if not 0.0 <= args.kmax < math.inf:
+        raise ValidationError(f"--kmax must be finite and nonnegative, got {args.kmax}")
     S = _parse_set(args.set)
     if args.what == "spirals":
         cloud = region.euler_spiral_cloud(S, k_max=args.kmax)

@@ -213,8 +213,10 @@ DEFAULT_U_GRID = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
 MAX_RESTARTS = 1000
 
 #: Largest line-search degree floor(B*u): a line search solves up to d + 2
-#: kernels where golden section solved about 16, so gamma-b at B = 10
-#: (degree 60) already took 1.5x the golden-section time.
+#: kernels where golden section solved about 16, yet it is the faster one:
+#: gamma-b --B 10 (degree 60) takes 10.4-10.8 s with the DCT-I argmin and
+#: 10.7-11.6 s with the least-squares argmin before it, measured back to back
+#: on a 2-vCPU VM; golden section took 20.7 s there.
 MAX_LINE_DEGREE = 100
 
 
@@ -222,14 +224,57 @@ def _snap(x: float, h: float) -> float:
     return round(x / h) * h
 
 
-def _interpolated_argmin(ts: np.ndarray, vals: np.ndarray) -> float:
-    """Argmin on [-1, 1] of the polynomial through (ts, vals) over the endpoints
-    and the real roots of its derivative, in the Chebyshev basis."""
-    coef = cheb.chebfit(ts, vals, len(ts) - 1)
-    crit = cheb.chebroots(cheb.chebtrim(cheb.chebder(coef)))
-    crit = crit.real[(np.abs(crit.imag) <= 1e-9) & (np.abs(crit.real) <= 1.0)]
-    cand = np.concatenate(([-1.0, 1.0], crit))
-    return float(cand[np.argmin(cheb.chebval(cand, coef))])
+def _dct1(d: int) -> np.ndarray:
+    """The (d + 1) x (d + 1) DCT-I matrix taking values at the Lobatto nodes
+    cos(pi k/d) to the Chebyshev coefficients of their interpolant."""
+    w = np.ones(d + 1)
+    w[[0, -1]] = 0.5
+    jk = np.outer(np.arange(d + 1), np.arange(d + 1)) % (2 * d)
+    return np.cos(np.pi * jk / d) * np.outer(w, w) * (2.0 / d)
+
+
+def _colleague(c: np.ndarray) -> np.ndarray:
+    """Scaled companion (colleague) matrices of the Chebyshev series in the
+    rows of c, stacked and rotated by half a turn, one per row as numpy's
+    chebcompanion builds it."""
+    n = c.shape[1] - 1
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+    off = np.full(n - 1, 0.5)
+    off[0] = np.sqrt(0.5)
+    mat = np.zeros((len(c), n, n))
+    i = np.arange(n - 1)
+    mat[:, i, i + 1] = off
+    mat[:, i + 1, i] = off
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+    return mat[:, ::-1, ::-1]
+
+
+def _line_argmins(dct: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Argmin on [-1, 1] of the interpolant through each row of lines, given at
+    the Lobatto nodes of dct = _dct1(d): the least of the endpoints -1 and 1
+    and the real roots of its derivative in [-1, 1], the first on ties.
+
+    Coefficients come from a broadcast multiply and a sum over a fixed axis,
+    and the roots from one eigvals call per trimmed derivative degree, so a
+    row's argmin does not depend on the rows batched with it.
+    """
+    coef = (lines[:, None, :] * dct).sum(axis=2)
+    der = cheb.chebder(coef, axis=1)
+    nonzero = der[:, ::-1] != 0.0  # trim exact-zero leading coefficients, as chebtrim
+    length = np.where(nonzero.any(axis=1), der.shape[1] - nonzero.argmax(axis=1), 1)
+    cand = np.full((len(lines), der.shape[1] + 1), np.nan)
+    cand[:, :2] = -1.0, 1.0
+    for n in np.unique(length[length > 1]):
+        rows = np.flatnonzero(length == n)
+        c = der[rows, :n]
+        if n == 2:
+            r = -c[:, :1] / c[:, 1:]
+        else:
+            r = np.linalg.eigvals(_colleague(c))
+        real = (np.abs(r.imag) <= 1e-9) & (np.abs(r.real) <= 1.0)
+        cand[rows, 2:n + 1] = np.where(real, r.real, np.nan)
+    vals = cheb.chebval(cand, coef.T[:, :, None], tensor=False)
+    return cand[np.arange(len(lines)), np.where(np.isnan(vals), np.inf, vals).argmin(axis=1)]
 
 
 def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
@@ -248,15 +293,19 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     minimum on [-1, 1]; a step is taken only if a solve at that minimum
     beats the current value.  The restarts advance in lockstep, so each
     coordinate's solves for every restart still improving are one batched
-    march, with the results of one solve_sigma call per kernel.  The panel
+    march, with the results of one solve_sigma call per kernel, and their
+    argmins one batched interpolation step (_line_argmins).  The panel
     parameterization only explores part of the admissible class, so the
     result is an upper bound for the true minimum; it is checked against the
     two-sided bracket [-rho(B) - 1e-4, 0).
     """
     if not 0.0 < B < math.inf:
         raise ValidationError("B must be positive and finite")
-    if m_steps < 1 or restarts < 1:
-        raise ValidationError("m_steps and restarts must be at least 1")
+    for name, n in (("m_steps", m_steps), ("restarts", restarts), ("sweeps", sweeps)):
+        if not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if m_steps < 1 or restarts < 1 or sweeps < 0:
+        raise ValidationError("m_steps and restarts must be at least 1, sweeps at least 0")
     if restarts > MAX_RESTARTS:
         raise BudgetError(f"restarts = {restarts} exceeds the budget {MAX_RESTARTS}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -266,6 +315,8 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         u_grid = tuple(u * scale for u in DEFAULT_U_GRID)
     else:
         u_grid = tuple(float(u) for u in u_grid)
+        if not u_grid:
+            raise ValidationError("u_grid must hold at least one u")
         if any(B * u < 1.0 - ALIGN_TOL for u in u_grid):
             raise ValidationError("infeasible grid: need B*u >= 1 for every u")
         if any(u <= 1.0 for u in u_grid):
@@ -298,7 +349,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         u_top = max(_snap(math.ceil(target / h) * h, h), edges[-1])
         # sigma(target) has degree <= floor(target / a) in a level whose panel
         # starts at a: each use of the level delays by at least a.
-        lobatto = [np.cos(np.pi * np.arange(d + 1) / d)
+        lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
         def solve(levels: np.ndarray) -> np.ndarray:
@@ -324,17 +375,17 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         active = np.arange(restarts)
         for _ in range(sweeps):
             improved = np.zeros(len(active), dtype=bool)
-            for j, nodes in enumerate(lobatto):
+            for j, (nodes, dct) in enumerate(lobatto):
                 trials = np.repeat(y[active], len(nodes), axis=0)
                 trials[:, j] = np.tile(nodes, len(active))
                 lines = solve(trials).reshape(len(active), len(nodes))
-                ts = np.array([_interpolated_argmin(nodes, vals) for vals in lines])
+                ts = _line_argmins(dct, lines)
                 # A node's value was solved already; the others need a solve.
+                hit = nodes == ts[:, None]
+                off = ~hit.any(axis=1)
                 vs = np.empty(len(active))
-                k, i = np.nonzero(nodes == ts[:, None])
-                vs[k] = lines[k, i]
-                off = np.setdiff1d(np.arange(len(active)), k)
-                if off.size:
+                vs[~off] = lines[hit]
+                if off.any():
                     trials = y[active[off]]
                     trials[:, j] = ts[off]
                     vs[off] = solve(trials)

@@ -170,6 +170,14 @@ class TestSpectrum:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("what", ["spirals", "contour", "logregion"])
+    @pytest.mark.parametrize("kmax", ["nan", "inf", "-1"])
+    def test_bad_kmax_exits_one_for_every_artifact(self, capsys, what, kmax):
+        assert main(["spectrum", "--set", "sector:0.7", "--what", what, "--kmax", kmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --kmax") and captured.err.count("\n") == 1
+
     def test_non_finite_point_exits_one(self, capsys):
         assert main(["spectrum", "--set", "points:1,0;nan,0",
                      "--what", "spirals"]) == 1

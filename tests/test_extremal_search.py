@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from meanspec.errors import BudgetError, ContractError, ValidationError
 from meanspec.dde_solver import SigmaSolution, solve_sigma
 from meanspec.extremal_search import (MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M, MAX_RESTARTS,
-                                      TAU_MAX, _interpolated_argmin, average_bound_expressions,
+                                      TAU_MAX, _dct1, _line_argmins, average_bound_expressions,
                                       delta_constants, golden_section,
                                       log_gap_endpoint_values,
                                       minus_kernel_sign_changes,
@@ -300,7 +300,7 @@ class TestPolynomialLineSearch:
         for j, a in enumerate(edges[:-1]):
             d = max(1, math.floor(target / a + ALIGN_TOL))
             nodes = np.cos(np.pi * np.arange(d + 1) / d)
-            coef = cheb.chebfit(nodes, [value(j, t) for t in nodes], d)
+            coef = (_dct1(d) * [value(j, t) for t in nodes]).sum(axis=1)
             for t in rng.uniform(-1.0, 1.0, 3):
                 assert abs(cheb.chebval(t, coef) - value(j, t)) <= 1e-12
 
@@ -313,22 +313,23 @@ class TestPolynomialLineSearch:
     def test_interpolated_argmin(self, poly, argmin):
         d = 6
         nodes = np.cos(np.pi * np.arange(d + 1) / d)
-        assert _interpolated_argmin(nodes, poly(nodes)) == pytest.approx(argmin, abs=1e-9)
+        assert _line_argmins(_dct1(d), poly(nodes)[None])[0] == pytest.approx(argmin, abs=1e-9)
 
     @pytest.mark.parametrize("value", [0.0, 0.5])
     def test_constant_line_has_an_argmin(self, value):
         # A panel that cannot reach B*u leaves the objective constant along it.
-        nodes = np.cos(np.pi * np.arange(5) / 4)
-        assert -1.0 <= _interpolated_argmin(nodes, np.full(5, value)) <= 1.0
+        assert -1.0 <= _line_argmins(_dct1(4), np.full((1, 5), value))[0] <= 1.0
 
     @pytest.mark.parametrize("lie", ["interior", "worst_node"])
     def test_interpolated_values_never_accepted(self, lie, monkeypatch):
         import meanspec.extremal_search as es
         if lie == "interior":
-            monkeypatch.setattr(es, "_interpolated_argmin", lambda ts, vals: 0.123)
+            monkeypatch.setattr(es, "_line_argmins", lambda dct, lines: np.full(len(lines), 0.123))
         else:
-            monkeypatch.setattr(es, "_interpolated_argmin",
-                                lambda ts, vals: float(ts[np.argmax(vals)]))
+            def worst_node(dct, lines):
+                nodes = np.cos(np.pi * np.arange(len(dct)) / (len(dct) - 1))
+                return nodes[np.argmax(lines, axis=1)]
+            monkeypatch.setattr(es, "_line_argmins", worst_node)
         r = truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=2,
                                       h=1e-3, seed=0, sweeps=2)
         start = solve_sigma(StepFunction((1.0, 2.0), (1.0, -1.0), 0.0), 2.0, 1e-3).value_at(2.0)
@@ -357,6 +358,98 @@ class TestPolynomialLineSearch:
         assert r.diagnostics["evaluations"] < 29232
 
 
+def chebfit_argmin(ts, vals):
+    """The argmin of one line as the search took it before the DCT-I step: a
+    least-squares chebfit, chebroots of the trimmed derivative, chebval."""
+    coef = cheb.chebfit(ts, vals, len(ts) - 1)
+    crit = cheb.chebroots(cheb.chebtrim(cheb.chebder(coef)))
+    crit = crit.real[(np.abs(crit.imag) <= 1e-9) & (np.abs(crit.real) <= 1.0)]
+    cand = np.concatenate(([-1.0, 1.0], crit))
+    return float(cand[np.argmin(cheb.chebval(cand, coef))])
+
+
+def lobatto_nodes(d):
+    return np.cos(np.pi * np.arange(d + 1) / d)
+
+
+def degenerate_rows(d):
+    """Rows whose derivative trims short: a constant line and, for d = 1, both
+    slopes; for d = 2 and d = 4, a line whose interpolant's top coefficient
+    is exactly 0."""
+    rows = [np.full(d + 1, 0.5)]
+    if d == 1:
+        rows += [np.array([2.0, 1.0]), np.array([1.0, 2.0])]
+    if d in (2, 4):
+        rows.append(np.linspace(1.0, -1.0, d + 1))
+    return rows
+
+
+class TestBatchedArgmin:
+    """All restarts' line argmins are one _line_argmins call on an (R, d + 1) block."""
+
+    DEGREES = [1, 2, 3, 4, 5, 8, 13, 21, 34, 60, MAX_LINE_DEGREE]
+
+    @staticmethod
+    def block(d, seed, rows=9):
+        rng = np.random.default_rng([d, seed])
+        nodes = lobatto_nodes(d)
+        lines = [rng.uniform(-1.0, 1.0, d + 1) for _ in range(rows // 3)]
+        # Low-degree polynomials in the level, like most lines of the search.
+        for _ in range(rows - len(lines)):
+            lines.append(cheb.chebval(nodes, rng.normal(size=min(d, 4) + 1)))
+        return np.array(degenerate_rows(d) + lines)
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_dct1_interpolates_at_the_nodes(self, d):
+        lines = self.block(d, 0)
+        coef = (lines[:, None, :] * _dct1(d)).sum(axis=2)
+        at_nodes = np.array([cheb.chebval(lobatto_nodes(d), c) for c in coef])
+        assert np.abs(at_nodes - lines).max() <= 1e-13 * max(1.0, np.abs(lines).max())
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_batch_equals_each_row_alone(self, d):
+        lines = self.block(d, 1)
+        dct = _dct1(d)
+        batch = _line_argmins(dct, lines)
+        alone = [float(_line_argmins(dct, row[None])[0]) for row in lines]
+        assert repr(batch.tolist()) == repr(alone)
+        order = np.random.default_rng(d).permutation(len(lines))
+        assert repr(_line_argmins(dct, lines[order]).tolist()) == repr(batch[order].tolist())
+        assert repr(_line_argmins(dct, lines[1::2]).tolist()) == repr(batch[1::2].tolist())
+
+    @pytest.mark.parametrize("d", range(1, MAX_LINE_DEGREE + 1))
+    def test_agrees_with_chebfit_argmin(self, d):
+        lines = self.block(d, 2, rows=6)
+        nodes = lobatto_nodes(d)
+        for row, t in zip(lines, _line_argmins(_dct1(d), lines)):
+            old = chebfit_argmin(nodes, row)
+            coef = cheb.chebfit(nodes, row, d)
+            assert -1.0 <= t <= 1.0
+            assert abs(cheb.chebval(t, coef) - cheb.chebval(old, coef)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_degenerate_rows_mixed_into_one_batch(self, d):
+        dct = _dct1(d)
+        lines = self.block(d, 3)
+        k = len(degenerate_rows(d))
+        ts = _line_argmins(dct, lines)
+        assert repr(ts.tolist()) == repr([float(_line_argmins(dct, row[None])[0]) for row in lines])
+        coef = (lines[:, None, :] * dct).sum(axis=2)
+        der = cheb.chebder(coef, axis=1)
+        if d == 1:
+            assert der.shape[1] == 1  # degree-0 derivatives: the endpoints only
+            assert ts[:3].tolist() == [-1.0, -1.0, 1.0]  # a tie goes to t = -1
+        else:
+            assert coef[k - 1, -1] == 0.0 and der[k - 1, -1] == 0.0  # trimmed leading 0
+            assert ts[k - 1] == -1.0  # the line descending from t = 1 to t = -1
+        assert -1.0 <= ts[0] <= 1.0  # the constant line
+        nodes = lobatto_nodes(d)
+        for row, t in zip(lines, ts):
+            coef = cheb.chebfit(nodes, row, d)
+            old = chebfit_argmin(nodes, row)
+            assert abs(cheb.chebval(t, coef) - cheb.chebval(old, coef)) <= 1e-12
+
+
 def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
     """The search loop with one solve_sigma call per kernel, restart after restart.
 
@@ -372,7 +465,7 @@ def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
         edges = sorted({snap(1.0 + (u - 1.0) * j / m_steps) for j in range(m_steps + 1)})
         target = B * u
         u_top = max(snap(math.ceil(target / h) * h), edges[-1])
-        lobatto = [np.cos(np.pi * np.arange(d + 1) / d)
+        lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
         def objective(levels):
@@ -392,13 +485,13 @@ def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
             val = objective(y)
             for _ in range(sweeps):
                 improved = False
-                for j, nodes in enumerate(lobatto):
+                for j, (nodes, dct) in enumerate(lobatto):
                     def line(t, j=j):
                         trial = y.copy()
                         trial[j] = t
                         return objective(trial)
                     vals = np.array([line(t) for t in nodes])
-                    t = _interpolated_argmin(nodes, vals)
+                    t = _line_argmins(dct, vals[None])[0]
                     v = vals[nodes == t]
                     v = v[0] if v.size else line(t)
                     if v < val - 1e-12:
@@ -461,6 +554,10 @@ class TestLockstepSearch:
         ({"m_steps": 10 ** 10}, ValidationError), ({"m_steps": 0}, ValidationError),
         ({"u_grid": (1.0,)}, ValidationError), ({"B": 0.25}, ValidationError),
         ({"seed": -1}, ValidationError), ({"seed": 1.5}, ValidationError),
+        ({"m_steps": 2.5}, ValidationError), ({"m_steps": "4"}, ValidationError),
+        ({"restarts": 2.0}, ValidationError), ({"restarts": None}, ValidationError),
+        ({"sweeps": 1.5}, ValidationError), ({"sweeps": None}, ValidationError),
+        ({"sweeps": -1}, ValidationError), ({"u_grid": ()}, ValidationError),
     ])
     def test_inputs_rejected_before_any_batched_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
