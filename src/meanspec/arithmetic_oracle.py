@@ -11,14 +11,16 @@ Euler products, and the prime reciprocal deficit.  A spec's values form a
 short palette over integer edges, with a slot for f(1) = 1 below the first
 prime; a cofactor is 1 or a prime above sqrt(x), so only the few edges above
 sqrt(x) tell two apart, and f at the cofactors is one comparison per such
-edge and a gather.  The segment's integers are int32 arrays, and f(n)
-accumulates in the narrowest exact dtype: int8 when every value is -1, 0 or
-1, float64 for other real values and complex128 otherwise; the density's
-exponents mod m likewise in int8 while they fit.  On top of it sit the
-mean-vs-solver comparisons, Kronecker symbols, averages over fundamental
-discriminants in a progression, the subset-sum counts behind the m-th power
-residue bounds, and exact logarithmic densities for root-of-unity valued
-functions.
+edge and a gather.  Two segments run at a time, each wholly on one thread
+(numpy drops the GIL in the long strided and elementwise loops), and their
+sums fold in segment order.  The segment's integers are int32 arrays, and
+f(n) accumulates in the narrowest exact dtype: int8 when every value is -1,
+0 or 1, float64 for other real values and complex128 otherwise; the
+density's exponents mod m likewise in int8 while they fit.  On top of it
+sit the mean-vs-solver comparisons, Kronecker symbols, averages over
+fundamental discriminants in a progression, the subset-sum counts behind
+the m-th power residue bounds, and exact logarithmic densities for
+root-of-unity valued functions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +41,10 @@ from .kernels import DISC_TOL, GridFunction, StepFunction
 #: Below 2**31, so the sieve's integer arrays (n, its sieved part, the
 #: cofactor) are exact in int32.
 MAX_SIEVE_X = 10 ** 8
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 19
+#: Segments in flight at once, each on its own thread of a per-call pool.
+#: The segment length does not depend on it, so neither do the results.
+SEGMENT_THREADS = 2
 
 #: Frozen empirical constant for the O(u / log y) contracts of the
 #: mean-vs-solver comparisons.
@@ -52,12 +59,14 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # tracemalloc peaks at 56 bytes per segment integer in sieve_sums on a
-    # complex spec with an extra weight, plus about 160 kB of numpy cast
-    # buffers and wheel patterns (48 bytes without the weight, 32-40 on a
-    # float64 spec, 25-33 on an int8 one, 18 in mth_root_log_density); 80
-    # keeps the peak at 0.86 of a 1 MB budget.
-    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 80))
+    # tracemalloc, which traces the worker threads too, peaks at 56 bytes per
+    # integer of each segment in flight in sieve_sums on a complex spec with
+    # an extra weight, plus about 170 kB per thread of numpy cast buffers and
+    # wheel patterns (48 bytes without the weight, 32-40 on a float64 spec,
+    # 25-33 on an int8 one, 18 in mth_root_log_density).  With two segments
+    # in flight, 224 bytes per segment integer keeps the peak at 0.73 of a
+    # 1 MB budget (160 reads 0.98).
+    return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 224))
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -306,8 +315,8 @@ def _tiled(pattern: np.ndarray, lo: int, size: int) -> np.ndarray:
     return out
 
 
-def _factor_segments(x: int, base, base_vals, op, identity, dtype):
-    """Yield (n, acc, rem) for each segment of [1, x].
+def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
+    """[finish(n, acc, rem) for each segment of [1, x]], in segment order.
 
     Each power q = p^e <= hi of a base prime p <= sqrt(x) owns the strided
     view [start::q] of the multiples of q: there the divided-out part s gains
@@ -315,11 +324,11 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     for p, primes ascending and then exponents ascending.  An update by the
     identity (f(p) = 1 under multiply, exponent 0 under add) is skipped.
     rem = n // s is then 1 or the one prime factor of n above sqrt(x), so
-    the caller applies its value at rem (by _cofactor_slots) to every
-    integer unmasked, the value at 1 being the identity.  acc has the
-    caller's dtype, the narrowest exact one: for f in sieve_sums, and for
-    the exponents mod m in the density (int8 while
-    (x.bit_length() + 1) * (m - 1) <= 127).
+    the caller's finish applies its value at rem (by _cofactor_slots) to
+    every integer unmasked, the value at 1 being the identity, and returns
+    the segment's sums.  acc has the caller's dtype, the narrowest exact
+    one: for f in sieve_sums, and for the exponents mod m in the density
+    (int8 while (x.bit_length() + 1) * (m - 1) <= 127).
 
     The base primes among 2, 3, 5, 7 form a wheel: s starts each segment as
     a tiled slice of the pattern of their powers up to _WHEEL_TOPS (period
@@ -329,6 +338,11 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
     values; a float64 or complex128 acc keeps every strided update, since a
     wheel power above the top would otherwise multiply after the larger
     primes and change the rounding.
+
+    SEGMENT_THREADS segments are in flight at once, each built, sieved and
+    finished wholly on one thread of a pool that lives for this call only:
+    a segment's arrays are freed when its finish returns, and every worker
+    has ended when the call returns or raises.
     """
     exact = np.dtype(dtype).kind == "i"
     tops = [_WHEEL_TOPS.get(p, 1) for p in base.tolist()]
@@ -345,7 +359,8 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
                 acc_wheel[hit] = op(acc_wheel[hit], v)
             q *= p
     seg = _segment_length()
-    for lo in range(1, x + 1, seg):
+
+    def segment(lo):
         hi = min(x, lo + seg - 1)
         n = np.arange(lo, hi + 1, dtype=np.int32)
         s = _tiled(s_wheel, lo, len(n))
@@ -361,9 +376,18 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype):
                 if q > acc_top and not idle:
                     op(acc[start::q], v, out=acc[start::q])
                 q *= p
-        yield n, acc, np.floor_divide(n, s, out=s)
-        # The caller drops its references too, so no two segments coexist.
-        del n, s, acc
+        return finish(n, acc, np.floor_divide(n, s, out=s))
+
+    # A segment is submitted only when one finishes, so no queue of futures
+    # grows with x; leaving the block, also by an exception, joins the workers.
+    results, running = [], deque()
+    with ThreadPoolExecutor(SEGMENT_THREADS) as pool:
+        for lo in range(1, x + 1, seg):
+            if len(running) == SEGMENT_THREADS:
+                results.append(running.popleft().result())
+            running.append(pool.submit(segment, lo))
+        results.extend(future.result() for future in running)
+    return results
 
 
 def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResult:
@@ -377,7 +401,8 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     the partial sums are exact integers), in float64 for other real
     palettes and in complex128 otherwise.  Every integer then takes f at its
     cofactor rem with no mask (f(1) = 1 has its own slot); the primes above
-    sqrt(x) are the n > 1 with rem == n.
+    sqrt(x) are the n > 1 with rem == n.  Each segment's sums come back
+    from its worker and fold here in segment order.
     """
     x = _check_budget(x)
     partial = 0.0 + 0.0j
@@ -394,24 +419,36 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     ps = base.astype(np.float64)
     theta *= _theta_factor_product(ps, fp_base)
     deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
-    for n, acc, rem in _factor_segments(x, base, fp_base, np.multiply, 1, palette.dtype):
+    # The workers read their own copy of the exponents; only this thread
+    # writes the sums.
+    powers = tuple(extras)
+
+    def finish(n, acc, rem):
+        """(sum f, sum f/n, [sum f/n^s], (theta factor, deficit) or None
+        without primes above sqrt(x)) over one segment."""
         fr = palette[_cofactor_slots(spec, x, rem)]
         acc *= fr
         # rem == n at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
         at = np.flatnonzero(rem == n)[1 if n[0] == 1 else 0:]
         fp = fr[at]
         ps = n[at].astype(np.float64)
+        primes = None
         if len(ps):
-            theta *= _theta_factor_product(ps, fp)
-            deficit += float(np.sum(np.abs(1.0 - fp) / ps))
+            primes = (_theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps)))
         del fr, at, fp, ps
-        partial += complex(np.sum(acc))
         nf = np.arange(n[0], n[-1] + 1, dtype=np.float64)
-        logsum += complex(np.sum(acc / nf))
-        for s in extras:
-            extras[s] += complex(np.sum(acc / nf ** s))
-        # Free this segment before the next one is built.
-        del n, acc, rem, nf
+        return (complex(np.sum(acc)), complex(np.sum(acc / nf)),
+                [complex(np.sum(acc / nf ** s)) for s in powers], primes)
+
+    for part, log_part, extra_parts, primes in _factor_segments(
+            x, base, fp_base, np.multiply, 1, palette.dtype, finish=finish):
+        if primes is not None:
+            theta *= primes[0]
+            deficit += primes[1]
+        partial += part
+        logsum += log_part
+        for s, e in zip(powers, extra_parts):
+            extras[s] += e
     return SieveResult(x, partial, logsum, theta, deficit, extras)
 
 
@@ -713,9 +750,14 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     exps = (exps // g).astype(dtype)
     base = primes_upto(math.isqrt(x))
     base_exps = exps[spec.palette_index(base)]
-    for n, expo, rem in _factor_segments(x, base, base_exps, np.add, 0, dtype):
+
+    def finish(n, expo, rem):
+        """sum 1/n over the segment's n with f(n) = 1."""
         expo += exps[_cofactor_slots(spec, x, rem)]
         good = (expo % m) == 0
-        total += float(np.sum(1.0 / n[good].astype(np.float64)))
-        del n, expo, rem, good  # free this segment before the next
+        return float(np.sum(1.0 / n[good].astype(np.float64)))
+
+    # Folded in segment order, never by sum(), which compensates since 3.12.
+    for part in _factor_segments(x, base, base_exps, np.add, 0, dtype, finish=finish):
+        total += part
     return total / math.log(x)

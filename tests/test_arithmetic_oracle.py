@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -438,9 +440,9 @@ def spy_accumulator_dtype(monkeypatch):
     seen = []
     factor_segments = arithmetic_oracle._factor_segments
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(np.dtype(args[-1]))
-        return factor_segments(*args)
+        return factor_segments(*args, **kwargs)
 
     monkeypatch.setattr(arithmetic_oracle, "_factor_segments", spy)
     return seen
@@ -800,7 +802,7 @@ class TestDensityExponents:
     def spy_dtype(monkeypatch):
         seen = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(np.dtype(args[-1]))
             return iter(())
 
@@ -905,13 +907,13 @@ def spy_strided_ops(monkeypatch):
     calls = []
     factor_segments = arithmetic_oracle._factor_segments
 
-    def spy(x, base, base_vals, op, identity, dtype):
+    def spy(x, base, base_vals, op, identity, dtype, **kwargs):
         def op_spy(a, v, out=None):
             if a.size:
                 calls.append((np.dtype(dtype), a.strides[0] // a.itemsize, v, identity))
             return op(a, v, out=out)
 
-        return factor_segments(x, base, base_vals, op_spy, identity, dtype)
+        return factor_segments(x, base, base_vals, op_spy, identity, dtype, **kwargs)
 
     monkeypatch.setattr(arithmetic_oracle, "_factor_segments", spy)
     return calls
@@ -980,6 +982,51 @@ class TestWheel:
         assert {q for _, q, *_ in calls} & wheel_strides == seen
         exact = {q for dtype, q, *_ in calls if dtype.kind == "i"}
         assert not exact & WHEEL_POWERS
+
+
+#: One spec per accumulator dtype: int8, float64 and complex128.
+THREAD_SPECS = [
+    MultiplicativeSpec.step(CHI_MINUS, 10 ** (6 / (1 + SQRT_E))),
+    MultiplicativeSpec.from_table({2: 0.5, 3: -1.0}, -1.0),
+    MultiplicativeSpec.from_table({2: 1j, 3: -1.0}, 0.6 + 0.8j),
+]
+
+
+class TestSegmentThreads:
+    """Segments run SEGMENT_THREADS at a time; the results do not depend on
+    how many, and no worker outlives a call."""
+
+    @pytest.mark.parametrize("x", [2 ** 19, 2 ** 19 + 1, 10 ** 6, 3 * 2 ** 19 + 7])
+    def test_one_and_two_threads_agree(self, monkeypatch, x):
+        def run():
+            return ([sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+                     for spec in THREAD_SPECS]
+                    + [repr(mth_root_log_density(spec, x, m)) for spec, m in DENSITY_SPECS[2:]])
+
+        monkeypatch.setattr(arithmetic_oracle, "SEGMENT_THREADS", 1)
+        serial = run()
+        monkeypatch.setattr(arithmetic_oracle, "SEGMENT_THREADS", 2)
+        assert run() == serial
+
+    def test_worker_error_joins_every_worker(self, monkeypatch):
+        cofactor_slots = arithmetic_oracle._cofactor_slots
+        calls = itertools.count()
+        workers = set()
+
+        def second_call_fails(*args):
+            workers.add(threading.current_thread())
+            if next(calls) == 1:
+                raise ValidationError("second segment")
+            return cofactor_slots(*args)
+
+        monkeypatch.setattr(arithmetic_oracle, "_cofactor_slots", second_call_fails)
+        before = threading.active_count()
+        # The kept traceback holds the call's frames, so a pool left running
+        # would keep its workers waiting for work.
+        with pytest.raises(ValidationError, match="second segment") as raised:
+            sieve_sums(THREAD_SPECS[2], 3 * 2 ** 19 + 7)
+        assert threading.active_count() == before
+        assert workers and not any(t.is_alive() for t in workers)
 
 
 class TestDiscriminantAverage:
