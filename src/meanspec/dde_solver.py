@@ -145,17 +145,31 @@ def solve_sigma(chi: StepFunction, u_max: float, h: float,
     sigma = _march(jumps, n, h, m1, complex_mode)
 
     if check_residual:
-        T = trapezoid_convolution_with_kernel(sigma, chi, h)
-        u = h * np.arange(n + 1)
-        resid = np.abs(u * sigma - T)[m1:]
-        cap = RESIDUAL_TOL * np.maximum(u[m1:], 1.0)
-        worst = float(np.max(resid - cap)) if len(resid) else 0.0
-        if worst > 0.0:
-            raise ContractError(f"solver self-consistency residual exceeded by {worst:.3e}")
+        _check_residual(sigma, chi, h, m1)
 
     sol = SigmaSolution(chi, GridFunction(h, sigma), GridFunction(h, _running_average(sigma, h)))
     _validate_solution(sol, m1)
     return sol
+
+
+def _check_residual(sigma: np.ndarray, chi: StepFunction, h: float, m1: int) -> None:
+    """|u*sigma - T| <= RESIDUAL_TOL * max(u, 1) at the nodes u >= 1, T the
+    trapezoid convolution of sigma with chi.
+
+    The gap overwrites T, its modulus the gap (a new array only for complex
+    sigma) and the cap u, so the check holds T, u and one product at most,
+    all freed on return, before the running average is built.
+    """
+    gap = trapezoid_convolution_with_kernel(sigma, chi, h)[m1:]
+    u = h * np.arange(m1, len(sigma))
+    np.subtract(u * sigma[m1:], gap, out=gap)
+    resid = np.abs(gap, out=None if np.iscomplexobj(gap) else gap)
+    cap = np.maximum(u, 1.0, out=u)
+    cap *= RESIDUAL_TOL
+    resid -= cap
+    worst = float(np.max(resid)) if len(resid) else 0.0
+    if worst > 0.0:
+        raise ContractError(f"solver self-consistency residual exceeded by {worst:.3e}")
 
 
 def _check_contracts(sigma: np.ndarray, avg: np.ndarray, m1: int) -> None:

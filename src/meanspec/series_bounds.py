@@ -13,11 +13,21 @@ below its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j
 is exactly zero on the nodes <= j*p0.  I_1 is a running sum of w; each I_j with
 j >= 2 is one FFT convolution of the supports of I_{j-1} and w, of length
 n - 1 - j*p0, and a power with j*p0 >= n - 1 is zero on the whole grid.
+
+sandwich and complex_bounds run in two lanes.  The calling thread checks
+the inputs and reads the panel values, then hands the powers to the one
+worker thread of a pool that lives for the call; meanwhile it runs the
+solver check and the tail envelope, which depend only on the kernel too.
+It then joins the worker, also when its own lane raises, and checks the
+envelopes.  Each lane runs the same code on the same inputs as one after
+the other would, so every array is bit-identical to a serial run.  Only the
+calling thread calls solve_sigma and tail_envelope.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +100,10 @@ def _check_order(k: int, name: str = "k") -> None:
         raise BudgetError(f"series order {k} exceeds the budget {MAX_SERIES_ORDER}")
 
 
-def _partial_sums(chi: StepFunction, k: int, n: int, h: float):
-    """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers."""
-    powers = _powers(1.0 - chi.panel_values(n - 1, h), h, k)
+def _partial_sums(g: np.ndarray, h: float, k: int):
+    """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers
+    of kappa = g/t, given the panel values g."""
+    powers = _powers(g, h, k)
     total = next(powers)
     yield total
     for j, power in enumerate(powers, start=1):
@@ -113,7 +124,8 @@ def sigma_partial(chi: StepFunction, k: int, u_max: float,
                   h: float) -> GridFunction:
     """Alternating partial sum sigma_k = sum_{j=0}^{k} (-1)^j I_j / j!."""
     _check_order(k)
-    *_, total = _partial_sums(chi, k, _grid_steps(u_max, h) + 1, h)
+    n = _grid_steps(u_max, h) + 1
+    *_, total = _partial_sums(1.0 - chi.panel_values(n - 1, h), h, k)
     return GridFunction(h, total)
 
 
@@ -125,19 +137,26 @@ def tail_envelope(k_max: int, u_max: float, h: float) -> GridFunction:
     """
     _check_order(k_max, "k_max")
     n = _grid_steps(u_max, h) + 1
-    x = 2.0 * np.log(np.maximum(h * np.arange(n), 1.0))
-    # The sum stops at the first term whose largest value, at x[-1], is
+    u = h * np.arange(n)
+    # x = 2 log(max(u, 1)) is 0, and so is the tail, up to the last node
+    # with u <= 1; past it x > 0 and never decreases.
+    first = int(np.searchsorted(u, 1.0, side="right"))
+    x = 2.0 * np.log(u[first:])
+    x_top = x[-1] if first < n else 0.0
+    # The sum stops at the first term whose largest value, at x_top, is
     # below 1e-18 (or at j = 501); it runs by Horner from that term down.
     term, j_last = 1.0, 0
     while j_last <= k_max or (term >= 1e-18 and j_last <= 500):
         j_last += 1
-        term = term * x[-1] / j_last
-    out = np.ones(n)
+        term = term * x_top / j_last
+    out = np.zeros(n)
+    tail = out[first:]
+    tail[:] = 1.0
     for j in range(j_last, k_max + 1, -1):
-        out *= x
-        out /= j
-        out += 1.0
-    out *= x ** (k_max + 1) / math.factorial(k_max + 1)
+        tail *= x
+        tail /= j
+        tail += 1.0
+    tail *= x ** (k_max + 1) / math.factorial(k_max + 1)
     return GridFunction(h, out)
 
 
@@ -182,19 +201,22 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     k_lo = 2 * ((k_max - 1) // 2) + 1
     k_up = 2 * (k_max // 2)
     n = _grid_steps(u_max, h) + 1
-    for j, total in enumerate(_partial_sums(chi, max(k_lo, k_up), n, h)):
-        if j == k_lo:
-            lower = total
-        if j == k_up:
-            upper = total
+    g = 1.0 - chi.panel_values(n - 1, h)
 
-    sol = solve_sigma(chi, u_max, h)
-    s = sol.sigma.samples[:n].real
+    def envelopes():
+        sums = enumerate(_partial_sums(g, h, max(k_lo, k_up)))
+        kept = {j: total for j, total in sums if j in (k_lo, k_up)}
+        return kept[k_lo], kept[k_up]
+
+    with ThreadPoolExecutor(1) as pool:
+        powers = pool.submit(envelopes)
+        s = solve_sigma(chi, u_max, h).sigma.samples[:n].real
+        tail = tail_envelope(k_max, u_max, h)
+        lower, upper = powers.result()
     worst = max(float(np.max(lower - s)), float(np.max(s - upper)))
     if worst > tol:
         raise ContractError(f"envelope violated by {worst:.3e} (slack {tol:.1e})")
-    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper),
-                        tail_envelope(k_max, u_max, h))
+    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper), tail)
 
 
 def complex_bounds(chi: StepFunction, u_max: float, h: float,
@@ -209,15 +231,20 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     tol = _envelope_slack(h, slack)
     n = _grid_steps(u_max, h) + 1
     c = chi.panel_values(n - 1, h)
-    _, R1, R2 = _powers(1.0 - c.real, h, 2)
-    _, C1, C2 = _powers(np.abs(c.imag), h, 2)
 
-    sol = solve_sigma(chi, u_max, h)
-    chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values),
-                           chi.tail.real)
-    sol_hat = solve_sigma(chi_hat, u_max, h)
-    s = sol.sigma.samples[:n]
-    s_hat = sol_hat.sigma.samples[:n].real
+    def moments():
+        _, R1, R2 = _powers(1.0 - c.real, h, 2)
+        _, C1, C2 = _powers(np.abs(c.imag), h, 2)
+        return R1, R2, C1, C2
+
+    with ThreadPoolExecutor(1) as pool:
+        powers = pool.submit(moments)
+        s = solve_sigma(chi, u_max, h).sigma.samples[:n]
+        chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values),
+                               chi.tail.real)
+        s_hat = solve_sigma(chi_hat, u_max, h).sigma.samples[:n].real
+        tail = tail_envelope(2, u_max, h)
+        R1, R2, C1, C2 = powers.result()
 
     checks = {
         "imag part exceeds C1": np.abs(s.imag) - C1,
@@ -234,7 +261,7 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
         2,
         GridFunction(h, 1.0 - R1 - 0.5 * C2),
         GridFunction(h, 1.0 - R1 + 0.5 * (R2 + C2)),
-        tail_envelope(2, u_max, h),
+        tail,
         r_series=(GridFunction(h, R1), GridFunction(h, R2)),
         c_series=(GridFunction(h, C1), GridFunction(h, C2)),
     )

@@ -100,6 +100,31 @@ class TestSolveSigma:
         resid = np.abs(u * s - T)[m1:]
         assert np.all(resid <= 1e-9 * np.maximum(u[m1:], 1.0))
 
+    @pytest.mark.parametrize("chi", [
+        CHI_MINUS, StepFunction((1.0, 1.5, 2.8), (1.0, 0.3 + 0.6j, -0.5 - 0.4j), 0.2j),
+    ], ids=["real", "complex"])
+    def test_residual_check_reports_the_worst_excess(self, monkeypatch, chi):
+        # A bump past u = 1 breaks the node equations; the message carries
+        # max(|u*sigma - T| - 1e-9*max(u, 1)) over the nodes u >= 1.
+        h, u_max, m1 = 1e-3, 6.0, 1000
+        march = dde_solver._march
+
+        def bumped(*args):
+            sigma = march(*args)
+            sigma[3500] += 1e-6
+            return sigma
+
+        s = solve_sigma(chi, u_max, h, check_residual=False).sigma.samples.copy()
+        s[3500] += 1e-6
+        u = h * np.arange(len(s))
+        resid = np.abs(u * s - trapezoid_convolution_with_kernel(s, chi, h))[m1:]
+        worst = float(np.max(resid - 1e-9 * np.maximum(u[m1:], 1.0)))
+        assert worst > 1e-7
+        monkeypatch.setattr(dde_solver, "_march", bumped)
+        with pytest.raises(ContractError) as info:
+            solve_sigma(chi, u_max, h)
+        assert str(info.value) == f"solver self-consistency residual exceeded by {worst:.3e}"
+
     def test_unaligned_breakpoint_rejected(self):
         with pytest.raises(GridError):
             solve_sigma(StepFunction((1.00037,), (1.0,), 0.0), 3.0, 1e-3)

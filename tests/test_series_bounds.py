@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ import scipy.fft
 
 from meanspec.acceptance import random_complex_kernel, random_real_kernel
 from meanspec.dde_solver import solve_sigma
-from meanspec.errors import BudgetError, ContractError, ValidationError
-from meanspec.kernels import StepFunction, rho_minus
-from meanspec.series_bounds import (MAX_SERIES_ORDER, _powers, complex_bounds,
-                                    iterated_integral, sandwich, sigma_partial,
-                                    tail_envelope)
+from meanspec import series_bounds
+from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
+from meanspec.kernels import StepFunction, _grid_steps, rho_minus
+from meanspec.series_bounds import (MAX_SERIES_ORDER, _partial_sums, _powers,
+                                    complex_bounds, iterated_integral, sandwich,
+                                    sigma_partial, tail_envelope)
 
 CHI_MINUS = StepFunction((1.0,), (1.0,), -1.0)
 CHI_REAL = StepFunction((1.0, 1.6, 2.35), (1.0, -0.8, 0.3), -0.5)
@@ -263,11 +265,37 @@ class TestSigmaPartial:
         assert np.max(gap) <= 1e-6
 
 
+def full_grid_tail(k_max: int, u_max: float, h: float) -> np.ndarray:
+    """The tail envelope with its Horner loop over every node, x = 0 included."""
+    n = _grid_steps(u_max, h) + 1
+    x = 2.0 * np.log(np.maximum(h * np.arange(n), 1.0))
+    term, j_last = 1.0, 0
+    while j_last <= k_max or (term >= 1e-18 and j_last <= 500):
+        j_last += 1
+        term = term * x[-1] / j_last
+    out = np.ones(n)
+    for j in range(j_last, k_max + 1, -1):
+        out *= x
+        out /= j
+        out += 1.0
+    out *= x ** (k_max + 1) / math.factorial(k_max + 1)
+    return out
+
+
 class TestTailEnvelope:
     def test_nonnegative_nondecreasing(self):
         t = tail_envelope(6, 8.0, 1e-3)
         assert np.min(t.samples) >= 0.0
         assert np.min(np.diff(t.samples)) >= -1e-15
+
+    @pytest.mark.parametrize("k_max, u_max, h", [
+        (2, 8.0, 1e-4), (12, 8.0, 1e-4), (6, 4.0, 1e-3), (1, 1.0005, 1e-4), (3, 1.0, 1e-3),
+    ])
+    def test_matches_full_grid_loop(self, k_max, u_max, h):
+        # The loop starts at the first node with u > 1; the nodes before it
+        # keep the exact (positive) zeros the full loop gives them.
+        got = tail_envelope(k_max, u_max, h).samples
+        assert got.tobytes() == full_grid_tail(k_max, u_max, h).tobytes()
 
 
 class TestSandwich:
@@ -386,3 +414,124 @@ class TestComplexBounds:
         k = StepFunction((1.0,), (1.0,), 0.5 + 0.5j)
         with pytest.raises(ContractError):
             complex_bounds(k, 6.0, 1e-2, slack=-1.0)
+
+
+def serial_sandwich(chi: StepFunction, k_max: int, u_max: float, h: float):
+    """(lower, upper, tail) of sandwich, one stage after the other on this thread."""
+    n = _grid_steps(u_max, h) + 1
+    sums = list(_partial_sums(1.0 - chi.panel_values(n - 1, h), h, k_max))
+    solve_sigma(chi, u_max, h)
+    k_lo, k_up = 2 * ((k_max - 1) // 2) + 1, 2 * (k_max // 2)
+    return sums[k_lo], sums[k_up], tail_envelope(k_max, u_max, h).samples
+
+
+def serial_complex_bounds(chi: StepFunction, u_max: float, h: float):
+    """(lower, upper, tail, R1, R2, C1, C2) of complex_bounds, serially."""
+    n = _grid_steps(u_max, h) + 1
+    c = chi.panel_values(n - 1, h)
+    _, R1, R2 = _powers(1.0 - c.real, h, 2)
+    _, C1, C2 = _powers(np.abs(c.imag), h, 2)
+    solve_sigma(chi, u_max, h)
+    tail = tail_envelope(2, u_max, h).samples
+    return 1.0 - R1 - 0.5 * C2, 1.0 - R1 + 0.5 * (R2 + C2), tail, R1, R2, C1, C2
+
+
+def _kernels(complex_values: bool, h: float):
+    rng = np.random.default_rng(7)
+    draw = random_complex_kernel if complex_values else random_real_kernel
+    late = StepFunction((1.5,), (1.0,), 0.5j if complex_values else -1.0)
+    first = CHI_COMPLEX if complex_values else CHI_MINUS
+    return [first, late] + [draw(rng, h, 7.5, n) for n in (2, 5)]
+
+
+class TestTwoLanes:
+    """The powers run on one worker thread while the caller solves; the
+    reports equal a serial assembly bit for bit, and no thread outlives a call."""
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_sandwich_equals_serial_stages(self, h):
+        for chi in _kernels(False, h):
+            rep = sandwich(chi, 12, 8.0, h)
+            lower, upper, tail = serial_sandwich(chi, 12, 8.0, h)
+            assert rep.k_max == 12 and rep.r_series == () and rep.c_series == ()
+            assert np.array_equal(rep.lower.samples, lower)
+            assert np.array_equal(rep.upper.samples, upper)
+            assert np.array_equal(rep.tail_bound.samples, tail)
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_complex_bounds_equals_serial_stages(self, h):
+        for chi in _kernels(True, h):
+            rep = complex_bounds(chi, 8.0, h)
+            lower, upper, tail, R1, R2, C1, C2 = serial_complex_bounds(chi, 8.0, h)
+            assert rep.k_max == 2
+            assert np.array_equal(rep.lower.samples, lower)
+            assert np.array_equal(rep.upper.samples, upper)
+            assert np.array_equal(rep.tail_bound.samples, tail)
+            for got, want in zip(rep.r_series + rep.c_series, (R1, R2, C1, C2)):
+                assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3),
+        lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
+    ], ids=["sandwich", "complex_bounds"])
+    def test_solver_error_propagates_and_joins_the_worker(self, monkeypatch, call):
+        workers = set()
+        powers = series_bounds._powers
+
+        def spy_powers(*args):
+            workers.add(threading.current_thread())
+            yield from powers(*args)
+
+        def failing_solve(*args, **kwargs):
+            raise ContractError("solver self-consistency residual exceeded by 1.000e+00")
+
+        monkeypatch.setattr(series_bounds, "_powers", spy_powers)
+        monkeypatch.setattr(series_bounds, "solve_sigma", failing_solve)
+        before = threading.active_count()
+        with pytest.raises(ContractError, match="residual exceeded by 1.000e"):
+            call()
+        assert threading.active_count() == before
+        assert workers and not any(t.is_alive() for t in workers)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: sandwich(StepFunction((1.0, 1.0005), (1.0, 0.5), -1.0), 4, 4.0, 1e-3),
+         GridError, "breakpoint 1.0005 is not a multiple of the grid step 0.001"),
+        (lambda: complex_bounds(StepFunction((1.0, 1.0005), (1.0, 0.5j), -1.0), 4.0, 1e-3),
+         GridError, "breakpoint 1.0005 is not a multiple of the grid step 0.001"),
+        (lambda: sandwich(CHI_MINUS, 4, 0.5, 1e-3),
+         ValidationError, "u_max must be at least 1"),
+        (lambda: complex_bounds(CHI_COMPLEX, 0.5, 1e-3),
+         ValidationError, "u_max must be at least 1"),
+        (lambda: sandwich(CHI_MINUS, 4, 2000.0, 1e-4),
+         BudgetError, "u_max/h = 2e+07 exceeds the budget 10000000"),
+        (lambda: complex_bounds(CHI_COMPLEX, 2000.0, 1e-4),
+         BudgetError, "u_max/h = 2e+07 exceeds the budget 10000000"),
+    ], ids=["misaligned_real", "misaligned_complex", "u_max_real", "u_max_complex",
+            "budget_real", "budget_complex"])
+    def test_input_errors_leave_no_worker(self, call, error, message):
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", [
+        lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3),
+        lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
+    ], ids=["sandwich", "complex_bounds"])
+    def test_solver_and_tail_run_on_the_calling_thread(self, monkeypatch, call):
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_sigma", "tail_envelope", "_powers"):
+            monkeypatch.setattr(series_bounds, name, spy(name, getattr(series_bounds, name)))
+        call()
+        here = threading.get_ident()
+        assert seen["solve_sigma"] == {here}
+        assert seen["tail_envelope"] == {here}
+        assert here not in seen["_powers"]
