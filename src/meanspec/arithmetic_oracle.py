@@ -476,6 +476,8 @@ def naive_sums(spec: MultiplicativeSpec, x: int):
 
 def _step_sieve(chi: StepFunction, y: float, u: float):
     """(sieve sums, y^u) for the step-mode f up to x = y^u."""
+    if math.isnan(u):
+        raise ValidationError("u must be a number, got nan")
     xf = float(y) ** u
     if xf > MAX_SIEVE_X + 0.5:
         raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
@@ -509,6 +511,8 @@ def _check_gap(label: str, gap: float, y: float, u: float) -> None:
 
 def log_mean_vs_integral(chi: StepFunction, y: float, u: float, h: float = 1e-3):
     """(sieve logarithmic mean, averaged solver integral, gap) at x = y^u."""
+    if not u > 0.0:  # log(y^u) divides; NaN fails too
+        raise ValidationError(f"u must be positive, got {u}")
     res, xf = _step_sieve(chi, y, u)
     oracle = res.log_sum / math.log(xf)
     sol = solve_sigma(chi, max(u, 1.0), h)

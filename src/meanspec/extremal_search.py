@@ -6,7 +6,9 @@ delta_0), the minimized series bound for logarithmic densities of m-th
 power residues, the auxiliary minimizations behind the disc and projection
 containments, and the search for the most negative sigma(B*u) over sign
 kernels truncated at u, together with the sign-change scan of the solution
-for the kernel that is -1 on [1, 2] and 0 beyond.
+for the kernel that is -1 on [1, 2] and 0 beyond.  The search solves its
+kernels as rows of the solver engine, many per march, within its own batch
+budget MAX_BATCH_SAMPLES, and reads sigma(B*u) off each column.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from scipy.special import gammaln
 
 from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
-from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, dickman_rho,
-                      rho_minus_correction)
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_steps,
+                      dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -109,8 +111,8 @@ def power_residue_log_density_bound(m: int) -> ExtremalResult:
     the multiples of m, so each term is taken in log space and none
     overflows.
     """
-    if not 2 <= m <= MAX_POWER_RESIDUE_M:
-        raise ValidationError(f"m must lie in [2, {MAX_POWER_RESIDUE_M}]")
+    if not (isinstance(m, (int, np.integer)) and 2 <= m <= MAX_POWER_RESIDUE_M):
+        raise ValidationError(f"m must be an integer in [2, {MAX_POWER_RESIDUE_M}], got {m!r}")
     beta_max = 3.0 * m
     # Multiples of m up to 15 standard deviations and 60 past the largest
     # mean; the Poisson masses beyond are below 1e-40.
@@ -219,6 +221,12 @@ MAX_RESTARTS = 1000
 #: on a 2-vCPU VM; golden section took 20.7 s there.
 MAX_LINE_DEGREE = 100
 
+#: Most samples, rows x (n + 1) float64 values (4 MB), that one batched
+#: march holds; more rows march in chunks, which changes no bit.  The march
+#: and its checks keep about three such arrays alive.  Unchunked, gamma-b at
+#: B = 10 would hold 8 restarts x 61 rows x 60,001 nodes (234 MB).
+MAX_BATCH_SAMPLES = 2 ** 19
+
 
 def _snap(x: float, h: float) -> float:
     return round(x / h) * h
@@ -293,8 +301,9 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     minimum on [-1, 1]; a step is taken only if a solve at that minimum
     beats the current value.  The restarts advance in lockstep, so each
     coordinate's solves for every restart still improving are one batched
-    march, with the results of one solve_sigma call per kernel, and their
-    argmins one batched interpolation step (_line_argmins).  The panel
+    march of the solver engine (in chunks of at most MAX_BATCH_SAMPLES
+    samples), bit for bit as one solve per kernel, and their argmins one
+    batched interpolation step (_line_argmins).  The panel
     parameterization only explores part of the admissible class, so the
     result is an upper bound for the true minimum; it is checked against the
     two-sided bracket [-rho(B) - 1e-4, 0).
@@ -351,14 +360,24 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         # starts at a: each use of the level delays by at least a.
         lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
+        n = _grid_steps(u_top, h)
+        chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
+        # sigma(target) interpolates linearly from node i_t on, as GridFunction.value_at.
+        x = min(target / h, float(n))
+        i_t = min(int(x), n - 1)
+        frac = x - i_t
 
         def solve(levels: np.ndarray) -> np.ndarray:
-            """sigma(target) for the kernel of each row of levels, one batched march."""
+            """sigma(target) for the kernel of each row of levels, in batched marches."""
             nonlocal max_abs_seen, evaluations
             segments = np.zeros((len(levels), m + 2))
             segments[:, 0] = 1.0
             segments[:, 1:-1] = levels
-            vals = _solve_rows(edges, segments, u_top, h, target)
+            vals = np.empty(len(levels))
+            for r in range(0, len(levels), chunk):
+                sigma, _ = _solve_rows(edges, segments[r:r + chunk], u_top, h,
+                                       check_residual=False)
+                vals[r:r + chunk] = sigma[i_t] + frac * (sigma[i_t + 1] - sigma[i_t])
             evaluations += len(vals)
             max_abs_seen = max(max_abs_seen, float(np.max(np.abs(vals))))
             return vals

@@ -91,11 +91,6 @@ class StepFunction:
         """Segment constants including the tail, in left-to-right order."""
         return self.values + (self.tail,)
 
-    def jumps(self):
-        """(location, signed jump) at each breakpoint."""
-        segs = self.segment_values()
-        return [(b, segs[k + 1] - segs[k]) for k, b in enumerate(self.breaks)]
-
     def __call__(self, t: float) -> complex:
         if t < 0:
             raise ValidationError("kernel argument must be nonnegative")
@@ -182,7 +177,7 @@ class GridFunction:
 
     def value_at(self, u: float):
         """Linear interpolation between the two neighbouring samples."""
-        if u < -ALIGN_TOL or u > self.u_max + ALIGN_TOL:
+        if not -ALIGN_TOL <= u <= self.u_max + ALIGN_TOL:  # NaN fails too
             raise ValidationError(f"u={u} outside [0, {self.u_max}]")
         if len(self.samples) == 1:
             return self.samples[0]
@@ -194,17 +189,24 @@ class GridFunction:
 
     def cumulative(self) -> np.ndarray:
         """Trapezoid antiderivative sampled on the same grid."""
-        s = self.samples
-        out = np.empty(len(s), dtype=s.dtype)
-        out[0] = 0
-        np.cumsum(0.5 * self.h * (s[1:] + s[:-1]), out=out[1:])
-        return out
+        return _trapezoid_cumulative(self.samples, self.h)
 
     def to_csv(self) -> str:
         s = self.samples
         rows = map("{:.12g},{:.12g},{:.12g}".format,
                    self.u.tolist(), s.real.tolist(), s.imag.tolist())
         return "\n".join(["u,re,im", *rows]) + "\n"
+
+
+def _trapezoid_cumulative(s: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid antiderivative of the samples s on the grid of step h, along
+    the first axis, built in one new array."""
+    out = np.empty(s.shape, dtype=s.dtype)
+    out[0] = 0
+    np.add(s[1:], s[:-1], out=out[1:])
+    out[1:] *= 0.5 * h
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
 
 
 def _check_grid(u_max: float, h: float) -> None:

@@ -574,8 +574,18 @@ class TestMeanVsSigma:
         with pytest.raises(BudgetError):
             mean_vs_sigma(CHI_MINUS, 10.0 ** 6, 2.0, 1e-3)
 
+    def test_nan_u_rejected(self):
+        with pytest.raises(ValidationError):
+            mean_vs_sigma(CHI_MINUS, 1000.0, math.nan, 1e-3)
+
 
 class TestLogMeanVsIntegral:
+    @pytest.mark.parametrize("u", [math.nan, 0.0, -1.0])
+    def test_u_without_a_log_mean_rejected(self, u):
+        # u = 0 gives x = 1, whose log the mean divides by.
+        with pytest.raises(ValidationError):
+            log_mean_vs_integral(CHI_MINUS, 1000.0, u, 1e-3)
+
     def test_all_ones(self):
         oracle, mean, gap = log_mean_vs_integral(StepFunction(), 1000.0, 2.0, 1e-3)
         assert mean == pytest.approx(1.0, abs=1e-9)

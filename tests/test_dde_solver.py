@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from meanspec import dde_solver
 from meanspec.acceptance import random_complex_kernel, random_real_kernel
-from meanspec.dde_solver import (MAX_SOLVER_NODES, SigmaSolution, _validate_solution,
-                                 kernel_sup_difference,
+from meanspec.dde_solver import (MAX_SOLVER_NODES, _check_contracts, kernel_sup_difference,
                                  perturbation_gap, solve_sigma,
                                  trapezoid_convolution_with_kernel)
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
@@ -21,13 +20,20 @@ CHI_MINUS = StepFunction((1.0,), (1.0,), -1.0)
 CHI_DICKMAN = StepFunction((1.0,), (1.0,), 0.0)
 
 
+def segments(chi):
+    """chi's segment constants as the solver engine takes them: real for a real chi."""
+    segs = np.array(chi.segment_values())
+    return segs.real if chi.is_real else segs
+
+
 def loop_march(chi, u_max, h):
     """Reference march: the node-by-node recurrence in plain Python."""
     m1 = round(1.0 / h)
     n = max(int(math.ceil(u_max / h - 1e-9)), m1)
     complex_mode = not chi.is_real
-    jumps = [(round(b / h), dv if complex_mode else dv.real)
-             for b, dv in chi.jumps() if round(b / h) <= n]
+    segs = [v if complex_mode else v.real for v in chi.segment_values()]
+    jumps = [(round(b / h), segs[k + 1] - segs[k])
+             for k, b in enumerate(chi.breaks) if round(b / h) <= n]
     zero = 0.0j if complex_mode else 0.0
     sigma = [1.0 + 0.0j if complex_mode else 1.0] * (n + 1)
     i0 = m1 + 1
@@ -94,7 +100,7 @@ class TestSolveSigma:
     def test_residual_contract(self):
         sol = solve_sigma(CHI_MINUS, 6.0, 1e-3)
         s = sol.sigma.samples
-        T = trapezoid_convolution_with_kernel(s, CHI_MINUS, 1e-3)
+        T = trapezoid_convolution_with_kernel(s, CHI_MINUS.breaks, segments(CHI_MINUS), 1e-3)
         u = sol.sigma.u
         m1 = round(1.0 / 1e-3)
         resid = np.abs(u * s - T)[m1:]
@@ -114,10 +120,11 @@ class TestSolveSigma:
             sigma[3500] += 1e-6
             return sigma
 
-        s = solve_sigma(chi, u_max, h, check_residual=False).sigma.samples.copy()
+        s = solve_sigma(chi, u_max, h).sigma.samples.copy()
         s[3500] += 1e-6
         u = h * np.arange(len(s))
-        resid = np.abs(u * s - trapezoid_convolution_with_kernel(s, chi, h))[m1:]
+        T = trapezoid_convolution_with_kernel(s, chi.breaks, segments(chi), h)
+        resid = np.abs(u * s - T)[m1:]
         worst = float(np.max(resid - 1e-9 * np.maximum(u[m1:], 1.0)))
         assert worst > 1e-7
         monkeypatch.setattr(dde_solver, "_march", bumped)
@@ -269,15 +276,15 @@ class TestValidator:
     def test_rejects_each_broken_contract(self, breach, message):
         h, m1 = 0.01, 100
 
-        def solution(s):
+        def average(s):
             avg = np.empty_like(s)
             avg[0] = 1.0
             avg[1:] = GridFunction(h, np.abs(s)).cumulative()[1:] / (h * np.arange(1, len(s)))
-            return SigmaSolution(CHI_DICKMAN, GridFunction(h, s), GridFunction(h, avg))
+            return avg
 
         s = np.ones(301)
         s[m1 + 1:] = np.linspace(1.0, -0.5, 200)
-        _validate_solution(solution(s), m1)
+        _check_contracts(s, average(s), m1)
         if breach == "initial":
             s[40] = 1.0 - 1e-15
         elif breach == "overshoot":
@@ -285,7 +292,7 @@ class TestValidator:
         else:  # |sigma| grows back to 1 after falling to 0
             s[150:] = np.where(np.arange(151) < 50, 0.0, 1.0)
         with pytest.raises(ContractError, match=message):
-            _validate_solution(solution(s), m1)
+            _check_contracts(s, average(s), m1)
 
 
 class TestResidualConvolution:
@@ -295,9 +302,9 @@ class TestResidualConvolution:
         cases += [random_complex_kernel(rng, h, 7.0, 5) for _ in range(3)]
         cases.append(StepFunction((1.0, 12.0), (1.0, -1.0), 0.5))  # break past the grid
         for k in cases:
-            s = solve_sigma(k, 8.0, h, check_residual=False).sigma.samples
+            s = solve_sigma(k, 8.0, h).sigma.samples
             for sig in (s, s.astype(np.complex128)):
-                got = trapezoid_convolution_with_kernel(sig, k, h)
+                got = trapezoid_convolution_with_kernel(sig, k.breaks, segments(k), h)
                 ref = shifted_convolution(sig, k, h)
                 assert got.dtype == ref.dtype
                 assert np.max(np.abs(got - ref)) <= 1e-13
@@ -329,7 +336,8 @@ def _row_kernel(breaks, row):
 
 @st.composite
 def batched_rows(draw):
-    """Real kernels on shared breaks: (breaks, (R, k + 1) values, u_max, h, u).
+    """Kernels on shared breaks: (breaks, (R, k + 1) values, u_max, h), the
+    values real, or complex in the closed unit disc.
 
     Some rows repeat a neighbouring value, so their jump at that break is 0,
     and some breaks may lie past u_max.
@@ -342,116 +350,144 @@ def batched_rows(draw):
     rows = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.uniform(-1.0, 1.0, (rows, len(marks) + 1))
+    corners = [-1.0, 0.0, 1.0]
+    if draw(st.booleans()):
+        values = np.sqrt(np.abs(values)) * np.exp(2j * np.pi * rng.random(values.shape))
+        corners += [1j, -1j]
     values[:, 0] = 1.0
     same = rng.random(values.shape) < 0.3
     same[:, 0] = False
     for k in range(1, values.shape[1]):
         values[same[:, k], k] = values[same[:, k], k - 1]
-    values[rng.random(values.shape) < 0.1] = rng.choice([-1.0, 0.0, 1.0])
+    values[rng.random(values.shape) < 0.1] = rng.choice(corners)
     values[:, 0] = 1.0
-    u = draw(st.sampled_from([0.0, 0.5, 1.0, n * h])) if draw(st.booleans()) else \
-        draw(st.floats(0.0, n * h))
-    return tuple(float(mk * h) for mk in sorted(marks)), values, u_max, h, u
+    return tuple(float(mk * h) for mk in sorted(marks)), values, u_max, h
 
 
 class TestBatchedRows:
-    """_solve_rows marches R kernels at once, bit for bit as solve_sigma per row."""
+    """_solve_rows, the one solver engine: one kernel as a (k + 1,) row, or R
+    kernels on shared breaks as an (R, k + 1) matrix with one column each."""
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(batched_rows())
     def test_rows_equal_per_row_solves(self, case):
-        breaks, values, u_max, h, u = case
-        got = dde_solver._solve_rows(breaks, values, u_max, h, u)
-        sols = [solve_sigma(_row_kernel(breaks, row), u_max, h, check_residual=False)
-                for row in values]
-        ref = np.array([complex(s.value_at(u)).real for s in sols])
-        assert got.tobytes() == ref.tobytes()
-        # The whole march, column by column.
-        n, m1 = len(sols[0].sigma) - 1, round(1.0 / h)
-        jumps = [(round(b / h), values[:, k + 1] - values[:, k])
-                 for k, b in enumerate(breaks) if round(b / h) <= n]
-        sigma = dde_solver._march(jumps, n, h, m1, False)
-        assert sigma.shape == ((n + 1, len(values)) if jumps else (n + 1,))
-        # With no jump on the grid every row is the one all-ones column.
-        sigma = np.broadcast_to(sigma.reshape(n + 1, -1), (n + 1, len(values)))
-        assert sigma.T.tobytes() == np.array([s.sigma.samples for s in sols]).tobytes()
+        breaks, values, u_max, h = case
+        complex_rows = np.iscomplexobj(values)
+        sigma, avg = dde_solver._solve_rows(breaks, values, u_max, h, check_residual=True)
+        n = max(1, math.ceil(u_max / h - 1e-9))
+        assert sigma.shape == avg.shape == (n + 1, len(values))
+        assert sigma.dtype == (np.complex128 if complex_rows else np.float64)
+        for row, s, a in zip(values, sigma.T, avg.T):
+            s1, a1 = dde_solver._solve_rows(breaks, row, u_max, h, check_residual=True)
+            assert s1.shape == a1.shape == (n + 1,)
+            if complex_rows:  # the same march, but complex products may take other SIMD loops
+                assert np.max(np.abs(s - s1)) <= 1e-15 and np.max(np.abs(a - a1)) <= 1e-15
+            else:
+                assert s.tobytes() == s1.tobytes() and a.tobytes() == a1.tobytes()
+            chi = _row_kernel(breaks, row)
+            if chi.is_real != complex_rows:  # solve_sigma marches the row's dtype
+                sol = solve_sigma(chi, u_max, h)
+                assert sol.sigma.samples.tobytes() == s1.tobytes()
+                assert sol.running_avg.samples.tobytes() == a1.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 11, 40])
-    def test_chunks_change_no_bit(self, monkeypatch, chunk):
+    def test_chunks_change_no_bit(self, chunk):
+        # Columns march independently, so the search may split its rows anywhere.
         rng = np.random.default_rng(chunk)
         breaks, h, u_max = (1.0, 1.5, 2.25, 3.0), 5e-3, 4.0
         values = np.hstack([np.ones((23, 1)), rng.uniform(-1.0, 1.0, (23, 4))])
         values[::4, 2] = values[::4, 1]  # a zero jump at 1.5
-        whole = dde_solver._solve_rows(breaks, values, u_max, h, 3.9)
-        n = round(u_max / h)
-        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", chunk * (n + 1) + chunk // 2)
-        calls = []
-        march = dde_solver._march
-        monkeypatch.setattr(dde_solver, "_march",
-                            lambda jumps, *a: calls.append(np.shape(jumps[0][1])) or march(jumps, *a))
-        got = dde_solver._solve_rows(breaks, values, u_max, h, 3.9)
-        assert got.tobytes() == whole.tobytes()
-        assert calls == [(chunk,)] * (23 // chunk) + [(23 % chunk,)] * (23 % chunk > 0)
+        whole = dde_solver._solve_rows(breaks, values, u_max, h, check_residual=False)
+        parts = [dde_solver._solve_rows(breaks, values[r:r + chunk], u_max, h,
+                                        check_residual=False) for r in range(0, 23, chunk)]
+        for k in range(2):
+            assert np.hstack([p[k] for p in parts]).tobytes() == whole[k].tobytes()
 
     @pytest.mark.parametrize("breach, message", [("initial", "equal 1 exactly"),
                                                  ("overshoot", "exceeded 1"),
                                                  ("average", "running average")])
     @pytest.mark.parametrize("row", [0, 6, 9])
     def test_breach_in_one_row_raises(self, monkeypatch, breach, message, row):
-        h, m1 = 1e-2, 100
         values = np.hstack([np.ones((10, 1)), np.full((10, 1), -1.0)])
         march = dde_solver._march
-        chunks = []
 
         def broken(*args):
             sigma = march(*args)
-            chunks.append(sigma.shape[1])
-            if len(chunks) == row // 4 + 1:  # rows march four to a chunk
-                col = sigma[:, row % 4]
-                if breach == "initial":
-                    col[40] = 1.0 - 1e-15
-                elif breach == "overshoot":
-                    col[250] = -1.0 - 1e-8
-                else:  # |sigma| grows back to 1 after falling to 0
-                    col[150:] = np.where(np.arange(len(col) - 150) < 50, 0.0, 1.0)
+            col = sigma[:, row]
+            if breach == "initial":
+                col[40] = 1.0 - 1e-15
+            elif breach == "overshoot":
+                col[250] = -1.0 - 1e-8
+            else:  # |sigma| grows back to 1 after falling to 0
+                col[150:] = np.where(np.arange(len(col) - 150) < 50, 0.0, 1.0)
             return sigma
 
-        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", 4 * 301)
         monkeypatch.setattr(dde_solver, "_march", broken)
         with pytest.raises(ContractError, match=message):
-            dde_solver._solve_rows((1.0,), values, 3.0, h, 2.0)
-        assert chunks == [4, 4, 2][:row // 4 + 1]
+            dde_solver._solve_rows((1.0,), values, 3.0, 1e-2, check_residual=False)
 
-    def test_intact_rows_pass_the_contracts(self, monkeypatch):
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_residual_check_reports_the_bumped_column(self, monkeypatch, col):
+        # One bumped column among four raises with that column's worst excess
+        # over 1e-9*max(u, 1), as its own one-kernel check reports it.
+        h, u_max, m1 = 1e-3, 6.0, 1000
+        breaks = (1.0, 1.5, 2.8)
+        values = np.array([[1.0, -1.0, 0.4, 0.0], [1.0, 0.3, -0.5, 0.2],
+                           [1.0, 0.9, -0.9, 0.9], [1.0, -0.2, 0.6, -1.0]])
+        s = solve_sigma(_row_kernel(breaks, values[col]), u_max, h).sigma.samples.copy()
+        s[3500] += 1e-6
+        u = h * np.arange(len(s))
+        T = trapezoid_convolution_with_kernel(s, breaks, values[col], h)
+        worst = float(np.max((np.abs(u * s - T) - 1e-9 * np.maximum(u, 1.0))[m1:]))
+        assert worst > 1e-7
+        march = dde_solver._march
+
+        def bumped(*args):
+            sigma = march(*args)
+            sigma[3500, col] += 1e-6
+            return sigma
+
+        monkeypatch.setattr(dde_solver, "_march", bumped)
+        # With the check off the bumped march passes; with it on it raises.
+        dde_solver._solve_rows(breaks, values, u_max, h, check_residual=False)
+        with pytest.raises(ContractError) as info:
+            dde_solver._solve_rows(breaks, values, u_max, h, check_residual=True)
+        assert str(info.value) == f"solver self-consistency residual exceeded by {worst:.3e}"
+
+    def test_intact_rows_pass_the_contracts(self):
         values = np.hstack([np.ones((10, 1)), np.full((10, 1), -1.0)])
-        monkeypatch.setattr(dde_solver, "MAX_BATCH_SAMPLES", 4 * 301)
-        got = dde_solver._solve_rows((1.0,), values, 3.0, 1e-2, 2.0)
-        assert np.all(got == solve_sigma(CHI_MINUS, 3.0, 1e-2).value_at(2.0))
+        sigma, avg = dde_solver._solve_rows((1.0,), values, 3.0, 1e-2, check_residual=True)
+        sol = solve_sigma(CHI_MINUS, 3.0, 1e-2)
+        assert np.all(sigma == sol.sigma.samples[:, None])
+        assert np.all(avg == sol.running_avg.samples[:, None])
 
-    @pytest.mark.parametrize("breaks, values, u_max, h, u, error", [
-        ((1.0, 2.0), [[1.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),  # one value short
-        ((1.0,), [1.0, -1.0], 3.0, 1e-2, 2.0, ValidationError),  # not a matrix
-        ((1.0,), [[0.5, -1.0]], 3.0, 1e-2, 2.0, ValidationError),  # not 1 on [0, 1)
-        ((1.0,), [[1.0, -1.5]], 3.0, 1e-2, 2.0, ValidationError),
-        ((1.0,), [[1.0, math.nan]], 3.0, 1e-2, 2.0, ValidationError),
-        ((1.0,), [[1.0, 1j]], 3.0, 1e-2, 2.0, ValidationError),
-        ((0.5,), [[1.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),
-        ((2.0, 1.5), [[1.0, 0.0, -1.0]], 3.0, 1e-2, 2.0, ValidationError),
-        ((1.005,), [[1.0, -1.0]], 3.0, 1e-2, 2.0, GridError),
-        ((1.0,), [[1.0, -1.0]], 3.0, 3e-3, 2.0, GridError),
-        ((1.0,), [[1.0, -1.0]], 0.5, 1e-2, 0.5, ValidationError),
-        ((1.0,), [[1.0, -1.0]], math.inf, 1e-2, 2.0, ValidationError),
-        ((1.0,), [[1.0, -1.0]], 1e9, 1e-3, 2.0, BudgetError),
-        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, 3.5, ValidationError),
-        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, -0.5, ValidationError),
-        ((1.0,), [[1.0, -1.0]], 3.0, 1e-2, math.nan, ValidationError),
+    @pytest.mark.parametrize("breaks, values, u_max, h, error", [
+        ((1.0, 2.0), [[1.0, -1.0]], 3.0, 1e-2, ValidationError),  # one value short
+        ((1.0,), [1.0, -1.0, 0.5], 3.0, 1e-2, ValidationError),  # one kernel, one value over
+        ((1.0,), [[0.5, -1.0]], 3.0, 1e-2, ValidationError),  # not 1 on [0, 1)
+        ((1.0,), [[1.0, -1.5]], 3.0, 1e-2, ValidationError),
+        ((1.0,), [[1.0, math.nan]], 3.0, 1e-2, ValidationError),
+        ((1.0,), [[1.0, 0.8 + 0.8j]], 3.0, 1e-2, ValidationError),  # outside the disc
+        ((0.5,), [[1.0, -1.0]], 3.0, 1e-2, ValidationError),
+        ((2.0, 1.5), [[1.0, 0.0, -1.0]], 3.0, 1e-2, ValidationError),
+        ((1.005,), [[1.0, -1.0]], 3.0, 1e-2, GridError),
+        ((1.0,), [[1.0, -1.0]], 3.0, 3e-3, GridError),
+        ((1.0,), [[1.0, -1.0]], 0.5, 1e-2, ValidationError),
+        ((1.0,), [[1.0, -1.0]], math.inf, 1e-2, ValidationError),
+        ((1.0,), [[1.0, -1.0]], 1e9, 1e-3, BudgetError),
+        ((1.0,), [[[1.0, -1.0]]], 3.0, 1e-2, ValidationError),  # a 3-D stack
+        ((1.0,), [[1.0, -1.0], [1.0 + 1e-9j, -1.0]], 3.0, 1e-2, ValidationError),  # 1 inexact
+        ((1.0,), [1.0, complex(math.nan, 0.0)], 3.0, 1e-2, ValidationError),
+        ((1.0,), 1.0, 3.0, 1e-2, ValidationError),  # a scalar
     ])
     def test_invalid_input_rejected_before_the_march(self, monkeypatch, breaks, values,
-                                                     u_max, h, u, error):
+                                                     u_max, h, error):
         monkeypatch.setattr(dde_solver, "_march", None)  # a march would raise TypeError
         with pytest.raises(error) as info:
-            dde_solver._solve_rows(breaks, np.array(values), u_max, h, u)
+            dde_solver._solve_rows(breaks, np.array(values), u_max, h, check_residual=True)
         assert info.type is error
 
     def test_no_rows(self):
-        assert dde_solver._solve_rows((1.0,), np.ones((0, 2)), 3.0, 1e-2, 2.0).shape == (0,)
+        sigma, avg = dde_solver._solve_rows((1.0,), np.ones((0, 2)), 3.0, 1e-2,
+                                            check_residual=True)
+        assert sigma.shape == avg.shape == (301, 0)

@@ -77,6 +77,11 @@ class TestPowerResidueBound:
         assert abs(r.value - float(ref)) <= 1e-6 * float(ref)
         assert abs(r.argmin - float(beta)) <= 1e-6 * float(beta)
 
+    @pytest.mark.parametrize("m", [3.5, 3.0, math.nan, "3", None])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ValidationError):
+            power_residue_log_density_bound(m)
+
     @pytest.mark.parametrize("m", [MAX_POWER_RESIDUE_M + 1, 10 ** 22])
     def test_large_m_rejected(self, m):
         with pytest.raises(ValidationError):
@@ -295,7 +300,7 @@ class TestPolynomialLineSearch:
             z = y.copy()
             z[j] = t
             chi = StepFunction(edges, (1.0,) + tuple(z), 0.0)
-            return solve_sigma(chi, u_top, h, check_residual=False).value_at(target)
+            return solve_sigma(chi, u_top, h).value_at(target)
 
         for j, a in enumerate(edges[:-1]):
             d = max(1, math.floor(target / a + ALIGN_TOL))
@@ -471,7 +476,7 @@ def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
         def objective(levels):
             nonlocal max_abs_seen, evaluations
             kernel = StepFunction(tuple(edges), (1.0,) + tuple(levels), 0.0)
-            sol = solve_sigma(kernel, u_top, h, check_residual=False)
+            sol = solve_sigma(kernel, u_top, h)
             val = complex(sol.value_at(target)).real
             evaluations += 1
             max_abs_seen = max(max_abs_seen, abs(val))
@@ -537,13 +542,34 @@ class TestLockstepSearch:
         sizes = []
         solve_rows = es._solve_rows
         monkeypatch.setattr(es, "_solve_rows",
-                            lambda breaks, values, *a: sizes.append(len(values))
-                            or solve_rows(breaks, values, *a))
+                            lambda breaks, values, *a, **kw: sizes.append(len(values))
+                            or solve_rows(breaks, values, *a, **kw))
         r = truncated_kernel_min_mean(1.0, m_steps=6, u_grid=(2.0,), restarts=3,
                                       h=1e-3, seed=0, sweeps=2)
         assert sizes[0] == 3  # every start in one solve
         assert sizes[1] == 3 * 3  # d + 1 = 3 Lobatto rows for the panel at 1, per restart
         assert sum(sizes) == r.diagnostics["evaluations"]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunks_change_no_bit(self, monkeypatch, chunk):
+        # Rows past the batch budget march in chunks; values and evaluation
+        # counts stay those of the unchunked search.
+        import meanspec.extremal_search as es
+        args = dict(m_steps=4, u_grid=(2.0,), restarts=3, h=1e-3, seed=5, sweeps=2)
+        whole = truncated_kernel_min_mean(1.0, **args)
+        n = 2000  # u_top = 2 at h = 1e-3
+        monkeypatch.setattr(es, "MAX_BATCH_SAMPLES", chunk * (n + 1) + chunk // 2)
+        sizes = []
+        solve_rows = es._solve_rows
+        monkeypatch.setattr(es, "_solve_rows",
+                            lambda breaks, values, *a, **kw: sizes.append(len(values))
+                            or solve_rows(breaks, values, *a, **kw))
+        got = truncated_kernel_min_mean(1.0, **args)
+        assert max(sizes) == chunk and sizes[0] == min(chunk, 3)
+        assert repr(got.value) == repr(whole.value)
+        assert repr(got.argmin) == repr(whole.argmin)
+        assert got.diagnostics == whole.diagnostics
+        assert sum(sizes) == got.diagnostics["evaluations"]
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"h": math.nan}, ValidationError), ({"h": math.inf}, ValidationError),

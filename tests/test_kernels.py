@@ -102,6 +102,13 @@ class TestGridFunction:
         assert g.value_at(0.25) == pytest.approx(0.5)
         assert g.value_at(1.0) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf, -0.01, 1.01])
+    def test_value_at_outside_the_grid_rejected(self, u):
+        # The range test is written so that NaN fails it, before int(NaN).
+        g = GridFunction(0.5, np.array([0.0, 1.0, 4.0]))
+        with pytest.raises(ValidationError):
+            g.value_at(u)
+
 
 class TestDickmanRho:
     def test_flat_below_one(self):
