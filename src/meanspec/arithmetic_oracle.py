@@ -436,9 +436,11 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
         if len(ps):
             primes = (_theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps)))
         del fr, at, fp, ps
-        nf = np.arange(n[0], n[-1] + 1, dtype=np.float64)
-        return (complex(np.sum(acc)), complex(np.sum(acc / nf)),
-                [complex(np.sum(acc / nf ** s)) for s in powers], primes)
+        # Dividing by the int32 n casts it to the exact float64 values that
+        # a float64 copy would hold; only the extra weights make that copy.
+        return (complex(np.sum(acc)), complex(np.sum(np.true_divide(acc, n))),
+                [complex(np.sum(acc / n.astype(np.float64) ** s)) for s in powers],
+                primes)
 
     for part, log_part, extra_parts, primes in _factor_segments(
             x, base, fp_base, np.multiply, 1, palette.dtype, finish=finish):
@@ -475,9 +477,13 @@ def naive_sums(spec: MultiplicativeSpec, x: int):
 
 
 def _step_sieve(chi: StepFunction, y: float, u: float):
-    """(sieve sums, y^u) for the step-mode f up to x = y^u."""
-    if math.isnan(u):
-        raise ValidationError("u must be a number, got nan")
+    """(sieve sums, y^u) for the step-mode f up to x = y^u.
+
+    The C*u/log(y) envelope that both comparisons check describes x = y^u
+    >= y, so u < 1 (and NaN) is rejected rather than widening it.
+    """
+    if not u >= 1.0:
+        raise ValidationError(f"u must be at least 1, got {u}")
     xf = float(y) ** u
     if xf > MAX_SIEVE_X + 0.5:
         raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
@@ -511,11 +517,9 @@ def _check_gap(label: str, gap: float, y: float, u: float) -> None:
 
 def log_mean_vs_integral(chi: StepFunction, y: float, u: float, h: float = 1e-3):
     """(sieve logarithmic mean, averaged solver integral, gap) at x = y^u."""
-    if not u > 0.0:  # log(y^u) divides; NaN fails too
-        raise ValidationError(f"u must be positive, got {u}")
     res, xf = _step_sieve(chi, y, u)
     oracle = res.log_sum / math.log(xf)
-    sol = solve_sigma(chi, max(u, 1.0), h)
+    sol = solve_sigma(chi, u, h)
     C = sol.sigma.cumulative()
     integral_mean = complex(GridFunction(h, C).value_at(u)) / u
     gap = abs(oracle - integral_mean)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
@@ -83,6 +81,7 @@ def delta_constants():
     an independent evaluation of delta0, truncated once terms drop below
     1e-14.
     """
+    from scipy.integrate import quad  # here, so importing meanspec loads no SciPy
     integral, _ = quad(lambda t: math.log(t) / (t + 1.0), 1.0, SQRT_E,
                        epsabs=1e-13, epsrel=1e-13)
     delta1 = 1.0 - 2.0 * math.log(1.0 + SQRT_E) + 4.0 * integral
@@ -117,6 +116,7 @@ def power_residue_log_density_bound(m: int) -> ExtremalResult:
     # Multiples of m up to 15 standard deviations and 60 past the largest
     # mean; the Poisson masses beyond are below 1e-40.
     km = m * np.arange(1, math.ceil((beta_max + 15.0 * math.sqrt(beta_max) + 60.0) / m) + 1)
+    from scipy.special import gammaln  # here, so importing meanspec loads no SciPy
     log_norm = gammaln(km + 1.0)
 
     def f(beta):

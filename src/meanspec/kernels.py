@@ -20,7 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BudgetError, GridError, ValidationError
 
@@ -299,6 +298,7 @@ def rho_minus_correction(t: float) -> float:
         raise ValidationError("argument must be nonnegative")
     if t <= 2.0:
         return 0.0
+    from scipy.integrate import quad  # here, so importing meanspec loads no SciPy
     val, _err = quad(lambda v: math.log(v - 1.0) / v, 2.0, t,
                      epsabs=1e-12, epsrel=1e-12, limit=200)
     return 4.0 * val

@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .dde_solver import solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
@@ -61,8 +60,11 @@ def _powers(g: np.ndarray, h: float, k: int):
     the panel's left and right end from inside the panel: left[j] =
     g[j]/(jh) (zero for j = 0) and right[j] = g[j]/((j+1)h).  The two end
     sums share one folded kernel w[j] = left[j] + right[j-1].  I_j is
-    exactly zero on the nodes <= j*p0, p0 the first panel where g is nonzero.
+    exactly zero on the nodes <= j*p0, p0 the first panel where g is nonzero
+    (n - 1 when there is none), so every I_j with j*p0 >= n - 1 is +0.0 on
+    the whole grid: those powers are one shared read-only array of zeros.
     """
+    from scipy import fft as sfft  # here, so importing meanspec loads no SciPy
     n = len(g) + 1
     t_left = h * np.arange(n - 1)
     left = np.zeros_like(g)
@@ -75,19 +77,23 @@ def _powers(g: np.ndarray, h: float, k: int):
     p0 = int(support[0]) if support.size else n - 1
     real = not np.iscomplexobj(w)
     fwd, inv = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    zero = np.zeros(n, dtype=w.dtype)
+    zero.setflags(write=False)
     cur = np.ones(n, dtype=w.dtype)
     yield cur
     for j in range(1, k + 1):
+        if j * p0 >= n - 1:
+            yield zero
+            continue
         if j == 1:  # w * 1 is a running sum
             conv = np.cumsum(w)
             conv[:-1] -= left
         else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
             lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
             conv = np.zeros(n, dtype=w.dtype)
-            if m > 0:
-                size = sfft.next_fast_len(2 * m - 1, real)
-                conv[lo + p0:] = inv(fwd(cur[lo:lo + m], size)
-                                     * fwd(w[p0:p0 + m], size), size)[:m]
+            size = sfft.next_fast_len(2 * m - 1, real)
+            conv[lo + p0:] = inv(fwd(cur[lo:lo + m], size)
+                                 * fwd(w[p0:p0 + m], size), size)[:m]
         cur = 0.5 * h * conv
         cur[:j * p0 + 1] = 0
         yield cur
@@ -102,12 +108,18 @@ def _check_order(k: int, name: str = "k") -> None:
 
 def _partial_sums(g: np.ndarray, h: float, k: int):
     """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers
-    of kappa = g/t, given the panel values g."""
+    of kappa = g/t, given the panel values g.
+
+    A power that is _powers' shared zero array is not added.  That changes
+    no bit: I_0 = 1 holds no -0.0 and a sum is -0.0 only when both its terms
+    are, so no total holds a -0.0, the one value that adding 0 could change.
+    """
     powers = _powers(g, h, k)
     total = next(powers)
     yield total
     for j, power in enumerate(powers, start=1):
-        total = total + ((-1) ** j / math.factorial(j)) * power
+        if power.flags.writeable:
+            total = total + ((-1) ** j / math.factorial(j)) * power
         yield total
 
 

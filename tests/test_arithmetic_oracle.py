@@ -473,6 +473,21 @@ class TestRealAccumulator:
         assert seen == [np.float64]
         assert sieve_fields(r) == sieve_fields(event_list_sieve_sums(spec, 10 ** 4, (0.5,)))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64, np.complex128])
+    def test_dividing_by_the_int32_n_is_exact(self, rng, dtype):
+        # A segment's log sum divides acc by its int32 n directly; the cast
+        # inside the division must give the float64 copy's divisor bit for bit.
+        n = np.concatenate([np.arange(1, 2 ** 19 + 1, dtype=np.int32),
+                            np.arange(2 ** 31 - 2 ** 19, 2 ** 31 - 1, dtype=np.int32)])
+        if dtype is np.int8:
+            acc = rng.integers(-128, 128, n.size).astype(np.int8)
+        else:
+            acc = rng.standard_normal(n.size).astype(dtype)
+            if dtype is np.complex128:
+                acc += 1j * rng.standard_normal(n.size)
+        got, ref = np.true_divide(acc, n), acc / n.astype(np.float64)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
 
 class TestSieveSums:
     def test_exact_against_naive(self, rng):
@@ -578,8 +593,36 @@ class TestMeanVsSigma:
         with pytest.raises(ValidationError):
             mean_vs_sigma(CHI_MINUS, 1000.0, math.nan, 1e-3)
 
+    @pytest.mark.parametrize("u", [1e-3, 0.1, 0.5])
+    def test_u_below_one_rejected(self, u):
+        # The C*u/log(y) envelope holds for x = y^u >= y; below it the gap
+        # check failed as a ContractError (0.3690 against 0.2171 at u = 0.1).
+        with pytest.raises(ValidationError, match="at least 1"):
+            mean_vs_sigma(CHI_MINUS, 100.0, u, 1e-3)
+
+    @pytest.mark.parametrize("u, expected", [
+        (1.0, (1.0, 1.0, 0.0)),
+        (2.0, (-0.2568, -0.3862942986199039, 0.1294942986199039)),
+    ])
+    def test_u_from_one_keeps_its_values(self, u, expected):
+        assert mean_vs_sigma(CHI_MINUS, 100.0, u, 1e-3) == expected
+
 
 class TestLogMeanVsIntegral:
+    @pytest.mark.parametrize("u", [1e-3, 0.1, 0.5])
+    def test_u_below_one_rejected(self, u):
+        # Below x = y the gap check failed as a ContractError (216.1472
+        # against 0.0022 at u = 1e-3) instead of rejecting the input.
+        with pytest.raises(ValidationError, match="at least 1"):
+            log_mean_vs_integral(CHI_MINUS, 100.0, u, 1e-3)
+
+    @pytest.mark.parametrize("u, expected", [
+        (1.0, (1.1264247157299376, 1.0000000000000007, 0.12642471572993697)),
+        (2.0, (0.5970260188107877, 0.6137057013800962, 0.016679682569308518)),
+    ])
+    def test_u_from_one_keeps_its_values(self, u, expected):
+        assert log_mean_vs_integral(CHI_MINUS, 100.0, u, 1e-3) == expected
+
     @pytest.mark.parametrize("u", [math.nan, 0.0, -1.0])
     def test_u_without_a_log_mean_rejected(self, u):
         # u = 0 gives x = 1, whose log the mean divides by.

@@ -403,11 +403,39 @@ class TestInputBudgets:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_import_loads_neither_scipy_signal_nor_stats():
-    # scipy.signal, which loads scipy.stats, cost every run start-up time and memory.
+def test_scipy_loads_only_on_first_use():
+    # SciPy's submodules are most of a cold start's import time; the solver,
+    # the sieve, the density and the search need none, and an envelope only
+    # scipy.fft.  A wrongly named local import fails only where it runs first,
+    # so each checkpoint also runs its path.
     src = os.path.dirname(os.path.dirname(os.path.abspath(meanspec.__file__)))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import meanspec.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    code = f"""
+import json, sys
+sys.path.insert(0, {src!r})
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import meanspec, meanspec.cli
+from meanspec import arithmetic_oracle as oracle
+from meanspec.dde_solver import solve_sigma
+from meanspec.extremal_search import truncated_kernel_min_mean
+from meanspec.kernels import StepFunction
+from meanspec.series_bounds import sandwich
+chi = StepFunction((1.0,), (1.0,), -1.0)
+out = {{"import": loaded()}}
+solve_sigma(chi, 4.0, 1e-3)
+spec = oracle.MultiplicativeSpec.step(chi, 1000.0)
+oracle.sieve_sums(spec, 10 ** 6)
+oracle.mth_root_log_density(spec, 10 ** 5, 2)
+truncated_kernel_min_mean(1.0, m_steps=3, u_grid=(2.0,), restarts=1, h=1e-3, sweeps=1)
+out["numpy paths"] = loaded()
+sandwich(chi, 6, 4.0, 1e-3)
+out["sandwich"] = loaded()
+print(json.dumps(out))
+"""
+    out = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, check=True, timeout=120).stdout)
+    assert out["import"] == []
+    assert out["numpy paths"] == []
+    assert "scipy.fft" in out["sandwich"]
+    assert "scipy.integrate" not in out["sandwich"]
+    assert "scipy.optimize" not in out["sandwich"]

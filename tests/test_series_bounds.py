@@ -223,6 +223,42 @@ class TestEngine:
             if j * p0 < 8000:
                 assert samples[j * p0 + 1:].any()
 
+    @pytest.mark.parametrize("chi, u_max, nonzero", [
+        (CHI_MINUS, 1.5, 1), (CHI_MINUS, 2.5, 2), (CHI_REAL, 3.5, 3),
+        (StepFunction((1.5,), (1.0,), -1.0), 7.0, 4), (CHI_MINUS, 5.5, 5),
+        (CHI_COMPLEX, 2.5, 2), (StepFunction(), 4.0, 0),
+    ])
+    def test_zero_powers_are_one_shared_read_only_array(self, chi, u_max, nonzero):
+        h = 1e-3
+        g = 1.0 - chi.panel_values(_grid_steps(u_max, h), h)
+        powers = list(_powers(g.real if chi.is_real else g, h, 12))
+        assert all(p.flags.writeable and p.any() for p in powers[:nonzero + 1])
+        zero = powers[nonzero + 1]
+        assert not zero.flags.writeable
+        assert all(p is zero for p in powers[nonzero + 1:])
+        assert not np.signbit(zero.view(np.float64)).any() and not zero.any()
+
+    @pytest.mark.parametrize("chi, u_max", [
+        (CHI_MINUS, 1.5), (CHI_MINUS, 2.5), (CHI_REAL, 3.5),
+        (StepFunction((1.5,), (1.0,), -1.0), 7.0), (CHI_MINUS, 5.5),
+        (CHI_COMPLEX, 2.5), (CHI_COMPLEX, 5.5), (StepFunction(), 4.0),
+    ])
+    def test_partial_sums_match_adding_every_power(self, chi, u_max):
+        # The reference adds the exact-zero powers too, as every order did
+        # before those were skipped.
+        h = 1e-3
+        g = 1.0 - chi.panel_values(_grid_steps(u_max, h), h)
+        if chi.is_real:
+            g = g.real
+        ref = []
+        for j, power in enumerate(_powers(g, h, 12)):
+            ref.append(power if j == 0 else
+                       ref[-1] + ((-1) ** j / math.factorial(j)) * power)
+        got = list(_partial_sums(g, h, 12))
+        assert len(got) == len(ref) == 13
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("chi, p0", [
         (StepFunction((1.0, 3.2), (1.0, -0.4), 0.7), 1000),
         (StepFunction((1.5,), (1.0,), -1.0), 1500),
