@@ -177,7 +177,7 @@ def _check_residual(sigma: np.ndarray, breaks, values: np.ndarray, h: float,
     cap *= RESIDUAL_TOL
     resid -= cap
     worst = float(np.max(resid, initial=0.0))
-    if worst > 0.0:
+    if not worst <= 0.0:  # NaN fails too
         raise ContractError(f"solver self-consistency residual exceeded by {worst:.3e}")
 
 
@@ -186,11 +186,12 @@ def _check_contracts(sigma: np.ndarray, avg: np.ndarray, m1: int) -> None:
     past u = 1, in every column of a batch (of any width, also none)."""
     if not np.all(sigma[: m1 + 1] == 1):
         raise ContractError("sigma must equal 1 exactly on [0, 1]")
+    # Written so that NaN, which np.max propagates, fails each comparison.
     overshoot = float(np.max(np.abs(sigma), initial=1.0)) - 1.0
-    if overshoot > 1e-9:
+    if not overshoot <= 1e-9:
         raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
     growth = float(np.max(np.diff(avg[m1:], axis=0), initial=0.0))
-    if growth > 1e-9:
+    if not growth <= 1e-9:
         raise ContractError(f"running average increased past u=1 by {growth:.3e}")
 
 

@@ -21,8 +21,8 @@ from numpy.polynomial import chebyshev as cheb
 
 from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
-from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_steps,
-                      dickman_rho, rho_minus_correction)
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_point,
+                      _grid_steps, dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -363,9 +363,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         n = _grid_steps(u_top, h)
         chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
         # sigma(target) interpolates linearly from node i_t on, as GridFunction.value_at.
-        x = min(target / h, float(n))
-        i_t = min(int(x), n - 1)
-        frac = x - i_t
+        i_t, frac = _grid_point(target, h, n)
 
         def solve(levels: np.ndarray) -> np.ndarray:
             """sigma(target) for the kernel of each row of levels, in batched marches."""

@@ -180,9 +180,7 @@ class GridFunction:
             raise ValidationError(f"u={u} outside [0, {self.u_max}]")
         if len(self.samples) == 1:
             return self.samples[0]
-        x = min(max(u, 0.0) / self.h, len(self.samples) - 1.0)
-        j = min(int(x), len(self.samples) - 2)
-        frac = x - j
+        j, frac = _grid_point(u, self.h, len(self.samples) - 1)
         s = self.samples
         return s[j] + frac * (s[j + 1] - s[j])
 
@@ -195,6 +193,15 @@ class GridFunction:
         rows = map("{:.12g},{:.12g},{:.12g}".format,
                    self.u.tolist(), s.real.tolist(), s.imag.tolist())
         return "\n".join(["u,re,im", *rows]) + "\n"
+
+
+def _grid_point(u: float, h: float, n: int):
+    """(j, frac) with u = (j + frac) * h, u clamped to the grid 0, h, ...,
+    n*h (n >= 1) and j <= n - 1: linear interpolation at u reads nodes j
+    and j + 1 with weights 1 - frac and frac."""
+    x = min(max(u, 0.0) / h, float(n))
+    j = min(int(x), n - 1)
+    return j, x - j
 
 
 def _trapezoid_cumulative(s: np.ndarray, h: float) -> np.ndarray:

@@ -225,8 +225,9 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
         s = solve_sigma(chi, u_max, h).sigma.samples[:n].real
         tail = tail_envelope(k_max, u_max, h)
         lower, upper = powers.result()
-    worst = max(float(np.max(lower - s)), float(np.max(s - upper)))
-    if worst > tol:
+    # np.maximum and np.max propagate NaN, and NaN fails the comparison.
+    worst = float(np.max(np.maximum(lower - s, s - upper)))
+    if not worst <= tol:
         raise ContractError(f"envelope violated by {worst:.3e} (slack {tol:.1e})")
     return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper), tail)
 
@@ -266,7 +267,7 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     }
     for label, gap in checks.items():
         worst = float(np.max(gap))
-        if worst > tol:
+        if not worst <= tol:  # NaN fails too
             raise ContractError(f"{label} by {worst:.3e} (slack {tol:.1e})")
 
     return BoundsReport(

@@ -213,11 +213,9 @@ def ang(target) -> float:
     if isinstance(target, RegionCloud):
         return SetSpec._angle_of(target.points)
     z = complex(target)
-    if abs(z) > 1.0 + DISC_TOL:
+    if not abs(z) <= 1.0 + DISC_TOL:  # NaN fails too
         raise ValidationError(f"point {z} outside the closed unit disc")
-    if abs(z - 1.0) <= 1e-14:
-        return 0.0
-    return abs(cmath.phase(1.0 - z))
+    return SetSpec._angle_of([z])
 
 
 @dataclass(frozen=True)

@@ -710,6 +710,13 @@ class TestKronecker:
     def test_completely_multiplicative(self, D, a, b):
         assert kronecker(D, a * b) == kronecker(D, a) * kronecker(D, b)
 
+    def test_odd_primes_match_euler_criterion(self):
+        # (r/p) = r^((p-1)/2) mod p for odd primes p, read as -1, 0 or 1.
+        for p in primes_upto(200).tolist()[1:]:
+            for r in range(1, p):
+                euler = pow(r, (p - 1) // 2, p)
+                assert kronecker(r, p) == (euler - p if euler > 1 else euler)
+
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
             kronecker(0, 3)
@@ -755,6 +762,37 @@ class TestSubsetSumCounts:
             subset_sum_counts([1, 1], [2, 1], 2)
         with pytest.raises(ValidationError):
             subset_sum_counts([1], None, 1)
+
+    @pytest.mark.parametrize("m", [2.5, math.nan, math.inf, -math.inf, "3", None])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            subset_sum_counts([1, 2], None, m)
+
+    def test_integral_float_m_accepted(self):
+        assert subset_sum_counts([1, 1], None, 2.0) == subset_sum_counts([1, 1], None, 2)
+
+    def test_step_budget_edge(self, monkeypatch):
+        # a = 2 has cycle 3 mod 6, a = 3 cycle 2 and a = 0 cycle 1, so R = 5
+        # adds 3, 2 and 1 copies: 6 * (1 + 3 + 2 + 1) = 42 count updates.
+        args = ([2, 3, 0], [5, 5, 5], 6)
+        count = subset_sum_counts(*args)
+        monkeypatch.setattr(arithmetic_oracle, "MAX_SUBSET_STEPS", 42)
+        assert subset_sum_counts(*args) == count
+        monkeypatch.setattr(arithmetic_oracle, "MAX_SUBSET_STEPS", 41)
+        with pytest.raises(BudgetError, match="42 count updates exceed the budget 41"):
+            subset_sum_counts(*args)
+
+    @pytest.mark.parametrize("m", [10 ** 7, 10 ** 18])
+    def test_step_budget_before_any_list(self, m):
+        # 10^18 counts would be 8 EB of list; the budget raises first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="count updates exceed"):
+                subset_sum_counts([1, 1], None, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMthRootDensity:
@@ -1045,6 +1083,51 @@ THREAD_SPECS = [
 ]
 
 
+class TestWheelTile:
+    """Each segment starts s and an exact acc from the wheel pattern at the
+    phase of its first integer lo: entry k of the pattern belongs to the
+    integers = k + 1 modulo the period."""
+
+    @pytest.mark.parametrize("base, period", [([11, 13], 1), ([2, 3, 5, 11], 720),
+                                              ([2, 3, 5, 7, 11], 5040)])
+    @pytest.mark.parametrize("seg", [7, 719, 5039, 5041, 12000])
+    def test_segments_start_at_their_phase(self, monkeypatch, base, period, seg):
+        x = 3 * 5040 + 11
+        tops = [arithmetic_oracle._WHEEL_TOPS.get(p, 1) for p in base]
+        assert math.prod(tops) == period
+        weights = [10 ** i for i in range(len(base))]
+
+        def pattern_only(a, v, out=None):
+            """np.add while the pattern is built; a no-op in the strided loop."""
+            return a if out is not None else np.add(a, v)
+
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
+        parts = arithmetic_oracle._factor_segments(
+            x, np.array(base), weights, pattern_only, 0, np.int64,
+            finish=lambda n, acc, rem: (n.copy(), acc.copy(), rem.copy()))
+        n = np.concatenate([part[0] for part in parts])
+        acc = np.concatenate([part[1] for part in parts])
+        rem = np.concatenate([part[2] for part in parts])
+        assert n.tolist() == list(range(1, x + 1))
+        # acc is the pattern itself: each wheel power up to its top, weighted.
+        pattern = np.zeros(period, dtype=np.int64)
+        for p, w, top in zip(base, weights, tops):
+            q = p
+            while q <= top:
+                pattern[q - 1::q] += w
+                q *= p
+        assert np.array_equal(acc, pattern[(n - 1) % period])
+        # s, the pattern times the strided powers above the tops, is the
+        # base-smooth part of n.
+        smooth = np.ones(x, dtype=np.int64)
+        for p in base:
+            q = p
+            while q <= x:
+                smooth[q - 1::q] *= p
+                q *= p
+        assert np.array_equal(n // rem, smooth)
+
+
 class TestSegmentThreads:
     """Segments run SEGMENT_THREADS at a time; the results do not depend on
     how many, and no worker outlives a call."""
@@ -1143,3 +1226,67 @@ class TestDiscriminantAverage:
         monkeypatch.setattr(ao, "MAX_KRONECKER_TERMS", terms - 1)
         with pytest.raises(BudgetError):
             discriminant_char_average(10 ** 4, 1.0, 2, {2: 1})
+
+    @pytest.mark.parametrize("z", [2.5, math.nan, math.inf, "7"])
+    def test_non_integer_z_rejected(self, z):
+        with pytest.raises(ValidationError, match="z must be an integer"):
+            discriminant_char_average(10 ** 4, 1.0, z, {2: 1})
+
+    def test_z_above_x_rejected_before_the_prime_sieve(self):
+        # primes_upto(10^8) alone would take a 100 MB mask.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"z must lie in \[2, X\]"):
+                discriminant_char_average(10 ** 5, 1.0, 10 ** 8, {2: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_z_equal_to_x_allowed(self):
+        # f = 1 at every prime <= 100 pins D = 1 mod 8 and 1 mod each odd p.
+        signs = {int(p): 1 for p in primes_upto(100)}
+        res = discriminant_char_average(100, 1.0, 100, signs)
+        assert res.count == 1 and res.progression[0] == 1
+
+    @pytest.mark.parametrize("B", [-1e-9, -1.0])
+    def test_negative_b_rejected(self, B):
+        with pytest.raises(ValidationError, match="B must be finite and nonnegative"):
+            discriminant_char_average(10 ** 4, B, 2, {2: 1})
+
+    def test_zero_b_sums_one_term(self):
+        res = discriminant_char_average(10 ** 4, 0.0, 3, {2: -1, 3: 1})
+        assert res.average == 1.0 and res.truncated_sum == 1.0
+
+    # X, z and the values of B; the largest X pairs only with the smaller
+    # B or the wider progressions, to keep the Kronecker loop short.
+    TRUNCATION_CASES = [(X, z, B) for X in (10 ** 2, 10 ** 3, 10 ** 4) for z in (2, 3, 5, 7)
+                        for B in (0.0, 0.3, 1.0, 1.7, 2.5)]
+    TRUNCATION_CASES += [(10 ** 5, z, B) for z in (2, 3) for B in (0.0, 0.6, 1.2)]
+    TRUNCATION_CASES += [(10 ** 5, z, B) for z in (5, 7) for B in (0.0, 0.9, 1.8, 2.5)]
+
+    def test_truncated_sum_matches_trial_division(self, rng):
+        def trial_division_sum(N, signs):
+            """sum_{n <= N} f(n), f(p) = signs[p] for p <= z and 0 above."""
+            total = 0.0 + 0.0j
+            for n in range(1, N + 1):
+                m, val = n, 1.0 + 0.0j
+                for p, sign in signs.items():
+                    while m % p == 0:
+                        val *= sign
+                        m //= p
+                total += val if m == 1 else 0.0
+            return total
+
+        checked = 0
+        for X, z, B in self.TRUNCATION_CASES:
+            signs = {p: int(rng.choice([-1, 1])) for p in (2, 3, 5, 7) if p <= z}
+            try:
+                res = discriminant_char_average(X, B, z, signs)
+            except ValidationError as exc:
+                assert "no fundamental discriminants" in str(exc)
+                continue
+            N = int(math.log(X) ** B + 1e-9)
+            assert repr(res.truncated_sum) == repr(trial_division_sum(N, signs))
+            checked += 1
+        assert checked >= 50

@@ -295,6 +295,43 @@ class TestValidator:
             _check_contracts(s, average(s), m1)
 
 
+class TestNaNFailsTheContracts:
+    """A NaN in the march's output fails a certified check, residual on or off."""
+
+    @staticmethod
+    def poison_march(monkeypatch, node, column=()):
+        march = dde_solver._march
+
+        def poisoned(*args):
+            sigma = march(*args)
+            sigma[(node,) + column] = np.nan
+            return sigma
+
+        monkeypatch.setattr(dde_solver, "_march", poisoned)
+
+    @pytest.mark.parametrize("check_residual, message", [(False, "exceeded 1 by nan"),
+                                                         (True, "residual exceeded by nan")])
+    @pytest.mark.parametrize("node", [150, -1])
+    def test_one_kernel(self, monkeypatch, check_residual, message, node):
+        self.poison_march(monkeypatch, node)
+        with pytest.raises(ContractError, match=message):
+            dde_solver._solve_rows(CHI_MINUS.breaks, segments(CHI_MINUS), 3.0, 0.01,
+                                   check_residual=check_residual)
+
+    @pytest.mark.parametrize("check_residual", [False, True])
+    def test_one_column_of_a_batch(self, monkeypatch, check_residual):
+        self.poison_march(monkeypatch, 250, (1,))
+        rows = np.array([[1.0, -1.0], [1.0, 0.5], [1.0, 0.0]])
+        with pytest.raises(ContractError, match="by nan"):
+            dde_solver._solve_rows((1.0,), rows, 3.0, 0.01, check_residual=check_residual)
+
+    def test_solve_sigma(self, monkeypatch):
+        # Before GridFunction sees the samples.
+        self.poison_march(monkeypatch, -1)
+        with pytest.raises(ContractError, match="residual exceeded by nan"):
+            solve_sigma(CHI_MINUS, 3.0, 0.01)
+
+
 class TestResidualConvolution:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_matches_shifted_copy_form(self, rng, h):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, GridError, ValidationError
-from meanspec.kernels import (MAX_DELAY_U, SQRT_E, GridFunction, StepFunction,
-                              dickman_rho, dickman_rho_grid, rho_minus,
+from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, SQRT_E, GridFunction, StepFunction,
+                              _grid_point, dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
@@ -108,6 +108,34 @@ class TestGridFunction:
         g = GridFunction(0.5, np.array([0.0, 1.0, 4.0]))
         with pytest.raises(ValidationError):
             g.value_at(u)
+
+
+class TestGridPoint:
+    """_grid_point is the one interpolation rule: value_at reads its nodes
+    and weight from it, and so does the extremal search at sigma(B*u)."""
+
+    SAMPLES = np.array([0.3, -1.2, 4.0, 2.5, -0.7])
+
+    @pytest.mark.parametrize("u", [0.1, 0.25, 0.5, 0.7, 1.0 - 1e-12, 1.25, 1.9, 2.0 / 3.0])
+    def test_interior_points_match_value_at(self, u):
+        j, frac = _grid_point(u, 0.5, 4)
+        assert j == math.floor(u / 0.5) and 0.0 <= frac < 1.0
+        s = self.SAMPLES
+        assert GridFunction(0.5, s).value_at(u) == s[j] + frac * (s[j + 1] - s[j])
+
+    @pytest.mark.parametrize("u, node", [(0.0, (0, 0.0)), (2.0, (3, 1.0)),
+                                         (-0.5 * ALIGN_TOL, (0, 0.0)),
+                                         (2.0 + 0.5 * ALIGN_TOL, (3, 1.0))])
+    def test_end_nodes_and_clamped_ends(self, u, node):
+        # The last node reads as the end of the last interval, so j + 1 is a node.
+        assert _grid_point(u, 0.5, 4) == node
+        j, frac = node
+        s = self.SAMPLES
+        assert GridFunction(0.5, s).value_at(u) == s[j] + frac * (s[j + 1] - s[j])
+
+    def test_one_interval(self):
+        assert _grid_point(0.04, 0.1, 1) == (0, 0.04 / 0.1)
+        assert _grid_point(0.1, 0.1, 1) == (0, 1.0)
 
 
 class TestDickmanRho:

@@ -452,6 +452,49 @@ class TestComplexBounds:
             complex_bounds(k, 6.0, 1e-2, slack=-1.0)
 
 
+class TestNaNFailsTheEnvelopes:
+    """A NaN in the convolution powers fails the envelope checks, before
+    GridFunction sees the samples."""
+
+    @staticmethod
+    def poison_powers(monkeypatch):
+        powers = series_bounds._powers
+
+        def poisoned(g, h, k):
+            for j, power in enumerate(powers(g, h, k)):
+                if j:
+                    power = power.copy()
+                    power[-1] = np.nan
+                yield power
+
+        monkeypatch.setattr(series_bounds, "_powers", poisoned)
+
+    def test_sandwich(self, monkeypatch):
+        self.poison_powers(monkeypatch)
+        with pytest.raises(ContractError, match="envelope violated by nan"):
+            sandwich(CHI_REAL, 4, 4.0, 1e-2)
+
+    def test_sandwich_upper_side_only(self, monkeypatch):
+        # Only the even order k_up = 2 sees the NaN; lower - s stays finite.
+        powers = series_bounds._powers
+
+        def poisoned(g, h, k):
+            for j, power in enumerate(powers(g, h, k)):
+                if j == 2:
+                    power = power.copy()
+                    power[-1] = np.nan
+                yield power
+
+        monkeypatch.setattr(series_bounds, "_powers", poisoned)
+        with pytest.raises(ContractError, match="envelope violated by nan"):
+            sandwich(CHI_REAL, 2, 4.0, 1e-2)
+
+    def test_complex_bounds(self, monkeypatch):
+        self.poison_powers(monkeypatch)
+        with pytest.raises(ContractError, match="by nan"):
+            complex_bounds(CHI_COMPLEX, 4.0, 1e-2)
+
+
 def serial_sandwich(chi: StepFunction, k_max: int, u_max: float, h: float):
     """(lower, upper, tail) of sandwich, one stage after the other on this thread."""
     n = _grid_steps(u_max, h) + 1

@@ -45,6 +45,16 @@ class TestAng:
         with pytest.raises(ValidationError):
             ang(1.5 + 0.2j)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan),
+                                   complex(math.inf, math.nan)])
+    def test_non_finite_point_rejected(self, z):
+        with pytest.raises(ValidationError, match="outside the closed unit disc"):
+            ang(z)
+
+    def test_point_matches_set_angle(self):
+        for z in (1.0, 1.0 - 1e-15, -1.0, 1j, 0.5 + 0.5j, complex(math.cos(0.1), math.sin(0.1))):
+            assert ang(z) == ang(SetSpec.from_points([1.0, z]))
+
 
 class TestSetSpec:
     def test_must_contain_one(self):
