@@ -204,8 +204,6 @@ def check_sign_changes_and_min_mean() -> CheckResult:
 
 def _region_hull_samples(poly, per_edge: int = 200) -> np.ndarray:
     poly = [complex(p) for p in poly]
-    if len(poly) == 1:
-        return np.asarray(poly)
     closed = poly + [poly[0]] if len(poly) > 2 else poly
     pts = []
     for a, b in zip(closed, closed[1:]):

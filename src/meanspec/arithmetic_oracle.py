@@ -59,13 +59,13 @@ def _segment_length() -> int:
         cap = max(1, int(budget_mb))
     except ValueError:
         raise ValidationError(f"SPECTRUM_BUDGET_MB={budget_mb!r} is not an integer")
-    # tracemalloc, which traces the worker threads too, peaks at 56 bytes per
-    # integer of each segment in flight in sieve_sums on a complex spec with
-    # an extra weight, plus about 170 kB per thread of numpy cast buffers and
-    # wheel patterns (48 bytes without the weight, 32-40 on a float64 spec,
-    # 25-33 on an int8 one, 18 in mth_root_log_density).  With two segments
-    # in flight, 224 bytes per segment integer keeps the peak at 0.73 of a
-    # 1 MB budget (160 reads 0.98).
+    # tracemalloc, which traces the worker threads too, peaks at 48 bytes per
+    # integer of each segment in flight in sieve_sums on a complex spec, plus
+    # 30-180 kB per thread of numpy cast buffers and wheel patterns (32 on a
+    # float64 spec, 16 on an int8 one, 14-18 in mth_root_log_density).  With
+    # two segments in flight, 224 bytes per segment integer keeps the peak at
+    # 0.59 of a 1 MB budget; a smaller constant would change the budgeted
+    # segment lengths, and with them the last bits of the float sums.
     return max(1 << 12, min(DEFAULT_SEGMENT, cap * (1 << 20) // 224))
 
 
@@ -232,7 +232,6 @@ class SieveResult:
     log_sum: complex
     theta: complex
     prime_deficit: float
-    extra_weight_sums: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if abs(self.partial_sum) > self.x * (1.0 + 1e-12):
@@ -375,12 +374,11 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
     return results
 
 
-def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResult:
+def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
     """Exact sums of f over n <= x by a segmented factorization sieve.
 
     Returns sum f(n), sum f(n)/n, the Euler product over p <= x of
-    (1 + f(p)/p + ...)(1 - 1/p), the prime deficit sum |1 - f(p)|/p, and
-    optionally sum f(n)/n^s for each requested exponent s.
+    (1 + f(p)/p + ...)(1 - 1/p) and the prime deficit sum |1 - f(p)|/p.
 
     f(n) accumulates in int8 when every palette value is -1, 0 or 1 (so
     the partial sums are exact integers), in float64 for other real
@@ -392,7 +390,6 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     x = _check_budget(x)
     partial = 0.0 + 0.0j
     logsum = 0.0 + 0.0j
-    extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
     palette = spec.palette
@@ -404,13 +401,10 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
     ps = base.astype(np.float64)
     theta *= _theta_factor_product(ps, fp_base)
     deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
-    # The workers read their own copy of the exponents; only this thread
-    # writes the sums.
-    powers = tuple(extras)
 
     def finish(n, acc, rem):
-        """(sum f, sum f/n, [sum f/n^s], (theta factor, deficit) or None
-        without primes above sqrt(x)) over one segment."""
+        """(sum f, sum f/n, (theta factor, deficit) or None without primes
+        above sqrt(x)) over one segment."""
         fr = palette[_cofactor_slots(spec, x, rem)]
         acc *= fr
         # rem == n at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
@@ -422,21 +416,17 @@ def sieve_sums(spec: MultiplicativeSpec, x: int, extra_weights=()) -> SieveResul
             primes = (_theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps)))
         del fr, at, fp, ps
         # Dividing by the int32 n casts it to the exact float64 values that
-        # a float64 copy would hold; only the extra weights make that copy.
-        return (complex(np.sum(acc)), complex(np.sum(np.true_divide(acc, n))),
-                [complex(np.sum(acc / n.astype(np.float64) ** s)) for s in powers],
-                primes)
+        # a float64 copy would hold.
+        return complex(np.sum(acc)), complex(np.sum(np.true_divide(acc, n))), primes
 
-    for part, log_part, extra_parts, primes in _factor_segments(
+    for part, log_part, primes in _factor_segments(
             x, base, fp_base, np.multiply, 1, palette.dtype, finish=finish):
         if primes is not None:
             theta *= primes[0]
             deficit += primes[1]
         partial += part
         logsum += log_part
-        for s, e in zip(powers, extra_parts):
-            extras[s] += e
-    return SieveResult(x, partial, logsum, theta, deficit, extras)
+    return SieveResult(x, partial, logsum, theta, deficit)
 
 
 def naive_sums(spec: MultiplicativeSpec, x: int):
@@ -547,13 +537,11 @@ def _integer(value, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value}")
 
 
-def _crt(residues, moduli) -> int:
-    a, m = 0, 1
-    for r, q in zip(residues, moduli):
-        diff = (r - a) % q
-        a += m * (diff * pow(m, -1, q) % q)
-        m *= q
-    return a % m
+def _product(factors: list) -> int:
+    """prod(factors) over a balanced tree; math.prod's running product is quadratic."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def _squarefree_mask(limit: int) -> np.ndarray:
@@ -601,18 +589,25 @@ def discriminant_char_average(X: int, B: float, z: int, f_signs: dict) -> Discri
     for p in small:
         if f_signs.get(p) not in (1, -1):
             raise ValidationError(f"f_signs must fix +-1 at every prime <= z (missing {p})")
-    moduli = [8] + [p for p in small if p != 2]
+    moduli = [8] + small[1:]
     residues = [1 if f_signs[2] == 1 else 5]
-    for p in moduli[1:]:
-        r = next(r for r in range(1, p) if kronecker(r, p) == f_signs[p])
-        residues.append(r)
-    P = 4 * math.prod(small)
-    a = _crt(residues, moduli)
-
+    for p in small[1:]:
+        residues.append(next(r for r in range(1, p) if kronecker(r, p) == f_signs[p]))
+    # CRT until the modulus m passes X.  From there a mod m holds at most one
+    # D <= X, a itself, which is in the progression if it meets the remaining
+    # congruences, and is then their CRT value mod P too.
+    a, m, k = 0, 1, 0
+    while k < len(moduli) and m <= X:
+        q = moduli[k]
+        a += m * ((residues[k] - a) * pow(m, -1, q) % q)
+        m *= q
+        k += 1
+    rest = list(zip(residues[k:], moduli[k:]))
     sqfree = _squarefree_mask(X)
-    discs = [d for d in range(a, X + 1, P) if sqfree[d]]
+    discs = [d for d in range(a, X + 1, m) if sqfree[d] and all(d % q == r for r, q in rest)]
     if not discs:
-        raise ValidationError(f"no fundamental discriminants <= {X} in {a} mod {P}")
+        raise ValidationError(f"no fundamental discriminants <= {X} in the progression "
+                              f"that the signs at the primes <= {z} fix")
 
     # Past B = 64, N > 4.6^64 > 10^42 is over budget; the cap keeps it finite.
     N = int(math.log(X) ** min(B, 64.0) + 1e-9)
@@ -627,7 +622,7 @@ def discriminant_char_average(X: int, B: float, z: int, f_signs: dict) -> Discri
     # f is 0 above z, so its values are 1, +-1 and 0 and the int8 sieve sum is exact.
     fsum = sieve_sums(MultiplicativeSpec.from_table({p: f_signs[p] for p in small}, 0.0),
                       N).partial_sum
-    return DiscriminantAverage(complex(average), fsum, len(discs), (a, P))
+    return DiscriminantAverage(complex(average), fsum, len(discs), (a, _product(moduli)))
 
 
 #: Count updates m * (1 + sum_i min(R_i, cycle_i)) per subset_sum_counts

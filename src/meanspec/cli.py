@@ -24,7 +24,7 @@ from . import series_bounds as series
 from . import spectrum_region as region
 from .acceptance import run_suite
 from .dde_solver import solve_sigma
-from .errors import BudgetError, ContractError, GridError, ValidationError
+from .errors import BudgetError, ContractError, ValidationError
 from .kernels import GridFunction, StepFunction
 
 
@@ -217,14 +217,12 @@ def _cmd_spectrum(args) -> int:
                 f"contour needs a set with angle in (0, pi/2); got {theta}")
         cloud = region.sector_set_contour(theta)
         _emit(args, _points_csv(cloud.points))
-    elif args.what == "logregion":
+    else:  # logregion
         poly = region.log_spectrum_region(S, args.depth)
         closed = list(poly) + [poly[0]] if len(poly) > 1 else list(poly)
         _emit(args, _json_dumps(
             {"set": S.label, "depth": args.depth,
              "vertices": [[z.real, z.imag] for z in closed]}))
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValidationError(f"unknown artifact {args.what!r}")
     return 0
 
 
@@ -353,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, GridError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ContractError as exc:

@@ -5,7 +5,7 @@ class ValidationError(ValueError):
     """Input violates a documented precondition or invariant."""
 
 
-class GridError(ValueError):
+class GridError(ValidationError):
     """Grid configuration problem: mismatched step or unaligned breakpoint."""
 
 

@@ -93,8 +93,6 @@ class StepFunction:
     def __call__(self, t: float) -> complex:
         if t < 0:
             raise ValidationError("kernel argument must be nonnegative")
-        if not self.breaks:
-            return self.tail
         k = bisect_right(self.breaks, t)
         return self.values[k] if k < len(self.breaks) else self.tail
 
@@ -112,12 +110,8 @@ class StepFunction:
         """
         self.require_aligned(h)
         segs = np.asarray(self.segment_values(), dtype=np.complex128)
-        if not self.breaks:
-            out = np.full(n_panels, segs[0])
-        else:
-            marks = np.array([round(b / h) for b in self.breaks], dtype=np.int64)
-            idx = np.searchsorted(marks, np.arange(n_panels), side="right")
-            out = segs[idx]
+        marks = np.array([round(b / h) for b in self.breaks], dtype=np.int64)
+        out = segs[np.searchsorted(marks, np.arange(n_panels), side="right")]
         return out.real.copy() if self.is_real else out
 
     def to_json(self) -> str:
@@ -169,10 +163,6 @@ class GridFunction:
     @property
     def u(self) -> np.ndarray:
         return self.h * np.arange(len(self.samples))
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.samples)
 
     def value_at(self, u: float):
         """Linear interpolation between the two neighbouring samples."""

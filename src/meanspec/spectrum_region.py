@@ -46,6 +46,9 @@ DISC_COEFF = 28.0 / 411.0
 #: 1 - PROJ_COEFF * cos^2(theta).
 PROJ_COEFF = 56.0 / 411.0
 
+#: Slack of the disc, projection and spiral-envelope checks.
+CONTAINMENT_TOL = 1e-9
+
 
 def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
@@ -76,10 +79,7 @@ def convex_hull(points):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # fully collinear input collapses the chains
-        return [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def point_in_polygon(z, poly, eps: float = GEOM_EPS):
@@ -226,15 +226,12 @@ class RegionCloud:
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=np.complex128)
-        if np.any(np.abs(arr) > 1.0 + DISC_TOL):
+        if not np.all(np.abs(arr) <= 1.0 + DISC_TOL):  # NaN fails too
             worst = float(np.max(np.abs(arr)))
             raise ValidationError(f"cloud escapes the unit disc: max |z| = {worst}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def euler_spiral_cloud(S: SetSpec, k_max: float = 8.0, n_alpha: int = 40,
@@ -299,10 +296,8 @@ def special_radii(spec: dict) -> float:
 
 
 def _contour_inner_integral(u: float) -> float:
-    """int_1^{u-1} log(u-t)/t dt by adaptive quadrature (abs err <= 1e-9)."""
+    """int_1^{u-1} log(u-t)/t dt, u > 2, by adaptive quadrature (abs err <= 1e-9)."""
     from scipy.integrate import quad
-    if u <= 2.0:
-        return 0.0
     val, _ = quad(lambda t: math.log(u - t) / t, 1.0, u - 1.0,
                   epsabs=1e-10, epsrel=1e-10, limit=200)
     return val
@@ -399,8 +394,7 @@ def log_spectrum_region(S: SetSpec, depth: int):
     return tuple(hull)
 
 
-def containment_report(cloud: RegionCloud, S: SetSpec,
-                       *, log_products: bool = False, tol: float = 1e-9) -> dict:
+def containment_report(cloud: RegionCloud, S: SetSpec, *, log_products: bool = False) -> dict:
     """Verify the disc, projection, and spiral-envelope containments.
 
     Returns a report with per-check violation lists (never raises).  The
@@ -427,7 +421,7 @@ def containment_report(cloud: RegionCloud, S: SetSpec,
         report["disc_center_cap"] = (0.5 * (1.0 - math.exp(-math.pi / math.tan(theta)))
                                      if theta > 0 else 0.5)
         report["checks_run"].append("disc")
-        bad = np.abs(pts - centre) > (1.0 - centre) + tol
+        bad = np.abs(pts - centre) > (1.0 - centre) + CONTAINMENT_TOL
         report["disc_violations"] = [complex(z) for z in pts[bad]]
     if S.on_unit_circle():
         bound = 1.0 - PROJ_COEFF * math.cos(theta) ** 2
@@ -437,7 +431,7 @@ def containment_report(cloud: RegionCloud, S: SetSpec,
             if abs(zeta - 1.0) <= 1e-12:
                 continue
             proj = (np.conjugate(zeta) * pts).real
-            bad = proj > bound + tol
+            bad = proj > bound + CONTAINMENT_TOL
             report["projection_violations"].extend(
                 (complex(zeta), complex(z)) for z in pts[bad])
     if log_products and 0.0 < theta < math.pi / 2:
@@ -445,7 +439,7 @@ def containment_report(cloud: RegionCloud, S: SetSpec,
         report["checks_run"].append("envelope")
         mod = np.abs(pts)
         cap = math.cos(delta) ** (np.abs(np.angle(pts)) / delta)
-        bad = mod > cap + tol
+        bad = mod > cap + CONTAINMENT_TOL
         report["envelope_violations"] = [complex(z) for z in pts[bad]]
     report["total_violations"] = (len(report["disc_violations"])
                                   + len(report["projection_violations"])

@@ -48,7 +48,7 @@ def event_segments(x):
         yield n, rem, events
 
 
-def event_list_sieve_sums(spec, x, extra_weights=(), dtype=None):
+def event_list_sieve_sums(spec, x, dtype=None):
     """Reference sieve_sums that replays the event list through fancy indices,
     accumulating in dtype (by default float64 when every palette value is
     real, which the sieve's int8 accumulation of -1, 0, 1 must match)."""
@@ -59,7 +59,6 @@ def event_list_sieve_sums(spec, x, extra_weights=(), dtype=None):
         return fp.real if dtype is np.float64 else fp
 
     partial = logsum = 0.0 + 0.0j
-    extras = {float(s): 0.0 + 0.0j for s in extra_weights}
     theta = 1.0 + 0.0j
     deficit = 0.0
     base = primes_upto(math.isqrt(x))
@@ -84,11 +83,8 @@ def event_list_sieve_sums(spec, x, extra_weights=(), dtype=None):
                 theta *= arithmetic_oracle._theta_factor_product(ps, fps)
                 deficit += float(np.sum(np.abs(1.0 - fps) / ps))
         partial += complex(np.sum(acc))
-        nf = n.astype(np.float64)
-        logsum += complex(np.sum(acc / nf))
-        for s in extras:
-            extras[s] += complex(np.sum(acc / nf ** s))
-    return SieveResult(x, partial, logsum, theta, deficit, extras)
+        logsum += complex(np.sum(acc / n.astype(np.float64)))
+    return SieveResult(x, partial, logsum, theta, deficit)
 
 
 def event_list_density(spec, x, m):
@@ -131,8 +127,7 @@ def dict_values_at_primes(spec, ps):
 def sieve_fields(r):
     """Every SieveResult field as text; float repr round-trips, so equal
     text means bitwise-equal values."""
-    return repr((r.x, r.partial_sum, r.log_sum, r.theta, r.prime_deficit,
-                 sorted(r.extra_weight_sums.items())))
+    return repr((r.x, r.partial_sum, r.log_sum, r.theta, r.prime_deficit))
 
 
 SIEVE_SPECS = [
@@ -152,8 +147,8 @@ DENSITY_SPECS = [
 def assert_matches_event_list(xs):
     for x in xs:
         for spec in SIEVE_SPECS:
-            assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
-                    == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+            assert (sieve_fields(sieve_sums(spec, x))
+                    == sieve_fields(event_list_sieve_sums(spec, x)))
         if x >= 2:
             for spec, m in DENSITY_SPECS:
                 assert (repr(mth_root_log_density(spec, x, m))
@@ -186,15 +181,13 @@ class TestSegmentLoop:
 
     @pytest.mark.parametrize("budget_mb", [1, 4])
     def test_traced_peak_within_budget(self, monkeypatch, budget_mb):
-        # A complex spec with an extra weight is the costliest per integer;
-        # the step spec and the 0/-1 table accumulate in int8.
+        # A complex spec is the costliest per integer; the step spec and the
+        # 0/-1 table accumulate in int8.
         monkeypatch.setenv("SPECTRUM_BUDGET_MB", str(budget_mb))
         x = 10 ** 6
-        calls = [lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, x ** 0.25), x,
-                                    extra_weights=(0.5,)),
+        calls = [lambda: sieve_sums(MultiplicativeSpec.step(CHI_MINUS, x ** 0.25), x),
                  lambda: sieve_sums(MultiplicativeSpec.from_table({2: 0.0, 3: -1.0}, -1.0), x),
-                 lambda: sieve_sums(MultiplicativeSpec.from_table({2: 1j, 3: -1.0}), x,
-                                    extra_weights=(0.5,)),
+                 lambda: sieve_sums(MultiplicativeSpec.from_table({2: 1j, 3: -1.0}), x),
                  lambda: mth_root_log_density(LIOUVILLE, x, 2)]
         for call in calls:
             tracemalloc.start()
@@ -231,6 +224,12 @@ class TestPalette:
         with pytest.raises(ValidationError):
             MultiplicativeSpec.from_json(
                 '{"table": [[%s, -1, 0], [3, 0, 0]]}' % json.dumps(key))
+
+    def test_table_json_round_trip(self):
+        spec = MultiplicativeSpec.from_table({5: 0.6 - 0.8j, 2: 1j, 3: -0.5}, 0.25 + 0.5j)
+        assert json.loads(spec.to_json()) == {
+            "table": [[2, 0.0, 1.0], [3, -0.5, 0.0], [5, 0.6, -0.8]], "default": [0.25, 0.5]}
+        assert MultiplicativeSpec.from_json(spec.to_json()) == spec
 
     def test_composite_and_truncated_keys_rejected(self):
         # Once stored as {4: -1, 2: 0}: f(2) = 0 and a sum of 500 at x = 1000.
@@ -414,8 +413,8 @@ class TestCofactorSlots:
     def test_sieve_and_density_match_event_list(self, build):
         x = 10 ** 4
         spec = build((-1.0, 0.0, 1j, 0.6 + 0.8j))
-        assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
-                == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+        assert (sieve_fields(sieve_sums(spec, x))
+                == sieve_fields(event_list_sieve_sums(spec, x)))
         roots = build((W3, W3 * W3, 1.0))
         assert repr(mth_root_log_density(roots, x, 3)) == repr(event_list_density(roots, x, 3))
 
@@ -457,21 +456,19 @@ class TestRealAccumulator:
     @pytest.mark.parametrize("spec", REAL_SPECS)
     def test_matches_complex_accumulation(self, monkeypatch, spec, x):
         seen = spy_accumulator_dtype(monkeypatch)
-        r = sieve_sums(spec, x, extra_weights=(0.5,))
+        r = sieve_sums(spec, x)
         assert seen == [np.int8]
-        ref = event_list_sieve_sums(spec, x, (0.5,), dtype=np.complex128)
+        ref = event_list_sieve_sums(spec, x, dtype=np.complex128)
         assert r.partial_sum == ref.partial_sum
         assert (r.theta, r.prime_deficit) == (ref.theta, ref.prime_deficit)
         assert abs(r.log_sum - ref.log_sum) <= 1e-14 * max(1.0, abs(ref.log_sum))
-        ref_half = ref.extra_weight_sums[0.5]
-        assert abs(r.extra_weight_sums[0.5] - ref_half) <= 1e-14 * max(1.0, abs(ref_half))
 
     def test_other_real_values_stay_float64(self, monkeypatch):
         seen = spy_accumulator_dtype(monkeypatch)
         spec = MultiplicativeSpec.from_table({2: 0.5, 3: -1.0}, 1.0)
-        r = sieve_sums(spec, 10 ** 4, extra_weights=(0.5,))
+        r = sieve_sums(spec, 10 ** 4)
         assert seen == [np.float64]
-        assert sieve_fields(r) == sieve_fields(event_list_sieve_sums(spec, 10 ** 4, (0.5,)))
+        assert sieve_fields(r) == sieve_fields(event_list_sieve_sums(spec, 10 ** 4))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64, np.complex128])
     def test_dividing_by_the_int32_n_is_exact(self, rng, dtype):
@@ -646,19 +643,6 @@ class TestLogMeanVsIntegral:
             oracle, _, _ = log_mean_vs_integral(k, 1000.0, 2.0, 1e-3)
             assert -0.05 <= oracle.real <= 1.05
             assert abs(oracle.imag) <= 1e-12
-
-    def test_half_weight_matches_plain_mean(self):
-        # sum f(n)/sqrt(n) normalized by the same sum for f = 1 tracks the
-        # plain mean at x = 1e6 for the three frozen fixtures.
-        x = 10 ** 6
-        denom = sieve_sums(ONES, x, extra_weights=(0.5,)).extra_weight_sums[0.5]
-        fixtures = [LIOUVILLE,
-                    MultiplicativeSpec.from_table({2: 1.0}, 0.0),
-                    MultiplicativeSpec.step(CHI_MINUS, x ** 0.25)]
-        for spec in fixtures:
-            r = sieve_sums(spec, x, extra_weights=(0.5,))
-            weighted = r.extra_weight_sums[0.5] / denom
-            assert abs(weighted - r.partial_sum / x) <= 0.05
 
     def test_slow_variation_bound(self):
         # Ten frozen fixtures; the 0.2 constant is the calibrated surrogate
@@ -1019,8 +1003,8 @@ class TestWheel:
     def test_sieve_against_event_list(self, spec, x, seg):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
-            assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
-                    == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+            assert (sieve_fields(sieve_sums(spec, x))
+                    == sieve_fields(event_list_sieve_sums(spec, x)))
 
     @given(root_specs(), st.integers(2, 12000), st.sampled_from(WHEEL_SEGMENTS))
     @settings(max_examples=100)
@@ -1045,8 +1029,8 @@ class TestWheel:
                  MultiplicativeSpec.from_table({3: 0.0, 5: 1j}, -1.0)]
         for x in (48, 49, 50):
             for spec in SIEVE_SPECS + zeros:
-                assert (sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
-                        == sieve_fields(event_list_sieve_sums(spec, x, (0.5,))))
+                assert (sieve_fields(sieve_sums(spec, x))
+                        == sieve_fields(event_list_sieve_sums(spec, x)))
             for spec, m in DENSITY_SPECS:
                 assert (repr(mth_root_log_density(spec, x, m))
                         == repr(event_list_density(spec, x, m)))
@@ -1135,7 +1119,7 @@ class TestSegmentThreads:
     @pytest.mark.parametrize("x", [2 ** 19, 2 ** 19 + 1, 10 ** 6, 3 * 2 ** 19 + 7])
     def test_one_and_two_threads_agree(self, monkeypatch, x):
         def run():
-            return ([sieve_fields(sieve_sums(spec, x, extra_weights=(0.5,)))
+            return ([sieve_fields(sieve_sums(spec, x))
                      for spec in THREAD_SPECS]
                     + [repr(mth_root_log_density(spec, x, m)) for spec, m in DENSITY_SPECS[2:]])
 
@@ -1191,6 +1175,57 @@ class TestDiscriminantAverage:
     def test_empty_progression_rejected(self):
         with pytest.raises(ValidationError):
             discriminant_char_average(100, 1.0, 7, {2: -1, 3: -1, 5: -1, 7: -1})
+
+    @staticmethod
+    def full_crt(X, z, signs):
+        """Reference (a, P, count): the CRT over every prime <= z, then the
+        squarefree D <= X in a mod P by trial division; None if there are none."""
+        odd = [int(p) for p in primes_upto(z)][1:]
+        a, P = 0, 1
+        for r, q in zip([1 if signs[2] == 1 else 5]
+                        + [next(r for r in range(1, p) if kronecker(r, p) == signs[p])
+                           for p in odd], [8] + odd):
+            a += P * ((r - a) * pow(P, -1, q) % q)
+            P *= q
+        count = sum(all(d % (p * p) for p in range(2, math.isqrt(d) + 1))
+                    for d in range(a, X + 1, P))
+        return (a, P, count) if count else None
+
+    # (X, z) with P = 4 * prod(p <= z) > X, every sign pattern of each.
+    FULL_CRT_CASES = [(100, 5), (100, 7), (1000, 11), (10 ** 4, 13)]
+
+    @pytest.mark.parametrize("X, z", FULL_CRT_CASES)
+    def test_progression_matches_full_crt(self, X, z):
+        primes = [int(p) for p in primes_upto(z)]
+        assert 4 * math.prod(primes) > X
+        found = 0
+        for pattern in itertools.product((1, -1), repeat=len(primes)):
+            signs = dict(zip(primes, pattern))
+            ref = self.full_crt(X, z, signs)
+            if ref is None:
+                with pytest.raises(ValidationError, match="no fundamental discriminants"):
+                    discriminant_char_average(X, 1.0, z, signs)
+            else:
+                res = discriminant_char_average(X, 1.0, z, signs)
+                assert (*res.progression, res.count) == ref
+                found += 1
+        assert found >= 1
+
+    @pytest.mark.parametrize("flip", [None, 3, 19997])
+    def test_large_z_matches_full_crt(self, flip):
+        # P has 8,602 digits, more than int-to-str converts by default (4,300):
+        # the empty-progression message must not print it.
+        X = 2 * 10 ** 4
+        signs = {int(p): 1 for p in primes_upto(X)}
+        if flip:
+            signs[flip] = -1
+        ref = self.full_crt(X, X, signs)
+        if ref is None:
+            with pytest.raises(ValidationError, match="no fundamental discriminants"):
+                discriminant_char_average(X, 1.0, X, signs)
+        else:
+            res = discriminant_char_average(X, 1.0, X, signs)
+            assert (*res.progression, res.count) == ref
 
     def test_missing_sign_rejected(self):
         with pytest.raises(ValidationError):

@@ -52,6 +52,14 @@ class TestSolve:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_misaligned_kernel_exits_one(self, tmp_path, capsys):
+        chi = tmp_path / "chi.json"
+        chi.write_text(StepFunction((1.0, 1.0005), (1.0, 0.5), -1.0).to_json())
+        rc = main(["solve", "--chi", str(chi), "--umax", "2", "--h", "1e-3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: breakpoint 1.0005 is not a multiple of the grid step 0.001\n")
+
     @pytest.mark.parametrize("flag, value", [("--umax", "nan"), ("--umax", "inf"),
                                              ("--h", "0"), ("--h", "nan")])
     def test_non_finite_or_zero_exits_one(self, chi_file, capsys, flag, value):

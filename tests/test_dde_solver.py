@@ -209,6 +209,12 @@ class TestPerturbationGap:
         assert bound == pytest.approx(2.0 ** 0.1 - 1.0)
         assert gap <= bound
 
+    def test_sup_difference_stops_at_t_max(self):
+        # The kernels differ by 0.5 on [2, 3) and by 2 from 3 on.
+        chi = StepFunction((1.0, 2.0, 3.0), (1.0, -1.0, -0.5), 1.0)
+        for t_max, sup in ((2.0, 0.0), (2.5, 0.5), (3.0, 0.5), (3.5, 2.0)):
+            assert kernel_sup_difference(chi, CHI_MINUS, t_max) == sup
+
     def test_gap_strictly_below_bound_at_three(self):
         chi_hat = StepFunction((1.0,), (1.0,), -0.9)
         gap, bound = perturbation_gap(CHI_MINUS, chi_hat, 3.0, 1e-3)

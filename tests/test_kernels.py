@@ -33,7 +33,16 @@ class TestStepFunction:
 
     def test_constant_one_kernel(self):
         chi = StepFunction()
-        assert chi(0.0) == 1 and chi(17.3) == 1
+        for t in (0.0, 1.0, 17.3):
+            assert type(chi(t)) is complex and chi(t) == 1
+
+    @pytest.mark.parametrize("n_panels", [0, 1, 7])
+    def test_break_free_panel_values(self, n_panels):
+        panels = StepFunction().panel_values(n_panels, 1e-3)
+        assert panels.dtype == np.float64 and panels.tolist() == [1.0] * n_panels
+
+    def test_grid_error_is_a_validation_error(self):
+        assert issubclass(GridError, ValidationError)
 
     @pytest.mark.parametrize("breaks,values,tail", [
         ((0.5,), (1.0,), 0.0),        # first break below 1
@@ -96,6 +105,12 @@ class TestGridFunction:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             GridFunction(0.1, np.array([1.0, np.nan]))
+
+    def test_value_at_on_one_sample(self):
+        g = GridFunction(0.5, np.array([2.5]))
+        assert g.value_at(0.0) == 2.5 and g.value_at(ALIGN_TOL) == 2.5
+        with pytest.raises(ValidationError):
+            g.value_at(0.5)
 
     def test_value_at_interpolates(self):
         g = GridFunction(0.5, np.array([0.0, 1.0, 4.0]))

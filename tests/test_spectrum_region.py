@@ -317,6 +317,12 @@ class TestGeometryPrimitives:
         with pytest.raises(ValidationError):
             RegionCloud(np.array([1.5 + 0.0j]))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.nan), math.inf,
+                                     complex(0.0, -math.inf)])
+    def test_cloud_with_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValidationError, match="cloud escapes the unit disc"):
+            RegionCloud(np.array([1.0, bad, 0.5j]))
+
 
 # Per-point references for the array geometry: point_in_polygon with its
 # segment distance, the row-by-row interior lattice, and the hull that
