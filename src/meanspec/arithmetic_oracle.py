@@ -619,9 +619,10 @@ def discriminant_char_average(X: int, B: float, z: int, f_signs: dict) -> Discri
         total += sum(kronecker(d, n) for n in range(1, N + 1))
     average = total / len(discs)
 
-    # f is 0 above z, so its values are 1, +-1 and 0 and the int8 sieve sum is exact.
-    fsum = sieve_sums(MultiplicativeSpec.from_table({p: f_signs[p] for p in small}, 0.0),
-                      N).partial_sum
+    # f is 0 above z, so its values are 1, +-1 and 0 and the int8 sieve sum is
+    # exact; the sieve reads f only at the primes <= N.
+    fsum = sieve_sums(MultiplicativeSpec.from_table(
+        {p: f_signs[p] for p in small if p <= N}, 0.0), N).partial_sum
     return DiscriminantAverage(complex(average), fsum, len(discs), (a, _product(moduli)))
 
 

@@ -72,20 +72,19 @@ def _scan_then_golden(f, lo: float, hi: float, n_grid: int, tol: float,
 
 
 def delta_constants():
-    """(delta1, delta0 by quadrature, delta0 by the dilogarithm-type series).
+    """(delta1, delta0 = (1 + delta1)/2, delta0 by the dilogarithm-type series).
 
-    delta1 = 1 - 2 log(1+sqrt(e)) + 4 * int_1^{sqrt(e)} log(t)/(t+1) dt is the
-    least attainable mean value of a real completely multiplicative function
-    with values in [-1, 1]; delta0 = (1 + delta1)/2 is the corresponding
-    lower bound on the density of quadratic residues.  The series route is
-    an independent evaluation of delta0, truncated once terms drop below
-    1e-14.
+    delta1 = 1 - 2 log(1+sqrt(e)) + 4 * int_1^{sqrt(e)} log(t)/(t+1) dt
+    = 1 + pi^2/3 + 4 Li2(-sqrt(e)), with the dilogarithm Li2(x) = spence(1 - x),
+    is the least attainable mean value of a real completely multiplicative
+    function with values in [-1, 1]; delta0 = (1 + delta1)/2 is the
+    corresponding lower bound on the density of quadratic residues.  The
+    series route is an independent evaluation of delta0, truncated once
+    terms drop below 1e-14.
     """
-    from scipy.integrate import quad  # here, so importing meanspec loads no SciPy
-    integral, _ = quad(lambda t: math.log(t) / (t + 1.0), 1.0, SQRT_E,
-                       epsabs=1e-13, epsrel=1e-13)
-    delta1 = 1.0 - 2.0 * math.log(1.0 + SQRT_E) + 4.0 * integral
-    delta0_integral = (1.0 + delta1) / 2.0
+    from scipy.special import spence  # here, so importing meanspec loads no SciPy
+    delta1 = 1.0 + math.pi ** 2 / 3.0 + 4.0 * float(spence(1.0 + SQRT_E))
+    delta0 = (1.0 + delta1) / 2.0
 
     x = 1.0 / (1.0 + SQRT_E)
     series = 0.0
@@ -99,7 +98,7 @@ def delta_constants():
     delta0_series = (1.0 - math.pi ** 2 / 6.0
                      - math.log(1.0 + SQRT_E) * math.log(math.e / (1.0 + SQRT_E))
                      + series)
-    return delta1, delta0_integral, delta0_series
+    return delta1, delta0, delta0_series
 
 
 def power_residue_log_density_bound(m: int) -> ExtremalResult:

@@ -287,15 +287,14 @@ def rho_minus_grid(u_max: float, h: float = 1e-4) -> GridFunction:
 
 
 def rho_minus_correction(t: float) -> float:
-    """4 * integral_2^t log(v-1)/v dv, zero for t <= 2 (abs error <= 1e-10).
+    """4 * integral_2^t log(v-1)/v dv = 4 [log(t)^2/2 + Li2(1/t) - pi^2/12], 0 for t <= 2.
 
-    On [2, 3] the signed variant equals 1 - 2 log t plus this correction.
+    Li2(x) = spence(1 - x) is the dilogarithm.  On [2, 3] the signed variant
+    equals 1 - 2 log t plus this correction.
     """
-    if t < 0:
-        raise ValidationError("argument must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValidationError(f"argument must be finite and nonnegative, got {t}")
     if t <= 2.0:
         return 0.0
-    from scipy.integrate import quad  # here, so importing meanspec loads no SciPy
-    val, _err = quad(lambda v: math.log(v - 1.0) / v, 2.0, t,
-                     epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 4.0 * val
+    from scipy.special import spence  # here, so importing meanspec loads no SciPy
+    return 4.0 * (0.5 * math.log(t) ** 2 + float(spence(1.0 - 1.0 / t)) - math.pi ** 2 / 12.0)

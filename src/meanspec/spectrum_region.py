@@ -182,8 +182,8 @@ class SetSpec:
 
     @classmethod
     def roots_of_unity(cls, k: int) -> "SetSpec":
-        if k < 1:
-            raise ValidationError("k must be positive")
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise ValidationError(f"k must be a positive integer, got {k!r}")
         if k > MAX_ROOTS_OF_UNITY:
             raise BudgetError(f"k = {k} exceeds the roots-of-unity budget {MAX_ROOTS_OF_UNITY}")
         pts = tuple(cmath.exp(2j * math.pi * j / k) for j in range(k))
@@ -295,14 +295,6 @@ def special_radii(spec: dict) -> float:
     raise ValidationError(f"unknown radius family {kind!r}")
 
 
-def _contour_inner_integral(u: float) -> float:
-    """int_1^{u-1} log(u-t)/t dt, u > 2, by adaptive quadrature (abs err <= 1e-9)."""
-    from scipy.integrate import quad
-    val, _ = quad(lambda t: math.log(u - t) / t, 1.0, u - 1.0,
-                  epsabs=1e-10, epsrel=1e-10, limit=200)
-    return val
-
-
 def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
     """Closed attainable boundary for the set {1, alpha, conj(alpha)}.
 
@@ -315,22 +307,26 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
     """
     if not (0.0 < theta < math.pi / 2):
         raise ValidationError("theta must lie in (0, pi/2)")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    from scipy.special import spence  # here, so importing meanspec loads no SciPy
     alpha = cmath.exp(1j * (math.pi - 2.0 * theta))
     w = 1.0 - alpha
     us1 = np.linspace(1.0, 2.0, n)
     seg = 1.0 - w * np.log(us1)
     us2 = np.linspace(2.0, 1.0 + SQRT_E, n)[1:]
-    arc = np.array([1.0 - w * math.log(u) + 0.5 * w * w * _contour_inner_integral(u)
-                    for u in us2])
+    # int_1^{u-1} log(u-t)/t dt = log u log(u-1) - Li2((u-1)/u) + Li2(1/u),
+    # with Li2(x) = spence(1 - x).
+    inner = np.log(us2) * np.log(us2 - 1.0) - spence(1.0 / us2) + spence(1.0 - 1.0 / us2)
+    arc = 1.0 - w * np.log(us2) + 0.5 * w * w * inner
     z_end = arc[-1]
     # Spiral until the imaginary part first crosses zero, with the crossing
     # interpolated linearly in the spiral parameter.
-    t_step = min(0.02, math.pi / (64.0 * abs(w.imag))) if w.imag else 0.02
     spiral = []
     t = 0.0
     prev = z_end
     for _ in range(200000):
-        t += t_step
+        t += 0.02
         cur = z_end * cmath.exp(-t * w)
         if prev.imag != 0 and (cur.imag == 0 or (cur.imag > 0) != (prev.imag > 0)):
             frac = prev.imag / (prev.imag - cur.imag)
@@ -346,8 +342,8 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
 
 def _log_factors(S: SetSpec, depth: int) -> np.ndarray:
     """The distinct factors (1+s)/2 over hull samples, after the depth checks."""
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    if not (isinstance(depth, (int, np.integer)) and depth >= 1):
+        raise ValidationError(f"depth must be an integer >= 1, got {depth!r}")
     if depth > MAX_LOG_DEPTH:
         raise BudgetError(f"depth = {depth} exceeds the budget {MAX_LOG_DEPTH}")
     hull = [complex(p) for p in S.hull]

@@ -1325,3 +1325,32 @@ class TestDiscriminantAverage:
             assert repr(res.truncated_sum) == repr(trial_division_sum(N, signs))
             checked += 1
         assert checked >= 50
+
+    # (X, B, z) with z above N = (log X)^B, so the sum reads no sign past N.
+    TABLE_CASES = [(10 ** 3, 1.0, 11), (10 ** 4, 0.7, 13), (10 ** 4, 1.0, 13),
+                   (10 ** 5, 0.8, 13)]
+
+    @pytest.mark.parametrize("X, B, z", TABLE_CASES)
+    def test_truncated_sum_matches_full_table(self, X, B, z):
+        primes = [int(p) for p in primes_upto(z)]
+        N = int(math.log(X) ** B + 1e-9)
+        assert N < z
+        checked = 0
+        for pattern in itertools.product((1, -1), repeat=len(primes)):
+            signs = dict(zip(primes, pattern))
+            try:
+                res = discriminant_char_average(X, B, z, signs)
+            except ValidationError as exc:
+                assert "no fundamental discriminants" in str(exc)
+                continue
+            full = sieve_sums(MultiplicativeSpec.from_table(signs, 0.0), N).partial_sum
+            assert repr(res.truncated_sum) == repr(full)
+            checked += 1
+        assert checked >= 1
+
+    def test_truncated_sum_matches_full_table_at_large_z(self):
+        X = 2 * 10 ** 4
+        signs = {int(p): 1 for p in primes_upto(X)}
+        res = discriminant_char_average(X, 1.0, X, signs)
+        full = sieve_sums(MultiplicativeSpec.from_table(signs, 0.0), int(math.log(X))).partial_sum
+        assert repr(res.truncated_sum) == repr(full)

@@ -413,9 +413,10 @@ class TestInputBudgets:
 
 def test_scipy_loads_only_on_first_use():
     # SciPy's submodules are most of a cold start's import time; the solver,
-    # the sieve, the density and the search need none, and an envelope only
-    # scipy.fft.  A wrongly named local import fails only where it runs first,
-    # so each checkpoint also runs its path.
+    # the sieve, the density and the search need none, an envelope only
+    # scipy.fft, and the closed forms only scipy.special.  A wrongly named
+    # local import fails only where it runs first, so each checkpoint also
+    # runs its path.
     src = os.path.dirname(os.path.dirname(os.path.abspath(meanspec.__file__)))
     code = f"""
 import json, sys
@@ -438,6 +439,21 @@ truncated_kernel_min_mean(1.0, m_steps=3, u_grid=(2.0,), restarts=1, h=1e-3, swe
 out["numpy paths"] = loaded()
 sandwich(chi, 6, 4.0, 1e-3)
 out["sandwich"] = loaded()
+from contextlib import redirect_stdout
+from io import StringIO
+from meanspec import extremal_search, spectrum_region
+from meanspec.acceptance import run_suite
+extremal_search.delta_constants()
+out["delta_constants"] = loaded()
+extremal_search.log_gap_endpoint_values()
+out["log_gap_endpoint_values"] = loaded()
+spectrum_region.sector_set_contour(0.8)
+out["sector_set_contour"] = loaded()
+with redirect_stdout(StringIO()):
+    meanspec.cli.main(["constants", "--format", "json"])
+out["constants"] = loaded()
+run_suite("quick")
+out["run_suite"] = loaded()
 print(json.dumps(out))
 """
     out = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -445,5 +461,7 @@ print(json.dumps(out))
     assert out["import"] == []
     assert out["numpy paths"] == []
     assert "scipy.fft" in out["sandwich"]
-    assert "scipy.integrate" not in out["sandwich"]
-    assert "scipy.optimize" not in out["sandwich"]
+    assert "scipy.special" in out["delta_constants"]
+    for checkpoint, mods in out.items():
+        for heavy in ("integrate", "optimize", "sparse", "linalg"):
+            assert "scipy." + heavy not in mods, checkpoint

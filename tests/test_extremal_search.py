@@ -37,6 +37,14 @@ class TestDeltaConstants:
         d1, d0i, _ = delta_constants()
         assert d0i == pytest.approx((1.0 + d1) / 2.0)
 
+    def test_delta1_against_mpmath(self):
+        import mpmath
+        with mpmath.workdps(30):
+            r = mpmath.sqrt(mpmath.e)
+            ref = (1 - 2 * mpmath.log(1 + r)
+                   + 4 * mpmath.quad(lambda t: mpmath.log(t) / (t + 1), [1, r]))
+        assert abs(delta_constants()[0] - float(ref)) <= 2e-15
+
 
 class TestPowerResidueBound:
     @pytest.mark.parametrize("m,target,tol", [
@@ -117,6 +125,17 @@ class TestEndpointValues:
                       2.0 / SQRT_E, 1.0 + 1.0 / SQRT_E, epsabs=1e-10, limit=200)
         assert abs(val - 0.0416) <= 1e-3
         assert val < 1.0 / 24.0
+
+    def test_correction_integral_closed_form_against_mpmath(self):
+        # Criterion 6's integral; swapping the order of the double integral
+        # turns it into 4/sqrt(e) * int_2^T (T - w) log(w - 1)/w dw, T = 1 + sqrt(e).
+        import mpmath
+        from meanspec.acceptance import _correction_integral
+        with mpmath.workdps(30):
+            r = mpmath.sqrt(mpmath.e)
+            ref = 4 / r * mpmath.quad(lambda w: (1 + r - w) * mpmath.log(w - 1) / w, [2, 1 + r])
+        assert abs(float(ref) - 0.04162672251114561) <= 1e-16
+        assert abs(_correction_integral() - float(ref)) <= 1e-14
 
 
 class TestAverageBoundExpressions:

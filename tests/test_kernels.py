@@ -215,9 +215,16 @@ class TestRhoMinusCorrection:
 
     def test_against_high_precision_quadrature(self):
         import mpmath
-        mpmath.mp.dps = 30
-        ref = 4.0 * mpmath.quad(lambda v: mpmath.log(v - 1) / v, [2, 3])
-        assert abs(rho_minus_correction(3.0) - float(ref)) <= 1e-9
+        with mpmath.workdps(30):
+            for t in (2.0 + 1e-9, 2.0 + 1e-6, 2.001, 2.5, 1.0 + SQRT_E, 3.0, 5.0,
+                      10.0, 31.4, 100.0):
+                ref = float(4 * mpmath.quad(lambda v: mpmath.log(v - 1) / v, [2, t]))
+                assert abs(rho_minus_correction(t) - ref) <= 2e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_non_finite_or_negative_rejected(self, t):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            rho_minus_correction(t)
 
     def test_closed_form_match_on_2_3(self):
         for t in (2.2, 2.8):

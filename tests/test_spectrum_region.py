@@ -66,6 +66,11 @@ class TestSetSpec:
         with pytest.raises(BudgetError):
             SetSpec.roots_of_unity(MAX_ROOTS_OF_UNITY + 1)
 
+    @pytest.mark.parametrize("k", [2.5, 5.0, 0, -3, None])
+    def test_roots_of_unity_needs_positive_integer(self, k):
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
+            SetSpec.roots_of_unity(k)
+
     def test_interval_must_reach_one(self):
         with pytest.raises(ValidationError):
             SetSpec.real_interval(-1.0, 0.5)
@@ -187,6 +192,26 @@ class TestSectorContour:
         with pytest.raises(ValidationError):
             sector_set_contour(math.pi / 2)
 
+    @pytest.mark.parametrize("n", [1, 0, 2.5, None])
+    def test_bad_point_count_rejected(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            sector_set_contour(0.8, n=n)
+
+    def test_inner_integral_against_mpmath(self):
+        # The arc is 1 - w log u + w^2/2 * int_1^{u-1} log(u-t)/t dt; recover
+        # the integral at each of the 119 arc points of the default contour.
+        import mpmath
+        theta, n = 0.1, 120
+        w = 1.0 - cmath.exp(1j * (math.pi - 2.0 * theta))
+        arc = sector_set_contour(theta).points[n:2 * n - 1]
+        us = np.linspace(2.0, 1.0 + SQRT_E, n)[1:]
+        inner = (arc - 1.0 + w * np.log(us)) / (0.5 * w * w)
+        assert np.max(np.abs(inner.imag)) <= 1e-14
+        with mpmath.workdps(20):
+            for u, got in zip(us.tolist(), inner.real.tolist()):
+                ref = mpmath.quad(lambda t: mpmath.log(u - t) / t, [1, u - 1])
+                assert abs(got - float(ref)) <= 1e-14
+
 
 def _hull_edge_samples(poly, per_edge=200):
     poly = [complex(p) for p in poly]
@@ -257,6 +282,12 @@ class TestLogSpectrumRegion:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             log_spectrum_region(SetSpec.roots_of_unity(4), 0)
+
+    @pytest.mark.parametrize("depth", [2.5, 2.0, None])
+    def test_non_integer_depth_rejected(self, depth):
+        for f in (log_spectrum_region, log_spectrum_products):
+            with pytest.raises(ValidationError, match="depth must be an integer"):
+                f(SetSpec.roots_of_unity(4), depth)
 
     def test_depth_budget(self):
         assert len(log_spectrum_region(SetSpec.real_interval(-1.0, 1.0), MAX_LOG_DEPTH)) == 2
