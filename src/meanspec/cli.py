@@ -152,7 +152,8 @@ def _cmd_gamma_prime(args) -> int:
     payload = {}
     for m in _parse_m_range(args.m):
         r = extremal.power_residue_log_density_bound(m)
-        payload[str(m)] = {"bound": r.value, "beta": r.argmin}
+        payload[str(m)] = {"bound": r.value, "beta": r.argmin,
+                           "log_bound": r.diagnostics["log_bound"]}
     _emit(args, _json_dumps(payload))
     return 0
 

@@ -67,23 +67,33 @@ def _march(jumps, n: int, h: float, m1: int, batch: tuple, dtype):
     return sigma
 
 
+#: Nodes per block of the residual convolution: its one product buffer.
+RESIDUAL_BLOCK = 1 << 16
+
+
 def trapezoid_convolution_with_kernel(sigma: np.ndarray, breaks, values: np.ndarray,
                                       h: float) -> np.ndarray:
     """Panel-exact trapezoid values of (sigma * chi) at every grid node.
 
     chi has the segment constants values[..., k] between its breaks, as in
-    _solve_rows; a batched sigma holds one kernel per column.  A segment of
-    value v on [lo*h, hi*h) adds v*(C(u - lo*h) - C(u - hi*h)), C the
-    trapezoid antiderivative of sigma, in place where each shift is >= 0.
+    _solve_rows; a batched sigma holds one kernel per column.  With C the
+    trapezoid antiderivative of sigma, T = v_0 C + sum_k (v_k - v_{k-1})
+    C(. - m_k), m_k the k-th break's node, each shift read where it is >= 0.
+    T is built in blocks of RESIDUAL_BLOCK nodes through one product buffer.
     """
     C = _trapezoid_cumulative(sigma, h)
     n = len(C)
-    T = np.zeros(C.shape, dtype=np.result_type(C, values))
-    marks = [0] + [min(round(b / h), n) for b in breaks] + [n]
-    for k, (lo, hi) in enumerate(zip(marks, marks[1:])):
-        v = values[..., k]
-        T[lo:] += v * C[:n - lo]
-        T[hi:] -= v * C[:n - hi]
+    dtype = np.result_type(C, values)
+    T = np.empty(C.shape, dtype=dtype)
+    buf = np.empty((min(n, RESIDUAL_BLOCK),) + C.shape[1:], dtype=dtype)
+    jumps = [(round(b / h), values[..., k + 1] - values[..., k]) for k, b in enumerate(breaks)]
+    for a in range(0, n, RESIDUAL_BLOCK):
+        b = min(a + RESIDUAL_BLOCK, n)
+        np.multiply(C[a:b], values[..., 0], out=T[a:b])
+        for mk, dk in jumps:
+            lo = max(a, mk)
+            if lo < b:
+                T[lo:b] += np.multiply(C[lo - mk:b - mk], dk, out=buf[:b - lo])
     return T
 
 

@@ -22,12 +22,13 @@ from numpy.polynomial import chebyshev as cheb
 from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
 from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_point,
-                      _grid_steps, dickman_rho, rho_minus_correction)
+                      _grid_steps, _li2, dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Largest m for the power-residue bound: past m of about 2030 the bound,
-#: of the order exp(-m/e), is below the smallest float64 and reads 0.
+#: of the order exp(-m/e), is below the smallest float64 and reads 0 (its
+#: logarithm stays in the diagnostics).
 MAX_POWER_RESIDUE_M = 10 ** 4
 
 
@@ -75,15 +76,14 @@ def delta_constants():
     """(delta1, delta0 = (1 + delta1)/2, delta0 by the dilogarithm-type series).
 
     delta1 = 1 - 2 log(1+sqrt(e)) + 4 * int_1^{sqrt(e)} log(t)/(t+1) dt
-    = 1 + pi^2/3 + 4 Li2(-sqrt(e)), with the dilogarithm Li2(x) = spence(1 - x),
+    = 1 + pi^2/3 + 4 Li2(-sqrt(e)), with the dilogarithm Li2 = kernels._li2,
     is the least attainable mean value of a real completely multiplicative
     function with values in [-1, 1]; delta0 = (1 + delta1)/2 is the
     corresponding lower bound on the density of quadratic residues.  The
     series route is an independent evaluation of delta0, truncated once
     terms drop below 1e-14.
     """
-    from scipy.special import spence  # here, so importing meanspec loads no SciPy
-    delta1 = 1.0 + math.pi ** 2 / 3.0 + 4.0 * float(spence(1.0 + SQRT_E))
+    delta1 = 1.0 + math.pi ** 2 / 3.0 + 4.0 * float(_li2(-SQRT_E))
     delta0 = (1.0 + delta1) / 2.0
 
     x = 1.0 / (1.0 + SQRT_E)
@@ -106,8 +106,10 @@ def power_residue_log_density_bound(m: int) -> ExtremalResult:
 
     Upper bound for the minimal logarithmic density of m-th power residues;
     decays like exp(-m/e) as m grows.  The sum is the Poisson(beta) mass on
-    the multiples of m, so each term is taken in log space and none
-    overflows.
+    the multiples of m, so the search minimises its logarithm, the logsumexp
+    of the log masses, and nothing underflows or overflows.  The value
+    itself falls below the smallest float64 past m of about 2030 and reads
+    0 there; diagnostics["log_bound"] keeps its logarithm.
     """
     if not (isinstance(m, (int, np.integer)) and 2 <= m <= MAX_POWER_RESIDUE_M):
         raise ValidationError(f"m must be an integer in [2, {MAX_POWER_RESIDUE_M}], got {m!r}")
@@ -115,19 +117,21 @@ def power_residue_log_density_bound(m: int) -> ExtremalResult:
     # Multiples of m up to 15 standard deviations and 60 past the largest
     # mean; the Poisson masses beyond are below 1e-40.
     km = m * np.arange(1, math.ceil((beta_max + 15.0 * math.sqrt(beta_max) + 60.0) / m) + 1)
-    from scipy.special import gammaln  # here, so importing meanspec loads no SciPy
-    log_norm = gammaln(km + 1.0)
+    log_norm = np.array([math.lgamma(k + 1.0) for k in km.tolist()])
 
-    def f(beta):
-        b = np.atleast_1d(np.asarray(beta, dtype=np.float64))
+    def log_f(beta):
+        b = np.atleast_1d(np.asarray(beta, dtype=np.float64))[:, None]
         with np.errstate(divide="ignore"):
-            log_b = np.log(b)[:, None]
-        masses = np.exp(km * log_b - b[:, None] - log_norm)
-        total = np.exp(-b) + masses.sum(axis=1)
+            logs = np.concatenate([-b, km * np.log(b) - b - log_norm], axis=1)
+        top = logs.max(axis=1)
+        total = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
         return total if np.ndim(beta) else float(total[0])
 
-    beta, value, width = _scan_then_golden(f, 0.0, beta_max, 600, 1e-10, vectorized=True)
-    return ExtremalResult(value, beta, {"bracket_width": width, "beta_max": beta_max})
+    beta, log_value, width = _scan_then_golden(log_f, 0.0, beta_max, 600, 1e-10,
+                                               vectorized=True)
+    return ExtremalResult(math.exp(log_value), beta,
+                          {"bracket_width": width, "beta_max": beta_max,
+                           "log_bound": log_value})
 
 
 def projection_auxiliary_minimum() -> ExtremalResult:

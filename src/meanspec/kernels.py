@@ -286,15 +286,40 @@ def rho_minus_grid(u_max: float, h: float = 1e-4) -> GridFunction:
     return _delay_grid(u_max, h, 2.0)
 
 
+def _li2(x):
+    """The dilogarithm Li2(x) = sum_{k>=1} x^k/k^2, elementwise on (-inf, 1].
+
+    x < 0 goes to y = x/(x - 1) in (0, 1) by Landen's identity
+    Li2(x) = -Li2(y) - log(1 - x)^2/2, and y > 1/2 to 1 - y by the reflection
+    Li2(y) = pi^2/6 - log(y) log(1 - y) - Li2(1 - y); 1 - y is 1/(1 - x) for
+    x < 0, never a difference.  What is left lies in [0, 1/2] and runs
+    through 48 terms of the power series by Horner; the first term left out
+    is below 2^-48/49^2 < 2e-18 of the sum.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    neg = x < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(neg, 1.0 / (1.0 - x), 1.0 - x)  # 1 - y
+        y = np.where(neg, x / (x - 1.0), x)
+        reflect = y > 0.5
+        z = np.where(reflect, c, y)
+        s = np.zeros_like(z)
+        for k in range(48, 0, -1):
+            s = s * z + 1.0 / (k * k)
+        s *= z
+        logs = np.where(c > 0.0, np.log1p(-c) * np.log(c), 0.0)  # log(y) log(1 - y)
+        li = np.where(reflect, math.pi ** 2 / 6.0 - logs - s, s)
+        return np.where(neg, -li - 0.5 * np.log1p(-x) ** 2, li)
+
+
 def rho_minus_correction(t: float) -> float:
     """4 * integral_2^t log(v-1)/v dv = 4 [log(t)^2/2 + Li2(1/t) - pi^2/12], 0 for t <= 2.
 
-    Li2(x) = spence(1 - x) is the dilogarithm.  On [2, 3] the signed variant
-    equals 1 - 2 log t plus this correction.
+    Li2 is the dilogarithm _li2.  On [2, 3] the signed variant equals
+    1 - 2 log t plus this correction.
     """
     if not 0.0 <= t < math.inf:
         raise ValidationError(f"argument must be finite and nonnegative, got {t}")
     if t <= 2.0:
         return 0.0
-    from scipy.special import spence  # here, so importing meanspec loads no SciPy
-    return 4.0 * (0.5 * math.log(t) ** 2 + float(spence(1.0 - 1.0 / t)) - math.pi ** 2 / 12.0)
+    return 4.0 * (0.5 * math.log(t) ** 2 + float(_li2(1.0 / t)) - math.pi ** 2 / 12.0)

@@ -53,6 +53,19 @@ def _envelope_slack(h: float, slack: float | None) -> float:
     return slack
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _powers(g: np.ndarray, h: float, k: int):
     """Yield I_0 = 1, I_1, ..., I_k for kappa = g/t, given the panel values g.
 
@@ -63,8 +76,9 @@ def _powers(g: np.ndarray, h: float, k: int):
     exactly zero on the nodes <= j*p0, p0 the first panel where g is nonzero
     (n - 1 when there is none), so every I_j with j*p0 >= n - 1 is +0.0 on
     the whole grid: those powers are one shared read-only array of zeros.
+    The transforms write into views of one set of buffers, sized for I_2,
+    the longest.
     """
-    from scipy import fft as sfft  # here, so importing meanspec loads no SciPy
     n = len(g) + 1
     t_left = h * np.arange(n - 1)
     left = np.zeros_like(g)
@@ -76,7 +90,7 @@ def _powers(g: np.ndarray, h: float, k: int):
     support = np.flatnonzero((left != 0) | (right != 0))
     p0 = int(support[0]) if support.size else n - 1
     real = not np.iscomplexobj(w)
-    fwd, inv = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     zero = np.zeros(n, dtype=w.dtype)
     zero.setflags(write=False)
     cur = np.ones(n, dtype=w.dtype)
@@ -88,14 +102,20 @@ def _powers(g: np.ndarray, h: float, k: int):
         if j == 1:  # w * 1 is a running sum
             conv = np.cumsum(w)
             conv[:-1] -= left
+            conv[:p0 + 1] = 0
         else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
             lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
+            size = _fast_len(2 * m - 1)
+            half = size // 2 + 1 if real else size
+            if j == 2:  # the longest transforms: every later one fits
+                spec_a, spec_b = np.empty(half, complex), np.empty(half, complex)
+                back = np.empty(size, dtype=w.dtype)
+            a = fwd(cur[lo:lo + m], size, out=spec_a[:half])
+            a *= fwd(w[p0:p0 + m], size, out=spec_b[:half])
             conv = np.zeros(n, dtype=w.dtype)
-            size = sfft.next_fast_len(2 * m - 1, real)
-            conv[lo + p0:] = inv(fwd(cur[lo:lo + m], size)
-                                 * fwd(w[p0:p0 + m], size), size)[:m]
-        cur = 0.5 * h * conv
-        cur[:j * p0 + 1] = 0
+            conv[lo + p0:] = inv(a, size, out=back[:size])[:m]
+        conv *= 0.5 * h
+        cur = conv
         yield cur
 
 

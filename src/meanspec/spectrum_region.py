@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .kernels import DISC_TOL, SQRT_E
+from .kernels import DISC_TOL, SQRT_E, _li2
 
 #: Largest k for the k-th roots of unity: sk:64 has 129 log-region factors,
 #: and its region at depth 8 takes about 0.25 s.
@@ -309,15 +309,13 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
         raise ValidationError("theta must lie in (0, pi/2)")
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    from scipy.special import spence  # here, so importing meanspec loads no SciPy
     alpha = cmath.exp(1j * (math.pi - 2.0 * theta))
     w = 1.0 - alpha
     us1 = np.linspace(1.0, 2.0, n)
     seg = 1.0 - w * np.log(us1)
     us2 = np.linspace(2.0, 1.0 + SQRT_E, n)[1:]
-    # int_1^{u-1} log(u-t)/t dt = log u log(u-1) - Li2((u-1)/u) + Li2(1/u),
-    # with Li2(x) = spence(1 - x).
-    inner = np.log(us2) * np.log(us2 - 1.0) - spence(1.0 / us2) + spence(1.0 - 1.0 / us2)
+    # int_1^{u-1} log(u-t)/t dt = log u log(u-1) - Li2((u-1)/u) + Li2(1/u).
+    inner = np.log(us2) * np.log(us2 - 1.0) - _li2((us2 - 1.0) / us2) + _li2(1.0 / us2)
     arc = 1.0 - w * np.log(us2) + 0.5 * w * w * inner
     z_end = arc[-1]
     # Spiral until the imaginary part first crosses zero, with the crossing

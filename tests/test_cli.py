@@ -106,6 +106,15 @@ class TestGammaPrime:
         payload = json.loads(capsys.readouterr().out)
         assert payload["3"]["bound"] == pytest.approx(0.3245, abs=5e-4)
         assert payload["4"]["bound"] == pytest.approx(0.2187, abs=5e-4)
+        assert set(payload["3"]) == {"bound", "beta", "log_bound"}
+        assert payload["3"]["log_bound"] == pytest.approx(math.log(payload["3"]["bound"]))
+
+    def test_log_bound_past_the_underflow(self, capsys):
+        assert main(["gamma-prime", "--m", "3000"]) == 0
+        entry = json.loads(capsys.readouterr().out)["3000"]
+        assert entry["bound"] == 0.0
+        assert entry["log_bound"] == pytest.approx(-1104.7924, abs=1e-4)
+        assert entry["beta"] == pytest.approx(1105.2520, abs=1e-4)
 
     def test_malformed_range_exits_one(self, capsys):
         assert main(["gamma-prime", "--m", "3..x"]) == 1
@@ -411,12 +420,36 @@ class TestInputBudgets:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_scipy_loads_only_on_first_use():
-    # SciPy's submodules are most of a cold start's import time; the solver,
-    # the sieve, the density and the search need none, an envelope only
-    # scipy.fft, and the closed forms only scipy.special.  A wrongly named
-    # local import fails only where it runs first, so each checkpoint also
-    # runs its path.
+#: Every CLI example of the README, with the kernel and spec files it names.
+README_COMMANDS = [
+    ["solve", "--chi", "chi.json", "--umax", "8", "--h", "1e-3", "--out", "sigma.csv"],
+    ["bounds", "--chi", "chi.json", "--kmax", "12", "--umax", "8", "--out", "report.json"],
+    ["bounds", "--chi", "chi_complex.json", "--kmax", "12", "--umax", "8",
+     "--out", "report_complex.json"],
+    ["constants", "--format", "json"],
+    ["gamma-prime", "--m", "3..6"],
+    ["gamma-b", "--B", "1.0", "--steps", "16", "--restarts", "8", "--seed", "0"],
+    ["spectrum", "--set", "sk:5", "--what", "spirals", "--out", "region.csv"],
+    ["spectrum", "--set", "interval:-1,1", "--what", "logregion"],
+    ["spectrum", "--set", "sector:0.8", "--what", "contour"],
+    ["oracle", "--spec", "spec.json", "--x", "1e6", "--compare-sigma"],
+    ["verify", "--suite", "quick"],
+]
+README_FILES = {
+    "chi.json": '{"breaks": [1.0], "values": [[1.0, 0.0]], "tail": [-1.0, 0.0]}',
+    "chi_complex.json": ('{"breaks": [1.0, 1.5, 2.8], "values": [[1.0, 0.0], [0.3, 0.6], '
+                         '[-0.5, -0.4]], "tail": [0.0, 0.2]}'),
+    "spec.json": '{"breaks": [1.0], "values": [[1.0, 0.0]], "tail": [-1.0, 0.0], "y": 1000.0}',
+}
+
+
+def test_no_scipy_module_is_ever_loaded(tmp_path):
+    # The package runs on NumPy alone.  A stray SciPy import fails only where
+    # it runs, so each checkpoint also runs its path: the solver, the sieve,
+    # the density and the search, an envelope, the closed forms, both
+    # acceptance suites and every README command.
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(meanspec.__file__)))
     code = f"""
 import json, sys
@@ -447,21 +480,22 @@ extremal_search.delta_constants()
 out["delta_constants"] = loaded()
 extremal_search.log_gap_endpoint_values()
 out["log_gap_endpoint_values"] = loaded()
+extremal_search.power_residue_log_density_bound(7)
+out["power_residue_log_density_bound"] = loaded()
 spectrum_region.sector_set_contour(0.8)
 out["sector_set_contour"] = loaded()
 with redirect_stdout(StringIO()):
-    meanspec.cli.main(["constants", "--format", "json"])
-out["constants"] = loaded()
-run_suite("quick")
-out["run_suite"] = loaded()
+    run_suite("quick")
+    out["run_suite quick"] = loaded()
+    run_suite("full")
+    out["run_suite full"] = loaded()
+    for argv in {README_COMMANDS!r}:
+        out["cli " + " ".join(argv)] = [meanspec.cli.main(argv)] + loaded()
 print(json.dumps(out))
 """
     out = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                    text=True, check=True, timeout=120).stdout)
-    assert out["import"] == []
-    assert out["numpy paths"] == []
-    assert "scipy.fft" in out["sandwich"]
-    assert "scipy.special" in out["delta_constants"]
-    for checkpoint, mods in out.items():
-        for heavy in ("integrate", "optimize", "sparse", "linalg"):
-            assert "scipy." + heavy not in mods, checkpoint
+                                    text=True, check=True, timeout=300,
+                                    cwd=tmp_path).stdout)
+    assert len(out) == 9 + len(README_COMMANDS)
+    for checkpoint, mods in out.items():  # a command's exit code, then the modules
+        assert mods == ([0] if checkpoint.startswith("cli ") else []), checkpoint

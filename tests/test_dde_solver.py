@@ -338,7 +338,58 @@ class TestNaNFailsTheContracts:
             solve_sigma(CHI_MINUS, 3.0, 0.01)
 
 
+def segment_convolution(sigma, breaks, values, h):
+    """Reference residual convolution, one segment at a time: a segment of
+    value v on [lo*h, hi*h) adds v*(C(u - lo*h) - C(u - hi*h)), C the
+    trapezoid antiderivative of sigma, by full-length shifted products."""
+    C = np.zeros_like(sigma)
+    C[1:] = np.cumsum(0.5 * h * (sigma[1:] + sigma[:-1]), axis=0)
+    n = len(C)
+    T = np.zeros(C.shape, dtype=np.result_type(C, values))
+    marks = [0] + [min(round(b / h), n) for b in breaks] + [n]
+    for k, (lo, hi) in enumerate(zip(marks, marks[1:])):
+        v = values[..., k]
+        T[lo:] += v * C[:n - lo]
+        T[hi:] -= v * C[:n - hi]
+    return T
+
+
 class TestResidualConvolution:
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_matches_segment_form(self, rng, h):
+        # At h = 1e-4 the grid spans two blocks of RESIDUAL_BLOCK nodes.
+        breaks = tuple(float(b) for b in np.sort(rng.choice(np.arange(1000, 7000), 6,
+                                                            replace=False)) * 1e-3)
+        real = rng.uniform(-1.0, 1.0, (5, len(breaks) + 1))
+        cplx = np.sqrt(np.abs(real)) * np.exp(2j * np.pi * rng.random(real.shape))
+        breaks += (12.0,)  # a break past the grid
+        for values in (real, cplx):
+            values = np.column_stack([np.ones(len(values)), values])
+            sigma, _ = dde_solver._solve_rows(breaks, values, 8.0, h, check_residual=False)
+            cases = [(sigma, values)] + [(sigma[:, r], values[r]) for r in range(2)]
+            for sig, vals in cases:
+                got = trapezoid_convolution_with_kernel(sig, breaks, vals, h)
+                ref = segment_convolution(sig, breaks, vals, h)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chi", [CHI_MINUS, StepFunction(
+        (1.0, 1.5, 2.8, 3.3), (1.0, 0.3 + 0.6j, -0.5 - 0.4j, 0.9j), 0.2j)],
+        ids=["real", "complex"])
+    def test_peak_memory_at_four_hundred_thousand_nodes(self, chi):
+        # C and T, plus one product buffer of RESIDUAL_BLOCK nodes.
+        import tracemalloc
+        h = 1e-4
+        sigma = solve_sigma(chi, 40.0, h).sigma.samples.copy()
+        assert len(sigma) == 400001
+        tracemalloc.start()
+        try:
+            trapezoid_convolution_with_kernel(sigma, chi.breaks, segments(chi), h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * sigma.nbytes
+
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_matches_shifted_copy_form(self, rng, h):
         cases = [random_real_kernel(rng, h, 7.0, 5) for _ in range(3)]

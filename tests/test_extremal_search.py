@@ -71,6 +71,15 @@ class TestPowerResidueBound:
         # Values of the earlier evaluation that multiplied the terms out directly.
         assert abs(power_residue_log_density_bound(m).value - value) <= 1e-15
 
+    @pytest.mark.parametrize("m, beta", [(1000, 369.2939472), (2000, 737.2987481),
+                                         (3000, 1105.2519684), (10 ** 4, 3680.6282268)])
+    def test_argmin_past_the_underflow(self, m, beta):
+        # Past m of about 2030 the bound underflows; the search runs on its
+        # logarithm, so the argmin keeps growing like 0.37 m.
+        r = power_residue_log_density_bound(m)
+        assert abs(r.argmin - beta) <= 1e-6 * beta
+        assert r.value == math.exp(r.diagnostics["log_bound"])
+
     def test_large_m_finite_against_mpmath(self):
         import mpmath
         r = power_residue_log_density_bound(500)

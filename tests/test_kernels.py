@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, GridError, ValidationError
 from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, SQRT_E, GridFunction, StepFunction,
-                              _grid_point, dickman_rho, dickman_rho_grid, rho_minus,
+                              _grid_point, _li2, dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
@@ -230,6 +230,22 @@ class TestRhoMinusCorrection:
         for t in (2.2, 2.8):
             ref = 1.0 - 2.0 * math.log(t) + rho_minus_correction(t)
             assert abs(rho_minus(t, 1e-4) - ref) <= 1e-7
+
+
+class TestDilogarithm:
+    def test_against_mpmath(self):
+        # The grid crosses every branch: Landen below 0 (with its reflection
+        # below -1), the series on [0, 1/2] and the reflection above it.
+        import mpmath
+        xs = np.concatenate([np.linspace(-10.0, 1.0, 1101),
+                             [0.0, -1e-300, 1e-300, 0.5, np.nextafter(0.5, 1.0), -SQRT_E,
+                              1.0 - 2.0 ** -52, -1.0, np.nextafter(-1.0, 0.0)]])
+        got = _li2(xs)
+        assert got.shape == xs.shape
+        with mpmath.workdps(30):
+            for x, value in zip(xs.tolist(), got.tolist()):
+                ref = float(mpmath.polylog(2, x))
+                assert abs(value - ref) <= max(1e-15 * abs(ref), 1e-16), x
 
 
 def _delay_reference(u: float, factor: int, terms: int = 60, dps: int = 30):

@@ -11,7 +11,7 @@ from meanspec.dde_solver import solve_sigma
 from meanspec import series_bounds
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import StepFunction, _grid_steps, rho_minus
-from meanspec.series_bounds import (MAX_SERIES_ORDER, _partial_sums, _powers,
+from meanspec.series_bounds import (MAX_SERIES_ORDER, _fast_len, _partial_sums, _powers,
                                     complex_bounds, iterated_integral, sandwich,
                                     sigma_partial, tail_envelope)
 
@@ -265,8 +265,8 @@ class TestEngine:
     ])
     def test_sandwich_fft_calls(self, monkeypatch, chi, p0):
         # I_1 is a running sum; each I_j with j >= 2 and m = n - 1 - j*p0 > 0
-        # nodes to fill takes two forward transforms and one inverse, all of
-        # length next_fast_len(2m - 1).
+        # nodes to fill takes two forward numpy.fft transforms and one
+        # inverse, all of length _fast_len(2m - 1).
         calls = []
 
         def counting(fn):
@@ -276,11 +276,24 @@ class TestEngine:
             return wrapper
 
         for name in ("rfft", "irfft", "fft", "ifft"):
-            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         sandwich(chi, 12, 8.0, 1e-3)
-        sizes = [scipy.fft.next_fast_len(2 * (8000 - j * p0) - 1, True)
-                 for j in range(2, 13) if j * p0 < 8000]
+        sizes = [_fast_len(2 * (8000 - j * p0) - 1) for j in range(2, 13) if j * p0 < 8000]
         assert calls == [(name, size) for size in sizes for name in ("rfft", "rfft", "irfft")]
+
+
+class TestFastLen:
+    def test_against_brute_force_5_smooth_search(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(19) for b in range(12)
+                        for c in range(9) if 2 ** a * 3 ** b * 5 ** c <= 1 << 18)
+        n = np.arange(1, 200001)
+        want = np.asarray(smooth)[np.searchsorted(smooth, n)]
+        assert [_fast_len(int(k)) for k in n] == want.tolist()
+
+    def test_against_scipy_next_fast_len(self, rng):
+        sample = list(range(1, 2000)) + rng.integers(2000, 10 ** 7, 2000).tolist()
+        for n in sample:
+            assert _fast_len(n) == scipy.fft.next_fast_len(n, True), n
 
 
 class TestSigmaPartial:
