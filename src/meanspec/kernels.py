@@ -111,7 +111,9 @@ class StepFunction:
         self.require_aligned(h)
         segs = np.asarray(self.segment_values(), dtype=np.complex128)
         marks = np.array([round(b / h) for b in self.breaks], dtype=np.int64)
-        out = segs[np.searchsorted(marks, np.arange(n_panels), side="right")]
+        # Segment i covers the panels from mark i - 1 (0 for i = 0) up to mark i.
+        edges = np.concatenate(([0], np.minimum(marks, n_panels), [n_panels]))
+        out = np.repeat(segs, np.diff(edges))
         return out.real.copy() if self.is_real else out
 
     def to_json(self) -> str:

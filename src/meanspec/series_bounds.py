@@ -15,13 +15,14 @@ j >= 2 is one FFT convolution of the supports of I_{j-1} and w, of length
 n - 1 - j*p0, and a power with j*p0 >= n - 1 is zero on the whole grid.
 
 sandwich and complex_bounds run in two lanes.  The calling thread checks
-the inputs and reads the panel values, then hands the powers to the one
-worker thread of a pool that lives for the call; meanwhile it runs the
-solver check and the tail envelope, which depend only on the kernel too.
-It then joins the worker, also when its own lane raises, and checks the
-envelopes.  Each lane runs the same code on the same inputs as one after
-the other would, so every array is bit-identical to a serial run.  Only the
-calling thread calls solve_sigma and tail_envelope.
+the inputs and reads the panel values, then hands the solver check, which
+depends only on the kernel too, to the one worker thread of a pool that
+lives for the call; meanwhile it computes the powers itself.  It then joins
+the worker, also when its own lane raises, and checks the envelopes.  Each
+lane runs the same code on the same inputs as one after the other would, so
+every array is bit-identical to a serial run.  Only the worker calls
+solve_sigma, and neither lane calls tail_envelope: a report computes its
+tail bound on first read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,9 +201,14 @@ class BoundsReport:
     k_max: int
     lower: GridFunction
     upper: GridFunction
-    tail_bound: GridFunction
     r_series: tuple = ()
     c_series: tuple = ()
+
+    @cached_property
+    def tail_bound(self) -> GridFunction:
+        """The crude series tail past k_max on the envelopes' grid, computed
+        on first read."""
+        return tail_envelope(self.k_max, self.lower.u_max, self.lower.h)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -235,21 +242,17 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     n = _grid_steps(u_max, h) + 1
     g = 1.0 - chi.panel_values(n - 1, h)
 
-    def envelopes():
+    with ThreadPoolExecutor(1) as pool:
+        solve = pool.submit(solve_sigma, chi, u_max, h)
         sums = enumerate(_partial_sums(g, h, max(k_lo, k_up)))
         kept = {j: total for j, total in sums if j in (k_lo, k_up)}
-        return kept[k_lo], kept[k_up]
-
-    with ThreadPoolExecutor(1) as pool:
-        powers = pool.submit(envelopes)
-        s = solve_sigma(chi, u_max, h).sigma.samples[:n].real
-        tail = tail_envelope(k_max, u_max, h)
-        lower, upper = powers.result()
+        s = solve.result().sigma.samples[:n].real
+    lower, upper = kept[k_lo], kept[k_up]
     # np.maximum and np.max propagate NaN, and NaN fails the comparison.
     worst = float(np.max(np.maximum(lower - s, s - upper)))
     if not worst <= tol:
         raise ContractError(f"envelope violated by {worst:.3e} (slack {tol:.1e})")
-    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper), tail)
+    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper))
 
 
 def complex_bounds(chi: StepFunction, u_max: float, h: float,
@@ -264,26 +267,25 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
     tol = _envelope_slack(h, slack)
     n = _grid_steps(u_max, h) + 1
     c = chi.panel_values(n - 1, h)
+    chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values), chi.tail.real)
 
-    def moments():
-        _, R1, R2 = _powers(1.0 - c.real, h, 2)
-        _, C1, C2 = _powers(np.abs(c.imag), h, 2)
-        return R1, R2, C1, C2
+    def solves():
+        return (solve_sigma(chi, u_max, h).sigma.samples[:n],
+                solve_sigma(chi_hat, u_max, h).sigma.samples[:n].real)
 
     with ThreadPoolExecutor(1) as pool:
-        powers = pool.submit(moments)
-        s = solve_sigma(chi, u_max, h).sigma.samples[:n]
-        chi_hat = StepFunction(chi.breaks, tuple(v.real for v in chi.values),
-                               chi.tail.real)
-        s_hat = solve_sigma(chi_hat, u_max, h).sigma.samples[:n].real
-        tail = tail_envelope(2, u_max, h)
-        R1, R2, C1, C2 = powers.result()
+        solved = pool.submit(solves)
+        _, R1, R2 = _powers(1.0 - c.real, h, 2)
+        _, C1, C2 = _powers(np.abs(c.imag), h, 2)
+        s, s_hat = solved.result()
 
+    lower = 1.0 - R1 - 0.5 * C2
+    upper = 1.0 - R1 + 0.5 * (R2 + C2)
     checks = {
         "imag part exceeds C1": np.abs(s.imag) - C1,
         "real-part drift exceeds C2/2": np.abs(s.real - s_hat) - 0.5 * C2,
-        "real part below 1 - R1 - C2/2": (1.0 - R1 - 0.5 * C2) - s.real,
-        "real part above 1 - R1 + (R2+C2)/2": s.real - (1.0 - R1 + 0.5 * (R2 + C2)),
+        "real part below 1 - R1 - C2/2": lower - s.real,
+        "real part above 1 - R1 + (R2+C2)/2": s.real - upper,
     }
     for label, gap in checks.items():
         worst = float(np.max(gap))
@@ -292,9 +294,8 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
 
     return BoundsReport(
         2,
-        GridFunction(h, 1.0 - R1 - 0.5 * C2),
-        GridFunction(h, 1.0 - R1 + 0.5 * (R2 + C2)),
-        tail,
+        GridFunction(h, lower),
+        GridFunction(h, upper),
         r_series=(GridFunction(h, R1), GridFunction(h, R2)),
         c_series=(GridFunction(h, C1), GridFunction(h, C2)),
     )

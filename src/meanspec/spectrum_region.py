@@ -319,7 +319,8 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
     arc = 1.0 - w * np.log(us2) + 0.5 * w * w * inner
     z_end = arc[-1]
     # Spiral until the imaginary part first crosses zero, with the crossing
-    # interpolated linearly in the spiral parameter.
+    # interpolated linearly in the spiral parameter and set on the real axis
+    # (the interpolation leaves a rounding-noise imaginary part).
     spiral = []
     t = 0.0
     prev = z_end
@@ -328,7 +329,7 @@ def sector_set_contour(theta: float, n: int = 120) -> RegionCloud:
         cur = z_end * cmath.exp(-t * w)
         if prev.imag != 0 and (cur.imag == 0 or (cur.imag > 0) != (prev.imag > 0)):
             frac = prev.imag / (prev.imag - cur.imag)
-            spiral.append(prev + frac * (cur - prev))
+            spiral.append(complex((prev + frac * (cur - prev)).real, 0.0))
             break
         spiral.append(cur)
         prev = cur

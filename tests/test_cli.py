@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -499,3 +500,20 @@ print(json.dumps(out))
     assert len(out) == 9 + len(README_COMMANDS)
     for checkpoint, mods in out.items():  # a command's exit code, then the modules
         assert mods == ([0] if checkpoint.startswith("cli ") else []), checkpoint
+
+
+#: sha256 of the two README `bounds` artifacts. An envelope speed-up keeps
+#: these bytes; a change that means to move them updates the pin with it.
+README_BOUNDS_SHA256 = {
+    "chi.json": "fa4791bf8546ecbcfcebcd2c6130a20a9f9f7ece6e6ac27f681ef6d3c9517ce4",
+    "chi_complex.json": "c3468249ca131e2a3bbdcfd56e38c0b24615e4a2cab5d2bb3face7f0f9451693",
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(README_BOUNDS_SHA256))
+def test_readme_bounds_artifact_bytes(kernel, tmp_path):
+    (tmp_path / kernel).write_text(README_FILES[kernel])
+    out = tmp_path / "report.json"
+    assert main(["bounds", "--chi", str(tmp_path / kernel), "--kmax", "12",
+                 "--umax", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_BOUNDS_SHA256[kernel]

@@ -71,6 +71,33 @@ class TestStepFunction:
         for j in range(12):
             assert panels[j] == chi(j * h)
 
+    @staticmethod
+    def searchsorted_panel_values(chi: StepFunction, n_panels: int, h: float) -> np.ndarray:
+        """panel_values as one searchsorted over every panel."""
+        segs = np.asarray(chi.segment_values(), dtype=np.complex128)
+        marks = np.array([round(b / h) for b in chi.breaks], dtype=np.int64)
+        out = segs[np.searchsorted(marks, np.arange(n_panels), side="right")]
+        return out.real.copy() if chi.is_real else out
+
+    @pytest.mark.parametrize("chi, n_panels, h", [
+        (StepFunction(), 0, 1e-3),
+        (StepFunction(), 5, 1e-3),
+        (StepFunction((1.0,), (1.0,), -1.0), 3, 1.0),  # panel 0 ends at the break
+        (StepFunction((1.0, 2.0), (1.0, 0.5j), -0.25), 3, 1.0),
+        (StepFunction((1.0, 1.5, 2.25), (1.0, -0.5, 0.25), -1.0), 9, 0.25),  # last at 9
+        (StepFunction((1.0, 1.5, 2.25), (1.0, -0.5, 0.25), -1.0), 7, 0.25),  # past 7
+        (StepFunction((1.0, 1.5, 2.25), (1.0, -0.5, 0.25), -1.0), 4, 0.25),  # all at or past
+        (StepFunction((1.0, 1.5, 2.25), (1.0, -0.5, 0.25), -1.0), 0, 0.25),
+        (StepFunction((1.0, 1.5, 2.8), (1.0, 0.3 + 0.6j, -0.5 - 0.4j), 0.2j), 8000, 1e-3),
+        (StepFunction((1.0, 1.5, 2.8), (1.0, 0.3 + 0.6j, -0.5 - 0.4j), 0.2j), 2800, 1e-3),
+        (StepFunction((1.0, 1.6, 2.35), (1.0, -0.8, 0.3), -0.5), 80000, 1e-4),
+    ])
+    def test_panel_values_match_searchsorted(self, chi, n_panels, h):
+        got = chi.panel_values(n_panels, h)
+        want = self.searchsorted_panel_values(chi, n_panels, h)
+        assert got.dtype == want.dtype and got.shape == (n_panels,)
+        assert got.tobytes() == want.tobytes()
+
     def test_json_round_trip(self):
         chi = StepFunction((1.0, 2.5), (1.0, 0.5 + 0.25j), -0.125j)
         again = StepFunction.from_json(chi.to_json())

@@ -537,8 +537,9 @@ def _kernels(complex_values: bool, h: float):
 
 
 class TestTwoLanes:
-    """The powers run on one worker thread while the caller solves; the
-    reports equal a serial assembly bit for bit, and no thread outlives a call."""
+    """The solver check runs on one worker thread while the caller computes
+    the powers; the reports equal a serial assembly bit for bit, and no
+    thread outlives a call."""
 
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_sandwich_equals_serial_stages(self, h):
@@ -562,27 +563,57 @@ class TestTwoLanes:
             for got, want in zip(rep.r_series + rep.c_series, (R1, R2, C1, C2)):
                 assert np.array_equal(got.samples, want)
 
+    @staticmethod
+    def spy_threads(monkeypatch, fail=None):
+        """Record the thread of every solve_sigma and _powers call; the one
+        named by ``fail`` raises a ContractError once it has been recorded."""
+        seen = {"solve_sigma": [], "_powers": []}
+        solve, powers = series_bounds.solve_sigma, series_bounds._powers
+
+        def spy_solve(*args, **kwargs):
+            seen["solve_sigma"].append(threading.current_thread())
+            if fail == "solve_sigma":
+                raise ContractError("solver self-consistency residual exceeded by 1.000e+00")
+            return solve(*args, **kwargs)
+
+        def spy_powers(*args):
+            seen["_powers"].append(threading.current_thread())
+            if fail == "_powers":
+                raise ContractError("powers failed")
+            yield from powers(*args)
+
+        monkeypatch.setattr(series_bounds, "solve_sigma", spy_solve)
+        monkeypatch.setattr(series_bounds, "_powers", spy_powers)
+        return seen
+
     @pytest.mark.parametrize("call", [
         lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3),
         lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
     ], ids=["sandwich", "complex_bounds"])
     def test_solver_error_propagates_and_joins_the_worker(self, monkeypatch, call):
-        workers = set()
-        powers = series_bounds._powers
-
-        def spy_powers(*args):
-            workers.add(threading.current_thread())
-            yield from powers(*args)
-
-        def failing_solve(*args, **kwargs):
-            raise ContractError("solver self-consistency residual exceeded by 1.000e+00")
-
-        monkeypatch.setattr(series_bounds, "_powers", spy_powers)
-        monkeypatch.setattr(series_bounds, "solve_sigma", failing_solve)
+        seen = self.spy_threads(monkeypatch, fail="solve_sigma")
         before = threading.active_count()
         with pytest.raises(ContractError, match="residual exceeded by 1.000e"):
             call()
         assert threading.active_count() == before
+        workers = seen["solve_sigma"]
+        assert workers and threading.current_thread() not in workers
+        assert not any(t.is_alive() for t in workers)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3),
+        lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
+    ], ids=["sandwich", "complex_bounds"])
+    def test_powers_error_joins_the_worker_first(self, monkeypatch, call):
+        # The caller's lane fails while the worker may still be solving: the
+        # error waits for the worker, which still runs to completion.
+        seen = self.spy_threads(monkeypatch, fail="_powers")
+        before = threading.active_count()
+        with pytest.raises(ContractError, match="powers failed"):
+            call()
+        assert threading.active_count() == before
+        assert set(seen["_powers"]) == {threading.current_thread()}
+        workers = seen["solve_sigma"]
         assert workers and not any(t.is_alive() for t in workers)
 
     @pytest.mark.parametrize("call, error, message", [
@@ -607,23 +638,50 @@ class TestTwoLanes:
         assert str(info.value) == message
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("call", [
-        lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3),
-        lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
+    @pytest.mark.parametrize("call, solves", [
+        (lambda: sandwich(CHI_REAL, 12, 8.0, 1e-3), 1),
+        (lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3), 2),
     ], ids=["sandwich", "complex_bounds"])
-    def test_solver_and_tail_run_on_the_calling_thread(self, monkeypatch, call):
-        seen = {}
-
-        def spy(name, fn):
-            def wrapper(*args, **kwargs):
-                seen.setdefault(name, set()).add(threading.get_ident())
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("solve_sigma", "tail_envelope", "_powers"):
-            monkeypatch.setattr(series_bounds, name, spy(name, getattr(series_bounds, name)))
+    def test_solver_on_worker_powers_on_caller(self, monkeypatch, call, solves):
+        seen = self.spy_threads(monkeypatch)
+        tails = []
+        monkeypatch.setattr(series_bounds, "tail_envelope",
+                            lambda *args: tails.append(args))
         call()
-        here = threading.get_ident()
-        assert seen["solve_sigma"] == {here}
-        assert seen["tail_envelope"] == {here}
-        assert here not in seen["_powers"]
+        here = threading.current_thread()
+        workers = set(seen["solve_sigma"])
+        assert len(seen["solve_sigma"]) == solves
+        assert len(workers) == 1 and here not in workers
+        assert set(seen["_powers"]) == {here}
+        assert tails == []  # the tail waits for a read of tail_bound
+
+
+class TestLazyTail:
+    """BoundsReport.tail_bound is tail_envelope on the report's grid, computed
+    on first read and kept."""
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 0.05])
+    @pytest.mark.parametrize("u_max", [8.0, 7.99951])
+    def test_first_read_is_the_tail_envelope(self, h, u_max):
+        for rep, k_max in ((sandwich(CHI_REAL, 12, u_max, h, slack=1.0), 12),
+                           (sandwich(CHI_MINUS, 3, u_max, h, slack=1.0), 3),
+                           (complex_bounds(CHI_COMPLEX, u_max, h, slack=1.0), 2)):
+            want = tail_envelope(k_max, u_max, h)
+            assert "tail_bound" not in vars(rep)
+            got = rep.tail_bound
+            assert got.h == want.h
+            assert got.samples.dtype == want.samples.dtype
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_second_read_returns_the_same_object(self, monkeypatch):
+        rep = complex_bounds(CHI_COMPLEX, 4.0, 1e-3)
+        first = rep.tail_bound
+        monkeypatch.setattr(series_bounds, "tail_envelope", None)
+        assert rep.tail_bound is first
+
+    def test_not_a_constructor_field(self):
+        lower = tail_envelope(2, 2.0, 1e-2)
+        rep = series_bounds.BoundsReport(2, lower, lower, (lower,), (lower,))
+        assert rep.r_series == (lower,) and rep.c_series == (lower,)
+        with pytest.raises(TypeError):
+            series_bounds.BoundsReport(2, lower, lower, tail_bound=lower)

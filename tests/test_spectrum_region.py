@@ -186,6 +186,16 @@ class TestSectorContour:
             centre = DISC_COEFF * math.cos(t_big) ** 2
             assert np.max(np.abs(pts - centre)) <= (1.0 - centre) + 1e-9
 
+    @pytest.mark.parametrize("theta", [0.1, 0.7, 0.8, 5 * math.pi / 12,
+                                       *np.linspace(0.05, 1.5, 12)])
+    def test_spiral_closes_on_the_real_axis(self, theta):
+        # The interpolated crossing would keep a rounding-noise imaginary
+        # part (2.2e-19 at theta = 0.7) that flips with the last bit of the arc.
+        pts = sector_set_contour(theta).points
+        crossing = pts[len(pts) // 2]
+        assert crossing.imag == 0.0 and math.copysign(1.0, crossing.imag) == 1.0
+        assert pts[len(pts) // 2 - 1].imag * pts[len(pts) // 2 + 1].imag < 0
+
     def test_theta_out_of_range(self):
         with pytest.raises(ValidationError):
             sector_set_contour(0.0)
