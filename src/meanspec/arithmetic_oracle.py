@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -211,8 +210,7 @@ class MultiplicativeSpec:
         try:
             raw = json.loads(text)
             if "y" in raw:
-                chi = StepFunction.from_json(json.dumps(
-                    {k: raw[k] for k in ("breaks", "values", "tail")}))
+                chi = StepFunction._from_raw({k: raw[k] for k in ("breaks", "values", "tail")})
                 return cls.step(chi, float(raw["y"]))
             if "table" in raw:
                 table = {p: complex(re, im) for p, re, im in raw["table"]}
@@ -300,7 +298,7 @@ _WHEEL_TOPS = {2: 16, 3: 9, 5: 5, 7: 7}
 
 
 def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
-    """[finish(n, acc, rem) for each segment of [1, x]], in segment order.
+    """Yield finish(n, acc, rem) for each segment of [1, x], in segment order.
 
     Each power q = p^e <= hi of a base prime p <= sqrt(x) owns the strided
     view [start::q] of the multiples of q: there the divided-out part s gains
@@ -324,9 +322,9 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
     primes and change the rounding.
 
     SEGMENT_THREADS segments are in flight at once, each built, sieved and
-    finished wholly on one thread of a pool that lives for this call only:
-    a segment's arrays are freed when its finish returns, and every worker
-    has ended when the call returns or raises.
+    finished wholly on one thread of a pool that lives for this generator
+    only, and one more waits queued so that the threads stay busy while the
+    caller folds; every worker has ended when the generator ends or closes.
     """
     exact = np.dtype(dtype).kind == "i"
     tops = [_WHEEL_TOPS.get(p, 1) for p in base.tolist()]
@@ -362,16 +360,15 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
                 q *= p
         return finish(n, acc, np.floor_divide(n, s, out=s))
 
-    # A segment is submitted only when one finishes, so no queue of futures
-    # grows with x; leaving the block, also by an exception, joins the workers.
-    results, running = [], deque()
+    # Nothing kept grows with x: a segment's arrays are freed when its finish
+    # returns, and the oldest result is yielded as soon as a segment queues.
+    pending = []
     with ThreadPoolExecutor(SEGMENT_THREADS) as pool:
         for lo in range(1, x + 1, seg):
-            if len(running) == SEGMENT_THREADS:
-                results.append(running.popleft().result())
-            running.append(pool.submit(segment, lo))
-        results.extend(future.result() for future in running)
-    return results
+            pending.append(pool.submit(segment, lo))
+            if len(pending) > SEGMENT_THREADS:
+                yield pending.pop(0).result()
+        yield from (future.result() for future in pending)
 
 
 def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
@@ -388,10 +385,7 @@ def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
     from its worker and fold here in segment order.
     """
     x = _check_budget(x)
-    partial = 0.0 + 0.0j
-    logsum = 0.0 + 0.0j
-    theta = 1.0 + 0.0j
-    deficit = 0.0
+    partial = logsum = 0.0 + 0.0j
     palette = spec.palette
     if not palette.imag.any():
         unit = np.isin(palette.real, (-1.0, 0.0, 1.0)).all()
@@ -399,33 +393,30 @@ def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
     base = primes_upto(math.isqrt(x))
     fp_base = palette[spec.palette_index(base)]
     ps = base.astype(np.float64)
-    theta *= _theta_factor_product(ps, fp_base)
-    deficit += float(np.sum(np.abs(1.0 - fp_base) / ps))
+    theta = _theta_factor_product(ps, fp_base)
+    deficit = float(np.sum(np.abs(1.0 - fp_base) / ps))
 
     def finish(n, acc, rem):
-        """(sum f, sum f/n, (theta factor, deficit) or None without primes
-        above sqrt(x)) over one segment."""
+        """(sum f, sum f/n, theta factor, deficit) over one segment; the last
+        two are exactly 1 and 0.0 on a segment without primes above sqrt(x)."""
         fr = palette[_cofactor_slots(spec, x, rem)]
         acc *= fr
         # rem == n at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
         at = np.flatnonzero(rem == n)[1 if n[0] == 1 else 0:]
         fp = fr[at]
         ps = n[at].astype(np.float64)
-        primes = None
-        if len(ps):
-            primes = (_theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps)))
+        primes = _theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps))
         del fr, at, fp, ps
         # Dividing by the int32 n casts it to the exact float64 values that
         # a float64 copy would hold.
-        return complex(np.sum(acc)), complex(np.sum(np.true_divide(acc, n))), primes
+        return complex(np.sum(acc)), complex(np.sum(np.true_divide(acc, n))), *primes
 
-    for part, log_part, primes in _factor_segments(
+    for part, log_part, theta_part, deficit_part in _factor_segments(
             x, base, fp_base, np.multiply, 1, palette.dtype, finish=finish):
-        if primes is not None:
-            theta *= primes[0]
-            deficit += primes[1]
         partial += part
         logsum += log_part
+        theta *= theta_part
+        deficit += deficit_part
     return SieveResult(x, partial, logsum, theta, deficit)
 
 
@@ -451,15 +442,17 @@ def naive_sums(spec: MultiplicativeSpec, x: int):
     return partial, logsum
 
 
-def _step_sieve(chi: StepFunction, y: float, u: float):
-    """(sieve sums, y^u) for the step-mode f up to x = y^u.
-
-    The C*u/log(y) envelope that both comparisons check describes x = y^u
-    >= y, so u < 1 (and NaN) is rejected rather than widening it.
-    """
+def _check_u(u: float) -> float:
+    """u, if u >= 1: the C*u/log(y) envelope that the comparisons check
+    describes x = y^u >= y, so u < 1 (and NaN) is rejected, not widened."""
     if not u >= 1.0:
         raise ValidationError(f"u must be at least 1, got {u}")
-    xf = float(y) ** u
+    return u
+
+
+def _step_sieve(chi: StepFunction, y: float, u: float):
+    """(sieve sums, y^u) for the step-mode f up to x = y^u, u >= 1."""
+    xf = float(y) ** _check_u(u)
     if xf > MAX_SIEVE_X + 0.5:
         raise BudgetError(f"y^u = {xf:.3g} exceeds the sieve budget {MAX_SIEVE_X}")
     return sieve_sums(MultiplicativeSpec.step(chi, y), int(xf + 1e-9)), xf
@@ -477,8 +470,8 @@ def mean_vs_sigma(chi: StepFunction, y: float, u: float, h: float = 1e-3):
 
 
 def _sigma_gap(chi: StepFunction, y: float, u: float, h: float, mean: complex):
-    """(sigma(u), gap) for a sieve mean, the gap checked against C*u/log(y)."""
-    sigma_val = complex(solve_sigma(chi, max(u, 1.0), h).value_at(u))
+    """(sigma(u), gap) for a sieve mean at u >= 1, the gap checked against C*u/log y."""
+    sigma_val = complex(solve_sigma(chi, u, h).value_at(u))
     gap = abs(mean - sigma_val)
     _check_gap("mean", gap, y, u)
     return sigma_val, gap

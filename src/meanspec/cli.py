@@ -249,7 +249,7 @@ def _cmd_oracle(args) -> int:
     if args.compare_sigma:
         if spec.mode != "step":
             raise ValidationError("--compare-sigma needs a step-mode spec")
-        u = math.log(x) / math.log(spec.y)
+        u = oracle._check_u(math.log(x) / math.log(spec.y))
         s, gap = oracle._sigma_gap(spec.chi, spec.y, u, args.h, mean)
         payload["compare_sigma"] = {
             "u": u,

@@ -127,7 +127,13 @@ class StepFunction:
     @classmethod
     def from_json(cls, text: str) -> "StepFunction":
         try:
-            raw = json.loads(text)
+            return cls._from_raw(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed kernel JSON: {exc}") from None
+
+    @classmethod
+    def _from_raw(cls, raw) -> "StepFunction":
+        try:
             breaks = tuple(float(b) for b in raw["breaks"])
             values = tuple(complex(re, im) for re, im in raw["values"])
             tail = complex(raw["tail"][0], raw["tail"][1])

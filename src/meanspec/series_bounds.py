@@ -22,7 +22,7 @@ the worker, also when its own lane raises, and checks the envelopes.  Each
 lane runs the same code on the same inputs as one after the other would, so
 every array is bit-identical to a serial run.  Only the worker calls
 solve_sigma, and neither lane calls tail_envelope: a report computes its
-tail bound on first read.
+tail bound when it is read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -204,10 +203,10 @@ class BoundsReport:
     r_series: tuple = ()
     c_series: tuple = ()
 
-    @cached_property
+    @property
     def tail_bound(self) -> GridFunction:
         """The crude series tail past k_max on the envelopes' grid, computed
-        on first read."""
+        at each read."""
         return tail_envelope(self.k_max, self.lower.u_max, self.lower.h)
 
     def to_json_dict(self) -> dict:

@@ -231,6 +231,25 @@ class TestPalette:
             "table": [[2, 0.0, 1.0], [3, -0.5, 0.0], [5, 0.6, -0.8]], "default": [0.25, 0.5]}
         assert MultiplicativeSpec.from_json(spec.to_json()) == spec
 
+    def test_step_json_round_trip(self):
+        spec = MultiplicativeSpec.step(StepFunction((1.0, 1.5), (1.0, 0.3 + 0.6j), -0.5), 30.0)
+        assert MultiplicativeSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"y": 10, "values": [[1, 0]], "tail": [-1, 0]}', "malformed spec JSON: 'breaks'"),
+        ('{"y": "ten", "breaks": [1], "values": [[1, 0]], "tail": [-1, 0]}',
+         "malformed spec JSON: could not convert"),
+        ('{"y": 10, "breaks"', "malformed spec JSON: Expecting"),
+        ('{"y": 10, "breaks": [1], "values": [[1, 0, 0]], "tail": [-1, 0]}',
+         "malformed kernel JSON: too many values"),
+        ('{"y": 10, "breaks": [1], "values": [[1, 0]], "tail": [-1]}',
+         "malformed kernel JSON: list index out of range"),
+    ])
+    def test_step_json_messages(self, text, message):
+        with pytest.raises(ValidationError) as raised:
+            MultiplicativeSpec.from_json(text)
+        assert str(raised.value).startswith(message)
+
     def test_composite_and_truncated_keys_rejected(self):
         # Once stored as {4: -1, 2: 0}: f(2) = 0 and a sum of 500 at x = 1000.
         with pytest.raises(ValidationError):
@@ -1086,9 +1105,9 @@ class TestWheelTile:
             return a if out is not None else np.add(a, v)
 
         monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
-        parts = arithmetic_oracle._factor_segments(
+        parts = list(arithmetic_oracle._factor_segments(
             x, np.array(base), weights, pattern_only, 0, np.int64,
-            finish=lambda n, acc, rem: (n.copy(), acc.copy(), rem.copy()))
+            finish=lambda n, acc, rem: (n.copy(), acc.copy(), rem.copy())))
         n = np.concatenate([part[0] for part in parts])
         acc = np.concatenate([part[1] for part in parts])
         rem = np.concatenate([part[2] for part in parts])
@@ -1147,6 +1166,40 @@ class TestSegmentThreads:
             sieve_sums(THREAD_SPECS[2], 3 * 2 ** 19 + 7)
         assert threading.active_count() == before
         assert workers and not any(t.is_alive() for t in workers)
+
+    def test_closing_after_the_first_result_joins_every_worker(self):
+        workers = set()
+
+        def finish(n, acc, rem):
+            workers.add(threading.current_thread())
+            return len(n)
+
+        x = 3 * 2 ** 19 + 7
+        base = primes_upto(math.isqrt(x))
+        before = threading.active_count()
+        parts = arithmetic_oracle._factor_segments(
+            x, base, [-1] * len(base), np.multiply, 1, np.int8, finish=finish)
+        assert next(parts) == arithmetic_oracle._segment_length()
+        parts.close()
+        assert threading.active_count() == before
+        assert workers and not any(t.is_alive() for t in workers)
+
+    def test_traced_peak_does_not_grow_with_the_segment_count(self, monkeypatch):
+        # At 16-integer segments x = 2^11 and 2^14 take 128 and 1024 of them,
+        # and the peak is mostly what the call keeps beside the two segments
+        # in flight.  Keeping every segment's sums until the end grew it by
+        # 97-118 KiB; folding them as they come grows it by 1-14 KiB.
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: 16)
+        sieve_sums(LIOUVILLE, 2 ** 14)
+        peaks = []
+        for x in (2 ** 11, 2 ** 14):
+            tracemalloc.start()
+            try:
+                sieve_sums(LIOUVILLE, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 48 << 10
 
 
 class TestDiscriminantAverage:

@@ -225,6 +225,15 @@ class TestOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["compare_sigma"]["oracle"] == payload["mean"]
 
+    @pytest.mark.parametrize("x", ["2", "999"])
+    def test_compare_sigma_below_u_one_exits_one(self, spec_file, capsys, x):
+        # y = 1000, so x = 2 is u = 0.1003 and x = 999 just below u = 1.
+        assert main(["oracle", "--spec", spec_file, "--x", x, "--compare-sigma"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: u must be at least 1, got 0.")
+        assert captured.err.count("\n") == 1
+
     def test_budget_exit_code(self, spec_file):
         assert main(["oracle", "--spec", spec_file, "--x", "1e9"]) == 3
 
