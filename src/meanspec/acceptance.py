@@ -19,11 +19,14 @@ from . import series_bounds as series
 from . import spectrum_region as region
 from .dde_solver import perturbation_gap, solve_sigma
 from .errors import ContractError
-from .kernels import (SQRT_E, StepFunction, dickman_rho, dickman_rho_grid,
+from .kernels import (SQRT_E, StepFunction, _taylor_rows, dickman_rho, dickman_rho_grid,
                       rho_minus, rho_minus_correction, rho_minus_grid)
 
 DELTA1_PRINTED = -0.656999
 DELTA0_PRINTED = 0.171500
+
+#: Criterion 3: the march's gap to the exact Taylor engine is at most C h^2.
+EXACT_GAP_C = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,33 @@ def check_solver_cross() -> CheckResult:
         # |sigma - sigma_hat| <= u^chi0 - 1, chi0 = sup |chi - chi_hat|.
         gap, bound = perturbation_gap(StepFunction((1.0,), (1.0,), -1.0),
                                       StepFunction((1.0,), (1.0,), -0.9), 3.0, 1e-3)
+        # An exact reference: on kernels with 6-24 breaks on the lattice 1/N
+        # the march's gap to the Taylor engine falls like h^2, and its
+        # Richardson extrapolation meets the engine.
+        N, h = 20, 1.0 / 200
+        scaled, exact_ratios, extrapolated = [], [], 0.0
+        for make in (random_real_kernel, random_complex_kernel) * 5:
+            k = make(rng, 1.0 / N, 3.5, int(rng.integers(6, 25)))
+            segs = np.array(k.segment_values())
+            coarse = solve_sigma(k, 4.0, h).sigma
+            fine = solve_sigma(k, 4.0, h / 2).sigma.samples[::2]
+            exact = _taylor_rows([round(b * N) for b in k.breaks], N,
+                                 segs.real if k.is_real else segs, coarse.u)
+            gaps = [float(np.max(np.abs(s - exact))) for s in (coarse.samples, fine)]
+            scaled.append(gaps[0] / h ** 2)
+            exact_ratios.append(gaps[0] / gaps[1])
+            extrapolated = max(extrapolated,
+                               float(np.max(np.abs((4.0 * fine - coarse.samples) / 3.0 - exact))))
         ok = (gap_minus <= 5e-6 and gap_rho <= 5e-6
-              and all(3.5 <= r <= 4.5 for r in ratios) and gap <= bound)
+              and all(3.5 <= r <= 4.5 for r in ratios) and gap <= bound
+              and max(scaled) <= EXACT_GAP_C and all(3.5 <= r <= 4.5 for r in exact_ratios)
+              and extrapolated <= 1e-10)
         return ok, (f"sup gaps {gap_minus:.2e}/{gap_rho:.2e}, "
                     f"richardson in [{min(ratios):.3f}, {max(ratios):.3f}], "
-                    f"perturbation gap {gap:.4f} <= {bound:.4f}")
+                    f"perturbation gap {gap:.4f} <= {bound:.4f}, "
+                    f"exact gap <= {max(scaled):.3f} h^2 (C = {EXACT_GAP_C}), "
+                    f"ratios in [{min(exact_ratios):.3f}, {max(exact_ratios):.3f}], "
+                    f"extrapolated {extrapolated:.1e} <= 1e-10")
     return _run("3 solver cross-check", body)
 
 
@@ -192,6 +217,7 @@ def check_sign_changes_and_min_mean() -> CheckResult:
         details = [f"{n_changes} sign changes, identity residual "
                    f"{rep.identity_residual:.1e}"]
         ok = n_changes >= 2 and rep.identity_residual <= 1e-6
+        revalidation = 0.0
         for B in (1.0, 1.5, 2.0):
             r = extremal.truncated_kernel_min_mean(
                 B, m_steps=6, u_grid=(1.5, 2.0, 3.0), restarts=3,
@@ -201,6 +227,10 @@ def check_sign_changes_and_min_mean() -> CheckResult:
             if B == 1.0:
                 ok = ok and r.value <= 1.0 - 2.0 * math.log(2.0) + 1e-6
             details.append(f"B={B}: {r.value:.4f} (floor {floor:.4f})")
+            d = r.diagnostics
+            revalidation = max(revalidation, d["revalidation_gap"] / d["revalidation_h"] ** 2)
+        ok = ok and revalidation <= 1.0
+        details.append(f"march vs engine <= {revalidation:.4f} h'^2")
         return ok, "; ".join(details)
     return _run("7 truncated-kernel search", body)
 

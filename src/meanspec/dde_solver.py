@@ -8,14 +8,16 @@ cumulative integral, into a two-term recurrence driven by the kernel's
 jumps.  Every jump lies at u >= 1, so the march advances a whole unit
 interval of nodes per numpy step.
 
-One engine, _solve_rows, runs every solve.  It takes the segment constants
-of one kernel, or of R kernels that share their breakpoints; the latter
-march together on a trailing batch axis, each column bit for bit as its own
-march, and every column is held to the same contracts.  On request it
-re-checks the discrete convolution identity, built from the trapezoid
+One engine, _solve_rows, runs every grid solve.  It takes the segment
+constants of one kernel, or of R kernels that share their breakpoints; the
+latter march together on a trailing batch axis, each column bit for bit as
+its own march, and every column is held to the same contracts.  On request
+it re-checks the discrete convolution identity, built from the trapezoid
 antiderivative and not from the recurrence.  solve_sigma is the one-kernel
-case with that check always on; the extremal search's line searches batch
-their d + 1 kernels per restart with it off.
+case with that check always on.  Where only a few values of sigma are
+needed and the breaks lie on a lattice 1/N, kernels._taylor_rows gives them
+exactly instead: the extremal search reads sigma(B*u) there and re-validates
+its winner here, and criterion 3 measures this march's O(h^2) gap against it.
 """
 
 from __future__ import annotations

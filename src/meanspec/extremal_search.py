@@ -6,9 +6,10 @@ delta_0), the minimized series bound for logarithmic densities of m-th
 power residues, the auxiliary minimizations behind the disc and projection
 containments, and the search for the most negative sigma(B*u) over sign
 kernels truncated at u, together with the sign-change scan of the solution
-for the kernel that is -1 on [1, 2] and 0 beyond.  The search solves its
-kernels as rows of the solver engine, many per march, within its own batch
-budget MAX_BATCH_SAMPLES, and reads sigma(B*u) off each column.
+for the kernel that is -1 on [1, 2] and 0 beyond.  The search reads
+sigma(B*u) exactly off the Taylor engine kernels._taylor_rows, many kernels
+per call within its own batch budget MAX_BATCH_SAMPLES, and re-validates its
+winner with a residual-checked march.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .dde_solver import _solve_rows, solve_sigma
-from .errors import BudgetError, ContractError, ValidationError
-from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_point,
-                      _grid_steps, _li2, dickman_rho, rho_minus_correction)
+from .dde_solver import solve_sigma
+from .errors import BudgetError, ContractError, GridError, ValidationError
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _li2, _taylor_rows,
+                      _taylor_size, dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -218,21 +219,19 @@ DEFAULT_U_GRID = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
 MAX_RESTARTS = 1000
 
 #: Largest line-search degree floor(B*u): a line search solves up to d + 2
-#: kernels where golden section solved about 16, yet it is the faster one:
-#: gamma-b --B 10 (degree 60) takes 10.4-10.8 s with the DCT-I argmin and
-#: 10.7-11.6 s with the least-squares argmin before it, measured back to back
-#: on a 2-vCPU VM; golden section took 20.7 s there.
+#: kernels where golden section solved about 16, yet it is the faster one.
+#: gamma-b --B 10 (degree 60) took 10.4-10.8 s on the h = 1e-3 march with
+#: the DCT-I argmin, 10.7-11.6 s with the least-squares argmin before it and
+#: 20.7 s with golden section; on the Taylor engine it takes 1.15-1.21 s,
+#: all measured on a 2-vCPU VM.
 MAX_LINE_DEGREE = 100
 
-#: Most samples, rows x (n + 1) float64 values (4 MB), that one batched
-#: march holds; more rows march in chunks, which changes no bit.  The march
-#: and its checks keep about three such arrays alive.  Unchunked, gamma-b at
-#: B = 10 would hold 8 restarts x 61 rows x 60,001 nodes (234 MB).
+#: Most values, rows x cells x terms (4 MB of float64), that one engine call
+#: holds (kernels._taylor_size); more rows go in chunks, which changes no
+#: bit.  gamma-b --B 10 holds at most 8 restarts x 61 rows x 64 cells x 14
+#: terms (437 k) in one call; with --steps 16 a row holds 128 cells x 12
+#: terms, and its largest line searches go in chunks of 341 rows.
 MAX_BATCH_SAMPLES = 2 ** 19
-
-
-def _snap(x: float, h: float) -> float:
-    return round(x / h) * h
 
 
 def _dct1(d: int) -> np.ndarray:
@@ -297,16 +296,22 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     panels of [1, u], and vanishes beyond u; the outer loop ranges over
     u_grid (scaled so B*u >= 1 when defaulted) and the inner optimizer is
     coordinate descent from one all-minus start plus seeded random restarts.
-    On the grid, sigma(B*u) is a polynomial in each level, of degree at most
-    d = floor(B*u / a) for a level whose panel starts at a, so each line
-    search solves the d + 1 kernels at the Chebyshev-Lobatto nodes
-    cos(pi k/d), interpolates exactly and takes the interpolant's global
-    minimum on [-1, 1]; a step is taken only if a solve at that minimum
-    beats the current value.  The restarts advance in lockstep, so each
-    coordinate's solves for every restart still improving are one batched
-    march of the solver engine (in chunks of at most MAX_BATCH_SAMPLES
-    samples), bit for bit as one solve per kernel, and their argmins one
-    batched interpolation step (_line_argmins).  The panel
+    u is snapped to k/m1 on the grid of step h = 1/m1, and its panel edges
+    1 + (u - 1) j/m_steps are exact rationals on a lattice 1/N, so the Taylor
+    engine reads sigma(B*u) exactly.  sigma(B*u) is a polynomial in each
+    level, of degree at most d = floor(B*u / a) for a level whose panel
+    starts at a, so each line search solves the d + 1 kernels at the
+    Chebyshev-Lobatto nodes cos(pi k/d), interpolates exactly and takes the
+    interpolant's global minimum on [-1, 1]; a step is taken only if a solve
+    at that minimum beats the current value.  The restarts advance in
+    lockstep, so each coordinate's solves for every restart still improving
+    are one batched engine call (in chunks of at most MAX_BATCH_SAMPLES
+    values), bit for bit as one call per kernel, and their argmins one
+    batched interpolation step (_line_argmins).  The engine checks
+    |sigma| <= 1 for every line-search kernel; the best kernel is then
+    solved by the residual-checked march at h' = 1/M, the largest step <= h
+    on which its breaks lie, under every march contract, and the march must
+    meet the engine within h'^2 at the two nodes around B*u.  The panel
     parameterization only explores part of the admissible class, so the
     result is an upper bound for the true minimum; it is checked against the
     two-sided bracket [-rho(B) - 1e-4, 0).
@@ -338,47 +343,55 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         if math.floor(B * u + ALIGN_TOL) > MAX_LINE_DEGREE:
             raise BudgetError(f"line-search degree floor(B*u) = {math.floor(B * u)} "
                               f"exceeds the budget {MAX_LINE_DEGREE}")
-        if m_steps * h > u - 1.0 + ALIGN_TOL:  # before the edge loop allocates
-            raise ValidationError(f"{m_steps} panels of [1, {u}] do not fit on the h={h} grid")
+    m1 = round(1.0 / h)
+    if abs(m1 * h - 1.0) > ALIGN_TOL:
+        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    panels = []
+    for u_raw in u_grid:
+        # u = k/m1 on the h grid, split into m_steps exact equal panels
+        # 1 + (u - 1) j/m_steps: over the denominator D = m1 m_steps their
+        # numerators D + (k - m1) j share g = gcd(D, k - m1), so the edges
+        # are marks/N on the lattice N = D/g.
+        k = round(u_raw / h)
+        if k - m1 < m_steps:
+            raise ValidationError(f"{m_steps} panels of [1, {u_raw}] do not fit on the h={h} grid")
+        D = m1 * m_steps
+        g = math.gcd(D, k - m1)
+        N = D // g
+        marks = [(D + (k - m1) * j) // g for j in range(m_steps + 1)]
+        # The re-validation solve runs at h' = 1/M, the largest step <= h
+        # on which every edge lies; M >= N, so this budget covers the engine's.
+        M = N * -(-m1 // N)
+        _check_grid(max(B * k / m1, k / m1), 1.0 / M)
+        panels.append((k / m1, N, marks, M))
 
     rho_floor = dickman_rho(B)
     rng = np.random.default_rng(seed)
     best_val = math.inf
-    best_kernel = None
-    best_u = None
+    best = None
     max_abs_seen = 0.0
     evaluations = 0
 
-    for u_raw in u_grid:
-        u = _snap(u_raw, h)
-        edges = sorted({_snap(1.0 + (u - 1.0) * j / m_steps, h)
-                        for j in range(m_steps + 1)})
-        if len(edges) != m_steps + 1 or edges[0] != _snap(1.0, h):
-            raise ValidationError(
-                f"panel edges collapse on the h={h} grid for u={u}; refine h")
+    for u, N, marks, M in panels:
         m = m_steps
         target = B * u
-        u_top = max(_snap(math.ceil(target / h) * h, h), edges[-1])
+        edges = [mk / N for mk in marks]
         # sigma(target) has degree <= floor(target / a) in a level whose panel
         # starts at a: each use of the level delays by at least a.
         lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
-        n = _grid_steps(u_top, h)
-        chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
-        # sigma(target) interpolates linearly from node i_t on, as GridFunction.value_at.
-        i_t, frac = _grid_point(target, h, n)
+        cells, terms = _taylor_size(marks, N, target)
+        chunk = max(1, MAX_BATCH_SAMPLES // (cells * terms))
 
         def solve(levels: np.ndarray) -> np.ndarray:
-            """sigma(target) for the kernel of each row of levels, in batched marches."""
+            """sigma(target) for the kernel of each row of levels, exactly, in batches."""
             nonlocal max_abs_seen, evaluations
             segments = np.zeros((len(levels), m + 2))
             segments[:, 0] = 1.0
             segments[:, 1:-1] = levels
             vals = np.empty(len(levels))
             for r in range(0, len(levels), chunk):
-                sigma, _ = _solve_rows(edges, segments[r:r + chunk], u_top, h,
-                                       check_residual=False)
-                vals[r:r + chunk] = sigma[i_t] + frac * (sigma[i_t + 1] - sigma[i_t])
+                vals[r:r + chunk] = _taylor_rows(marks, N, segments[r:r + chunk], [target])[0]
             evaluations += len(vals)
             max_abs_seen = max(max_abs_seen, float(np.max(np.abs(vals))))
             return vals
@@ -419,8 +432,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         for r in range(restarts):
             if val[r] < best_val:
                 best_val = float(val[r])
-                best_kernel = StepFunction(tuple(edges), (1.0,) + tuple(y[r]), 0.0)
-                best_u = u
+                best = (u, N, marks, M, terms, (1.0,) + tuple(y[r]) + (0.0,))
 
     if not (-rho_floor - 1e-4 <= best_val < 0.0):
         raise ContractError(
@@ -428,13 +440,28 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     if max_abs_seen > rho_floor + 1e-4:
         raise ContractError(
             f"candidate |sigma(B*u)| = {max_abs_seen:.6f} exceeds rho(B) + 1e-4")
-    solve_sigma(best_kernel, max(B * best_u, best_u), h)  # re-validate with residual check
-    return ExtremalResult(best_val, best_kernel, {
-        "u": best_u,
-        "target": B * best_u,
+    u, N, marks, M, terms, values = best
+    target = B * u
+    kernel = StepFunction(tuple(mk / N for mk in marks), values[:-1], 0.0)
+    # Re-validate the winner with every contract of a residual-checked march
+    # at h' = 1/M, and the march against the engine at the two nodes around
+    # the target: the trapezoid error is O(h'^2).
+    sol = solve_sigma(kernel, max(target, u), 1.0 / M)
+    i = min(int(target * M), len(sol.sigma) - 2)
+    nodes = sol.sigma.u[i:i + 2]
+    gap = float(np.max(np.abs(sol.sigma.samples[i:i + 2] - _taylor_rows(marks, N, values, nodes))))
+    if not gap <= M ** -2.0:
+        raise ContractError(f"march and Taylor engine differ by {gap:.3e} > h'^2 near u = {target}")
+    return ExtremalResult(best_val, kernel, {
+        "u": u,
+        "target": target,
         "rho_floor": -rho_floor,
         "max_abs_sigma": max_abs_seen,
         "evaluations": evaluations,
+        "lattice": N,
+        "taylor_terms": terms,
+        "revalidation_h": 1.0 / M,
+        "revalidation_gap": gap,
     })
 
 

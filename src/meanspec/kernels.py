@@ -1,19 +1,23 @@
-"""Step kernels, uniform grid functions, and the classical delay functions.
+"""Step kernels, uniform grid functions, and the exact Taylor engine.
 
 Two representations underpin the package.  A StepFunction is a
 right-continuous piecewise-constant complex function on [0, oo) whose
 initial segment is identically 1; it plays the role of the kernel in the
 delay integral equation.  A GridFunction holds samples of a continuous
 function on the uniform grid u = 0, h, 2h, ...  On top of these the module
-provides piecewise Taylor series for the Dickman function and its factor-two
-signed variant (after Marsaglia, Zaman & Marsaglia, Math. Comp. 53, 1989),
-and the logarithmic integral correction that the signed variant picks up
-past u = 2.
+provides _taylor_rows, which evaluates sigma exactly, to rounding, for
+kernels whose breaks lie on a lattice 1/N: piecewise Taylor series about the
+lattice cells' centres (after Marsaglia, Zaman & Marsaglia, Math. Comp. 53,
+1989), one or many kernels at once.  The Dickman function and its factor-two
+signed variant are its one-break case; the module also gives the
+logarithmic integral correction that the signed variant picks up past
+u = 2.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, GridError, ValidationError
+from .errors import BudgetError, ContractError, GridError, ValidationError
 
 SQRT_E = math.sqrt(math.e)
 
@@ -31,14 +35,11 @@ DISC_TOL = 1e-12
 #: Absolute slack when snapping breakpoints and evaluation points to a grid.
 ALIGN_TOL = 1e-9
 
-#: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4).
+#: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4),
+#: and of the Taylor engine's lattice cells u_max*N.
 MAX_SOLVER_NODES = 10 ** 7
 
-#: Taylor terms per unit interval of the delay functions: the expansion about
-#: k + 1/2 reaches u = k - 1, so terms fall by 1/3 each and 40 leave < 1e-19.
-DELAY_TERMS = 40
-
-#: Largest delay-function argument (one table row per unit interval); past
+#: Largest delay-function argument (one engine block per unit interval); past
 #: u = 20 both functions are below the series' rounding error of about 1e-17.
 MAX_DELAY_U = 1000.0
 
@@ -227,52 +228,161 @@ def _grid_steps(u_max: float, h: float) -> int:
     return max(1, int(math.ceil(u_max / h - ALIGN_TOL)))
 
 
-def _horner(coeffs, s):
-    """sum_i coeffs[i] * s**i by Horner's rule, on a float or an array s."""
-    y = coeffs[-1]
-    for a in coeffs[-2::-1]:
-        y = y * s + a
+def _horner(coeffs, s: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * s**i by Horner's rule, on an array s and at least two
+    coefficients, in place after the first step."""
+    y = coeffs[-1] * s + coeffs[-2]
+    for a in coeffs[-3::-1]:
+        y *= s
+        y += a
     return y
 
 
-def _delay_table(k_max: int, factor: float) -> np.ndarray:
-    """Taylor coefficients a[k, i] of f about k + 1/2, one row per interval (k, k+1].
+@functools.lru_cache(maxsize=16)
+def _taylor_tables(N: int):
+    """(T, sides) for cells of width w = 1/N; sides is read-only.
 
-    u f'(u) = -factor f(u-1) gives a[k, i >= 1] from row k - 1, and continuity at
-    u = k fixes a[k, 0].
+    T is the least term count with ((w/2)/(1 + w/2))**T = (2N + 1)**-T below
+    2**-56: every singularity of sigma's continuation from a cell lies at
+    least 1 + w/2 left of its centre, so on the cell the terms fall by that
+    ratio.  sides holds the powers (w/2)**i - (-w/2)**i and (-w/2)**i,
+    i = 1..T-1, that give a cell's increment and its left edge minus a_0.
     """
-    table = np.zeros((k_max + 1, DELAY_TERMS))
-    table[0, 0] = 1.0
-    for k in range(1, k_max + 1):
-        prev, row = table[k - 1].tolist(), [0.0] * DELAY_TERMS
-        for i in range(DELAY_TERMS - 1):
-            row[i + 1] = (-factor * prev[i] - i * row[i]) / ((k + 0.5) * (i + 1))
-        row[0] = _horner(prev, 0.5) + 0.5 * _horner(row[1:], -0.5)
-        table[k] = row
-    return table
+    T = 1
+    while (2 * N + 1) ** T <= 2 ** 56:
+        T += 1
+    right = (0.5 / N) ** np.arange(1.0, T)
+    left = np.where(np.arange(1, T) % 2, -right, right)
+    sides = np.stack([right - left, left])
+    sides.setflags(write=False)
+    return T, sides
 
 
-def _delay_samples(u: np.ndarray, factor: float) -> np.ndarray:
-    """f at the ascending points u: one Horner pass per unit interval."""
-    if not (u[0] >= 0 and math.isfinite(u[-1])):
+def _taylor_size(marks, N: int, u_max: float):
+    """(cells, T) of _taylor_rows for points up to u_max: T terms per cell,
+    and per kernel the cells it holds, a ring of N per unit block for the
+    blocks a later block still reads (up to the largest mark it uses) and
+    the one it builds, plus the block's N sums G."""
+    T = _taylor_tables(N)[0]
+    last = max(math.ceil(u_max * N) - 1, 0)
+    reach = max([mk for mk in marks if mk <= last], default=N)
+    return N * (-(-reach // N) + 2), T
+
+
+def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
+    """sigma at the ascending points for step kernels whose breaks lie on the
+    lattice of width w = 1/N: the exact delay-equation Taylor recurrence.
+
+    marks are the breaks in cells, strictly increasing integers >= N.  values
+    holds the segment constants along its last axis, as for
+    dde_solver._solve_rows: a (k + 1,) row is one kernel and gives (P,)
+    values, an (R, k + 1) matrix R kernels on the shared marks and gives
+    (P, R), each column bit for bit its one-kernel value.
+
+    Differentiating u sigma = sigma * chi gives u sigma'(u) =
+    sum_k d_k sigma(u - b_k), d_k the jump at b_k = m_k w.  On the cell
+    [jw, (j + 1)w) with centre c, sigma(u - b_k) reads cell j - m_k at the
+    same offset s = u - c, so with G = sum_k d_k a^(j - m_k) the
+    coefficients follow a_{i+1} = (G_i - i a_i)/(c (i + 1)), none of them
+    from a_0; times (i + 1) c (-c)**i the recurrence telescopes into one
+    cumulative sum along the coefficients.  Every m_k >= N, so a unit block
+    of N cells reads only earlier blocks and is one numpy step; a_0 then
+    comes from the cumulative sum of the cells' edge increments, seeded by
+    the previous block's right edge, and |sigma| <= 1 is checked at every
+    edge.  Cells 0..N-1 hold sigma = 1 exactly.  The cells live in a ring
+    (_taylor_size), zeros until first written, which is what a read before
+    u = 0 must see.  A point u is read in cell max(ceil(uN) - 1, 0) by
+    Horner.  Every product is elementwise and every sum runs along the
+    coefficients or the cells, so no row's bits depend on the rows batched
+    with it.
+    """
+    values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+    if (values.ndim not in (1, 2) or values.shape[-1] != len(marks) + 1
+            or not np.all(values[..., 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
+        raise ValidationError("each kernel needs one value per segment in the unit disc, 1 first")
+    if any(mk < N for mk in marks[:1]) or any(b <= a for a, b in zip(marks, marks[1:])):
+        raise ValidationError(f"marks must increase strictly from at least N = {N}")
+    points = np.asarray(points, dtype=np.float64)
+    if not (points[0] >= 0 and math.isfinite(points[-1])):  # NaN fails too
         raise ValidationError("argument must be finite and nonnegative")
-    if u[-1] > MAX_DELAY_U:
+    if points[-1] * N >= MAX_SOLVER_NODES:
+        raise BudgetError(f"{points[-1] * N:.3g} lattice cells exceed the budget "
+                          f"{MAX_SOLVER_NODES}")
+    cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
+    n_blocks = int(cells[-1]) // N + 1
+    batch = values.shape[:-1]
+    ones = (1,) * len(batch)
+    jumps = [(mk, dk[..., None]) for mk, dk in zip(marks, (values[..., 1:] - values[..., :-1]).T)
+             if mk <= cells[-1]]
+    size, T = _taylor_size(marks, N, points[-1])
+    sides = _taylor_tables(N)[1]
+    orders = np.arange(1.0, T)  # i + 1
+    L = size - N
+    ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
+    ring[:N, ..., 0] = 1.0
+    bounds = np.searchsorted(cells, N * np.arange(n_blocks + 1))
+    out = np.empty(points.shape + batch, dtype=values.dtype)
+    edge = np.ones(batch, dtype=values.dtype)  # sigma at the block's left edge
+    for b in range(n_blocks):
+        j0 = b * N
+        slot = j0 % L
+        centres = (np.arange(j0, j0 + N) + 0.5) / N
+        if b:
+            G = np.zeros((N,) + batch + (T,), dtype=values.dtype)
+            for mk, dk in jumps:
+                if mk >= j0 + N:  # no cell of the block reaches this break yet
+                    break
+                s = (j0 - mk) % L  # cells j0 - mk + [0, N), which may wrap the ring
+                n = min(N, L - s)
+                G[:n] += dk * ring[s:s + n]
+                if n < N:
+                    G[n:] += dk * ring[:N - n]
+            # The recurrence times (i + 1) c (-c)**i telescopes:
+            # (i + 1) c (-c)**i a_{i+1} = sum_{l <= i} G_l (-c)**l.
+            powers = np.empty((N, T - 1))
+            powers[:, 0] = 1.0
+            powers[:, 1:] = -centres[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            powers = powers.reshape((N,) + ones + (T - 1,))
+            a = ring[slot:slot + N]
+            np.cumsum(G[..., :-1] * powers, axis=-1, out=a[..., 1:])
+            a[..., 1:] /= powers * centres.reshape((N,) + ones + (1,)) * orders
+            parts = (a[..., None, 1:] * sides).sum(axis=-1)
+            edges = np.empty((N + 1,) + batch, dtype=values.dtype)
+            edges[0] = edge
+            edges[1:] = parts[..., 0]
+            np.cumsum(edges, axis=0, out=edges)
+            overshoot = float(np.max(np.abs(edges))) - 1.0
+            if not overshoot <= 1e-9:  # NaN fails too
+                raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
+            np.subtract(edges[:-1], parts[..., 1], out=a[..., 0])
+            edge = edges[-1]
+        lo, hi = bounds[b], bounds[b + 1]
+        if lo < hi:
+            cuts = np.searchsorted(cells[lo:hi], np.arange(j0, j0 + N + 1)) + lo
+            for j in np.flatnonzero(np.diff(cuts)).tolist():
+                s = (points[cuts[j]:cuts[j + 1]] - centres[j]).reshape((-1,) + ones)
+                out[cuts[j]:cuts[j + 1]] = _horner(ring[slot + j].T, s)  # coefficient-major
+    return out
+
+
+def _delay(u: np.ndarray, factor: float) -> np.ndarray:
+    """f at the ascending points u for u f'(u) = -factor f(u - 1): the
+    one-break case of _taylor_rows, one cell per unit interval about
+    k + 1/2, 36 terms each."""
+    if math.isfinite(u[-1]) and u[-1] > MAX_DELAY_U:  # _taylor_rows rejects the rest
         raise BudgetError(f"u = {u[-1]:.3g} exceeds the delay-function budget {MAX_DELAY_U}")
-    k = np.maximum(np.ceil(u) - 1.0, 0.0).astype(np.int64)
-    table = _delay_table(int(k[-1]), factor)
-    edges = np.searchsorted(k, np.arange(k[-1] + 2))
-    return np.concatenate([_horner(table[j].tolist(), u[lo:hi] - (j + 0.5))
-                           for j, (lo, hi) in enumerate(zip(edges, edges[1:]))])
+    return _taylor_rows([1], 1, [1.0, 1.0 - factor], u)
 
 
 def _delay_grid(u_max: float, h: float, factor: float) -> GridFunction:
     u = h * np.arange(_grid_steps(u_max, h) + 1)
-    return GridFunction(h, _delay_samples(u, factor))
+    return GridFunction(h, _delay(u, factor))
 
 
 def dickman_rho(u: float, h: float = 1e-4) -> float:
     """Dickman function: u rho'(u) = -rho(u-1), rho = 1 on [0, 1]; h is unused."""
-    return float(_delay_samples(np.array([float(u)]), 1.0)[0])
+    return float(_delay(np.array([float(u)]), 1.0)[0])
 
 
 def rho_minus(u: float, h: float = 1e-4) -> float:
@@ -281,7 +391,7 @@ def rho_minus(u: float, h: float = 1e-4) -> float:
     Decreases on [1, 1+sqrt(e)], vanishes at sqrt(e), attains its minimum at
     1+sqrt(e), and increases beyond.  As for dickman_rho, h is unused.
     """
-    return float(_delay_samples(np.array([float(u)]), 2.0)[0])
+    return float(_delay(np.array([float(u)]), 2.0)[0])
 
 
 def dickman_rho_grid(u_max: float, h: float = 1e-4) -> GridFunction:

@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev as cheb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanspec.errors import BudgetError, ContractError, ValidationError
+from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.dde_solver import SigmaSolution, solve_sigma
 from meanspec.extremal_search import (MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M, MAX_RESTARTS,
                                       TAU_MAX, _dct1, _line_argmins, average_bound_expressions,
@@ -17,8 +17,8 @@ from meanspec.extremal_search import (MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M, MAX_
                                       power_residue_log_density_bound,
                                       projection_auxiliary_minimum,
                                       truncated_kernel_min_mean)
-from meanspec.kernels import (ALIGN_TOL, SQRT_E, GridFunction, StepFunction,
-                              dickman_rho, rho_minus_correction)
+from meanspec.kernels import (ALIGN_TOL, SQRT_E, GridFunction, StepFunction, _taylor_rows,
+                              _taylor_size, dickman_rho, rho_minus_correction)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
@@ -292,10 +292,16 @@ class TestTruncatedKernelMinMean:
         ({"B": 1e9}, BudgetError), ({"restarts": MAX_RESTARTS + 1}, BudgetError),
         ({"B": (MAX_LINE_DEGREE + 1) / 2.0}, BudgetError),
         ({"m_steps": 10 ** 10}, ValidationError),
+        # Steps that do not divide 1 leave no lattice for the panel edges.
+        ({"h": 3e-3}, GridError), ({"h": 0.3}, GridError), ({"h": 1.5e-3}, GridError),
+        # 999 panels of [1, 6.001] lie on the lattice 1/333000, so sigma(60.01)
+        # would need 2e7 cells, past MAX_SOLVER_NODES.
+        ({"B": 10.0, "m_steps": 999, "u_grid": (6.001,)}, BudgetError),
     ])
     def test_inputs_rejected_before_any_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
+        monkeypatch.setattr(es, "_taylor_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):
             truncated_kernel_min_mean(**args)
@@ -304,8 +310,44 @@ class TestTruncatedKernelMinMean:
     def test_bad_seed_rejected_before_any_solve(self, seed, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)
+        monkeypatch.setattr(es, "_taylor_rows", None)
         with pytest.raises(ValidationError, match="seed"):
             truncated_kernel_min_mean(1.0, u_grid=(2.0,), seed=seed)
+
+    def test_fine_lattice_within_the_batch_budget(self, monkeypatch):
+        # u = 6.001 on 8 panels puts the edges on the lattice 1/8000: one row
+        # holds 72,000 cells of 5 terms, within MAX_BATCH_SAMPLES.
+        import meanspec.extremal_search as es
+        sizes = []
+        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
+        r = truncated_kernel_min_mean(10.0, m_steps=8, u_grid=(6.001,), restarts=1, sweeps=0)
+        d = r.diagnostics
+        assert (d["lattice"], d["taylor_terms"], d["revalidation_h"]) == (8000, 5, 1 / 8000)
+        marks = [round(b * 8000) for b in r.argmin.breaks]
+        cells, terms = _taylor_size(marks, 8000, d["target"])
+        assert sizes == [1] and cells * terms <= es.MAX_BATCH_SAMPLES
+        assert d["revalidation_gap"] <= d["revalidation_h"] ** 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_revalidation_gap_within_h_squared(self, seed):
+        r = truncated_kernel_min_mean(1.3 + 0.2 * seed, m_steps=5, u_grid=(1.7, 2.9),
+                                      restarts=2, seed=seed, sweeps=1)
+        d = r.diagnostics
+        M = round(1.0 / d["revalidation_h"])
+        assert M % d["lattice"] == 0 and 1.0 / M <= 1e-3 < 1.0 / (M - d["lattice"])
+        assert 0.0 < d["revalidation_gap"] <= d["revalidation_h"] ** 2
+
+    def test_revalidation_catches_a_wrong_engine(self, monkeypatch):
+        import meanspec.extremal_search as es
+        taylor = es._taylor_rows
+
+        def off(marks, N, values, points):
+            out = taylor(marks, N, values, points)
+            return out if np.ndim(values) == 2 else out + 1e-5
+
+        monkeypatch.setattr(es, "_taylor_rows", off)
+        with pytest.raises(ContractError, match="differ"):
+            truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=2, sweeps=1)
 
     def test_numpy_integer_seed_accepted(self):
         args = dict(m_steps=3, u_grid=(2.0,), restarts=2, h=2e-3, sweeps=1)
@@ -365,23 +407,37 @@ class TestPolynomialLineSearch:
             monkeypatch.setattr(es, "_line_argmins", worst_node)
         r = truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=2,
                                       h=1e-3, seed=0, sweeps=2)
-        start = solve_sigma(StepFunction((1.0, 2.0), (1.0, -1.0), 0.0), 2.0, 1e-3).value_at(2.0)
+        start = exact_value(StepFunction((1.0, 2.0), (1.0, -1.0), 0.0), 1, 2.0)
         assert r.value <= start
-        assert r.value == solve_sigma(r.argmin, 2.0, 1e-3).value_at(2.0)
+        assert r.value == exact_value(r.argmin, r.diagnostics["lattice"], 2.0)
 
-    #: (value, evaluations) of criterion 7's searches with the golden-section
-    #: line search that the polynomial one replaced (commit aa154b4).
-    GOLDEN_CRITERION_7 = {1.0: (-0.6321879980102635, 1545),
-                          1.5: (-0.25015598186318155, 1641),
-                          2.0: (-0.04924599580831656, 1737)}
+    #: Criterion 7's minima with sigma(B*u) read exactly on exact equal panels.
+    EXACT_CRITERION_7 = {1.0: -0.6321507261111929, 1.5: -0.25035708297401726,
+                         2.0: -0.04955921582965102}
+    #: The same searches read off the h = 1e-3 march on panel edges snapped to
+    #: h (commit f3b5d8d); the snapping, not the search, moves the minima.
+    MARCH_CRITERION_7 = {1.0: -0.6321879988376479, 1.5: -0.2503814512255136,
+                         2.0: -0.04953252367735386}
+    #: Evaluations of the golden-section line search that the polynomial one
+    #: replaced (commit aa154b4).
+    GOLDEN_EVALUATIONS = {1.0: 1545, 1.5: 1641, 2.0: 1737}
 
     @pytest.mark.parametrize("B", [1.0, 1.5, 2.0])
     def test_criterion_7_no_worse_with_fewer_solves(self, B):
         r = truncated_kernel_min_mean(B, m_steps=6, u_grid=(1.5, 2.0, 3.0), restarts=3,
                                       h=1e-3, seed=0, sweeps=2)
-        value, evaluations = self.GOLDEN_CRITERION_7[B]
+        value = self.EXACT_CRITERION_7[B]
         assert -dickman_rho(B) - 1e-4 <= r.value <= value
-        assert r.diagnostics["evaluations"] < evaluations
+        assert r.diagnostics["evaluations"] < self.GOLDEN_EVALUATIONS[B]
+        assert abs(value - self.MARCH_CRITERION_7[B]) <= 5e-5
+        # The Richardson march of the argmin, on steps 1/M and 1/(2M) that
+        # hold every break and the target B*u (a multiple of 1/4).
+        target = r.diagnostics["target"]
+        step = 4 * r.diagnostics["lattice"] // math.gcd(4, r.diagnostics["lattice"])
+        M = step * math.ceil(1000 / step)
+        s1, s2 = (solve_sigma(r.argmin, target, 1.0 / q).sigma.samples[round(target * q)]
+                  for q in (M, 2 * M))
+        assert abs((4.0 * s2 - s1) / 3.0 - value) <= 1e-10
 
     def test_readme_gamma_b_no_worse(self):
         # meanspec gamma-b --B 1.0 --steps 16 --restarts 8 --seed 0 read
@@ -483,29 +539,40 @@ class TestBatchedArgmin:
             assert abs(cheb.chebval(t, coef) - cheb.chebval(old, coef)) <= 1e-12
 
 
-def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
-    """The search loop with one solve_sigma call per kernel, restart after restart.
+def exact_value(kernel, N, u):
+    """sigma(u) of a kernel whose breaks lie on the lattice 1/N, by the Taylor engine."""
+    values = np.array(kernel.segment_values())
+    marks = [round(b * N) for b in kernel.breaks]
+    return _taylor_rows(marks, N, values.real if kernel.is_real else values, [u])[0]
 
-    The reference for the lockstep search: same starts, same line searches,
-    same stop rule; returns (value, argmin, u, max_abs_sigma, evaluations).
+
+def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
+    """The search loop with one engine call per kernel, restart after restart.
+
+    The reference for the lockstep search: same panels, starts, line searches
+    and stop rule; returns (value, argmin, u, max_abs_sigma, evaluations).
     """
-    snap = lambda x: round(x / h) * h  # noqa: E731
     rng = np.random.default_rng(seed)
     best_val, best_kernel, best_u = math.inf, None, None
     max_abs_seen, evaluations = 0.0, 0
+    m1 = round(1.0 / h)
     for u_raw in u_grid:
-        u = snap(u_raw)
-        edges = sorted({snap(1.0 + (u - 1.0) * j / m_steps) for j in range(m_steps + 1)})
+        k = round(u_raw / h)
+        # Edges 1 + (u - 1) j/m_steps = (m1 m_steps + (k - m1) j)/(m1 m_steps).
+        D = m1 * m_steps
+        g = math.gcd(D, k - m1)
+        N = D // g
+        marks = [(D + (k - m1) * j) // g for j in range(m_steps + 1)]
+        edges = [mk / N for mk in marks]
+        u = k / m1
         target = B * u
-        u_top = max(snap(math.ceil(target / h) * h), edges[-1])
         lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
         def objective(levels):
             nonlocal max_abs_seen, evaluations
             kernel = StepFunction(tuple(edges), (1.0,) + tuple(levels), 0.0)
-            sol = solve_sigma(kernel, u_top, h)
-            val = complex(sol.value_at(target)).real
+            val = float(exact_value(kernel, N, target))
             evaluations += 1
             max_abs_seen = max(max_abs_seen, abs(val))
             return val
@@ -541,8 +608,8 @@ def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
 
 
 class TestLockstepSearch:
-    """The restarts' line searches run as batched marches, bit for bit as one
-    solve_sigma call per kernel, restart after restart."""
+    """The restarts' line searches run as batched engine calls, bit for bit as
+    one engine call per kernel, restart after restart."""
 
     @pytest.mark.parametrize("B, u_grid, m_steps, restarts, sweeps, seed, h", [
         (1.0, (2.0,), 4, 2, 2, 0, 1e-3),
@@ -568,10 +635,7 @@ class TestLockstepSearch:
     def test_batches_hold_every_active_restart(self, monkeypatch):
         import meanspec.extremal_search as es
         sizes = []
-        solve_rows = es._solve_rows
-        monkeypatch.setattr(es, "_solve_rows",
-                            lambda breaks, values, *a, **kw: sizes.append(len(values))
-                            or solve_rows(breaks, values, *a, **kw))
+        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
         r = truncated_kernel_min_mean(1.0, m_steps=6, u_grid=(2.0,), restarts=3,
                                       h=1e-3, seed=0, sweeps=2)
         assert sizes[0] == 3  # every start in one solve
@@ -585,13 +649,10 @@ class TestLockstepSearch:
         import meanspec.extremal_search as es
         args = dict(m_steps=4, u_grid=(2.0,), restarts=3, h=1e-3, seed=5, sweeps=2)
         whole = truncated_kernel_min_mean(1.0, **args)
-        n = 2000  # u_top = 2 at h = 1e-3
-        monkeypatch.setattr(es, "MAX_BATCH_SAMPLES", chunk * (n + 1) + chunk // 2)
+        cells, terms = _taylor_size([4, 5, 6, 7, 8], 4, 2.0)  # panels 1 + j/4, target 2
+        monkeypatch.setattr(es, "MAX_BATCH_SAMPLES", (chunk * cells + cells // 2) * terms)
         sizes = []
-        solve_rows = es._solve_rows
-        monkeypatch.setattr(es, "_solve_rows",
-                            lambda breaks, values, *a, **kw: sizes.append(len(values))
-                            or solve_rows(breaks, values, *a, **kw))
+        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
         got = truncated_kernel_min_mean(1.0, **args)
         assert max(sizes) == chunk and sizes[0] == min(chunk, 3)
         assert repr(got.value) == repr(whole.value)
@@ -616,22 +677,36 @@ class TestLockstepSearch:
     def test_inputs_rejected_before_any_batched_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
-        monkeypatch.setattr(es, "_solve_rows", None)
+        monkeypatch.setattr(es, "_taylor_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):
             truncated_kernel_min_mean(**args)
 
     def test_breach_in_a_batch_raises(self, monkeypatch):
-        import meanspec.dde_solver as dde
-        march = dde._march
+        # A level far outside the disc, let through for one row of a batch,
+        # drives that row's |sigma| past 1; the engine checks every row.
+        import meanspec.extremal_search as es
+        import meanspec.kernels as kernels
+        taylor = es._taylor_rows
 
-        def overshoot(*args):
-            sigma = march(*args)
-            if sigma.ndim == 2 and sigma.shape[1] > 2:
-                sigma[-1, 2] = 1.5
-            return sigma
+        def overshoot(marks, N, values, points):
+            values = np.array(values)
+            if values.ndim == 2 and len(values) > 2:
+                values[2, 1:-1] = 3.0
+            return taylor(marks, N, values, points)
 
-        monkeypatch.setattr(dde, "_march", overshoot)
+        monkeypatch.setattr(kernels, "DISC_TOL", 10.0)
+        monkeypatch.setattr(es, "_taylor_rows", overshoot)
         with pytest.raises(ContractError, match="exceeded 1"):
             truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=3,
                                       h=1e-3, seed=0, sweeps=1)
+
+
+def recording(taylor, sizes):
+    """taylor, recording the row count of each batched call (the search's
+    line searches; the re-validation passes one kernel as a 1-d row)."""
+    def call(marks, N, values, points):
+        if np.ndim(values) == 2:
+            sizes.append(len(values))
+        return taylor(marks, N, values, points)
+    return call

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanspec.errors import BudgetError, GridError, ValidationError
-from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, SQRT_E, GridFunction, StepFunction,
-                              _grid_point, _li2, dickman_rho, dickman_rho_grid, rho_minus,
+from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
+from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, MAX_SOLVER_NODES, SQRT_E, GridFunction,
+                              StepFunction, _grid_point, _li2, _taylor_rows, _taylor_size,
+                              _taylor_tables, dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
@@ -356,3 +357,109 @@ class TestDelaySeries:
     def test_grid_budgets(self, grid, u_max, h):
         with pytest.raises(BudgetError):
             grid(u_max, h)
+
+
+def lattice_rows(seed, N, R, n_marks, span=3.5, complex_values=False):
+    """marks on the lattice 1/N in [1, span) and R rows of segment values."""
+    rng = np.random.default_rng(seed)
+    marks = sorted(rng.choice(np.arange(N, round(span * N)), n_marks, replace=False).tolist())
+    if complex_values:
+        radius = rng.uniform(0.0, 1.0, (R, n_marks))
+        levels = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (R, n_marks)))
+    else:
+        levels = rng.uniform(-1.0, 1.0, (R, n_marks))
+    return marks, np.concatenate([np.ones((R, 1)), levels], axis=1)
+
+
+class TestTaylorEngine:
+    """_taylor_rows: sigma exactly for kernels whose breaks lie on a lattice 1/N."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 6, 16, 8000])
+    def test_terms_reach_the_rounding_floor(self, N):
+        T, sides = _taylor_tables(N)
+        assert (2 * N + 1) ** T > 2 ** 56 >= (2 * N + 1) ** (T - 1)
+        assert sides.shape == (2, T - 1) and not sides.flags.writeable
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("N, n_marks", [(1, 2), (4, 6), (10, 24)])
+    def test_batch_equals_each_row_alone(self, N, n_marks, complex_values):
+        marks, values = lattice_rows(N, N, 7, n_marks, complex_values=complex_values)
+        points = np.linspace(0.0, 6.5, 53)
+        batch = _taylor_rows(marks, N, values, points)
+        assert batch.shape == (53, 7)
+        for r, row in enumerate(values):
+            alone = _taylor_rows(marks, N, row, points)
+            assert repr(alone.tolist()) == repr(batch[:, r].tolist())
+        order = np.random.default_rng(N).permutation(7)
+        assert repr(_taylor_rows(marks, N, values[order], points).tolist()) \
+            == repr(batch[:, order].tolist())
+        assert repr(_taylor_rows(marks, N, values[1::3], points).tolist()) \
+            == repr(batch[:, 1::3].tolist())
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_march_converges_to_it(self, seed, complex_values):
+        # The trapezoid march's gap falls like h^2 and its Richardson
+        # extrapolation meets the engine at every node.
+        N = 20
+        marks, values = lattice_rows(seed, N, 1, 6 + 9 * seed, complex_values=complex_values)
+        kernel = StepFunction(tuple(mk / N for mk in marks), values[0, :-1], values[0, -1])
+        from meanspec.dde_solver import solve_sigma
+        h = 1.0 / (10 * N)
+        coarse = solve_sigma(kernel, 4.0, h).sigma
+        fine = solve_sigma(kernel, 4.0, h / 2).sigma.samples[::2]
+        exact = _taylor_rows(marks, N, values[0], coarse.u)
+        gaps = [float(np.max(np.abs(s - exact))) for s in (coarse.samples, fine)]
+        assert gaps[0] <= h * h
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+        assert np.max(np.abs((4.0 * fine - coarse.samples) / 3.0 - exact)) <= 1e-10
+
+    def test_one_on_the_unit_interval(self):
+        marks, values = lattice_rows(5, 6, 3, 5)
+        points = np.linspace(0.0, 1.0, 17)
+        assert np.all(_taylor_rows(marks, 6, values, points) == 1.0)
+
+    def test_matches_the_delay_closed_form(self):
+        # One break at 1 on a lattice finer than the delay functions' own.
+        u = np.linspace(1.0, 3.0, 41)
+        ref = [1.0 - 2.0 * math.log(t) + rho_minus_correction(t) for t in u.tolist()]
+        got = _taylor_rows([7], 7, [1.0, -1.0], u)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_breach_in_one_row_raises(self, monkeypatch):
+        # |sigma| <= 1 is checked at every cell edge of every row; a level
+        # far outside the disc, let through for one row, breaks it.
+        import meanspec.kernels as kernels
+        marks, values = lattice_rows(6, 4, 5, 4)
+        values[3, 1:] = 3.0
+        monkeypatch.setattr(kernels, "DISC_TOL", 10.0)
+        with pytest.raises(ContractError, match="exceeded 1"):
+            _taylor_rows(marks, 4, values, [4.0])
+
+    def test_budget_before_allocation(self):
+        import tracemalloc
+        N = 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                _taylor_rows([N, 2 * N], N, np.ones((50, 3)), [MAX_SOLVER_NODES / N])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ring_holds_only_what_later_cells_read(self):
+        # Cells a later block still reads: up to the largest mark used, plus
+        # the block being built and its sums; marks past the last point go.
+        assert _taylor_size([8000 + 5001 * j for j in range(9)], 8000, 60.01) == (72000, 5)
+        assert _taylor_size([3, 4, 30], 3, 4.0) == (3 * 4, _taylor_tables(3)[0])
+
+    @pytest.mark.parametrize("marks, N, values, points", [
+        ([1], 1, [1.0, 0.0], [math.nan]), ([1], 1, [1.0, 0.0], [-0.5]),
+        ([1], 1, [1.0, 0.0], [0.0, math.inf]), ([1], 1, [0.5, 0.0], [2.0]),
+        ([1], 1, [1.0, 1.5], [2.0]), ([1], 1, [1.0], [2.0]),
+        ([1], 2, [1.0, 0.0], [2.0]), ([3, 3], 2, [1.0, 0.0, 0.0], [2.0]),
+    ])
+    def test_bad_input_rejected(self, marks, N, values, points):
+        with pytest.raises(ValidationError):
+            _taylor_rows(marks, N, values, points)
