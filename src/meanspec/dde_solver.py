@@ -15,9 +15,10 @@ its own march, and every column is held to the same contracts.  On request
 it re-checks the discrete convolution identity, built from the trapezoid
 antiderivative and not from the recurrence.  solve_sigma is the one-kernel
 case with that check always on.  Where only a few values of sigma are
-needed and the breaks lie on a lattice 1/N, kernels._taylor_rows gives them
-exactly instead: the extremal search reads sigma(B*u) there and re-validates
-its winner here, and criterion 3 measures this march's O(h^2) gap against it.
+needed and the breaks lie on a coarse lattice 1/N, kernels._taylor_rows
+gives them exactly and for less: the extremal search reads sigma(B*u) there,
+batches its kernels here where the lattice is fine, and re-validates its
+winner here; criterion 3 measures this march's O(h^2) gap against it.
 """
 
 from __future__ import annotations

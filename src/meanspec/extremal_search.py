@@ -7,9 +7,10 @@ power residues, the auxiliary minimizations behind the disc and projection
 containments, and the search for the most negative sigma(B*u) over sign
 kernels truncated at u, together with the sign-change scan of the solution
 for the kernel that is -1 on [1, 2] and 0 beyond.  The search reads
-sigma(B*u) exactly off the Taylor engine kernels._taylor_rows, many kernels
-per call within its own batch budget MAX_BATCH_SAMPLES, and re-validates its
-winner with a residual-checked march.
+sigma(B*u) exactly off the Taylor engine kernels._taylor_rows where its
+panels' lattice is coarse, and off the solver's batched march elsewhere, many
+kernels per call within its own batch budget MAX_BATCH_SAMPLES, and
+re-validates its winner with a residual-checked march.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .dde_solver import solve_sigma
+from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, GridError, ValidationError
-from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _li2, _taylor_rows,
-                      _taylor_size, dickman_rho, rho_minus_correction)
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_point,
+                      _grid_steps, _li2, _taylor_rows, _taylor_size, _taylor_terms,
+                      dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -222,15 +224,18 @@ MAX_RESTARTS = 1000
 #: kernels where golden section solved about 16, yet it is the faster one.
 #: gamma-b --B 10 (degree 60) took 10.4-10.8 s on the h = 1e-3 march with
 #: the DCT-I argmin, 10.7-11.6 s with the least-squares argmin before it and
-#: 20.7 s with golden section; on the Taylor engine it takes 1.15-1.21 s,
-#: all measured on a 2-vCPU VM.
+#: 20.7 s with golden section; on the Taylor engine it takes 1.0-1.5 s
+#: (9.7-10.2 s on that march in the same runs), all measured on a 2-vCPU VM.
 MAX_LINE_DEGREE = 100
 
-#: Most values, rows x cells x terms (4 MB of float64), that one engine call
-#: holds (kernels._taylor_size); more rows go in chunks, which changes no
-#: bit.  gamma-b --B 10 holds at most 8 restarts x 61 rows x 64 cells x 14
-#: terms (437 k) in one call; with --steps 16 a row holds 128 cells x 12
-#: terms, and its largest line searches go in chunks of 341 rows.
+#: Most values (4 MB of float64) that one batched evaluation holds: rows x
+#: cells x terms in the engine (kernels._taylor_size, ring and buffers), rows
+#: x (n + 1) nodes in the march, which with its checks keeps about three such
+#: arrays alive.  More rows go in chunks, which changes no bit; the search
+#: reads the engine only where one row fits.  gamma-b --B 10 holds at most 8
+#: restarts x 61 rows x 72 cells x 14 terms (492 k) in one engine call, and
+#: with --steps 16 a row holds at most 192 cells x 10 terms; unchunked, the
+#: march would hold 8 x 61 x 60,001 nodes (234 MB) there.
 MAX_BATCH_SAMPLES = 2 ** 19
 
 
@@ -297,18 +302,24 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     u_grid (scaled so B*u >= 1 when defaulted) and the inner optimizer is
     coordinate descent from one all-minus start plus seeded random restarts.
     u is snapped to k/m1 on the grid of step h = 1/m1, and its panel edges
-    1 + (u - 1) j/m_steps are exact rationals on a lattice 1/N, so the Taylor
-    engine reads sigma(B*u) exactly.  sigma(B*u) is a polynomial in each
+    1 + (u - 1) j/m_steps are exact rationals on a lattice 1/N.  The Taylor
+    engine reads sigma(B*u) exactly for about N T values per unit and kernel
+    (T terms per cell), the march for m1 nodes; the engine is read where
+    2 N T <= m1 and one kernel fits MAX_BATCH_SAMPLES.  Elsewhere the edges
+    are rounded to the grid h (a no-op where N divides m1) and sigma(B*u) is
+    read off the batched h-march by linear interpolation;
+    diagnostics["exact"] says which.  sigma(B*u) is a polynomial in each
     level, of degree at most d = floor(B*u / a) for a level whose panel
     starts at a, so each line search solves the d + 1 kernels at the
     Chebyshev-Lobatto nodes cos(pi k/d), interpolates exactly and takes the
     interpolant's global minimum on [-1, 1]; a step is taken only if a solve
     at that minimum beats the current value.  The restarts advance in
     lockstep, so each coordinate's solves for every restart still improving
-    are one batched engine call (in chunks of at most MAX_BATCH_SAMPLES
-    values), bit for bit as one call per kernel, and their argmins one
-    batched interpolation step (_line_argmins).  The engine checks
-    |sigma| <= 1 for every line-search kernel; the best kernel is then
+    are one batched engine call or march (in chunks of at most
+    MAX_BATCH_SAMPLES values), bit for bit as one call per kernel, and their
+    argmins one batched interpolation step (_line_argmins).  Every
+    line-search kernel is held to |sigma| <= 1 (the march also to its running
+    average, not to its residual); the best kernel is then
     solved by the residual-checked march at h' = 1/M, the largest step <= h
     on which its breaks lie, under every march contract, and the march must
     meet the engine within h'^2 at the two nodes around B*u.  The panel
@@ -359,11 +370,23 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         g = math.gcd(D, k - m1)
         N = D // g
         marks = [(D + (k - m1) * j) // g for j in range(m_steps + 1)]
+        u = k / m1
+        # The engine's cost per kernel grows as N T, the march's as m1: the
+        # search at u = 3.1 and B = 1 or 3 breaks even between N T = 250
+        # and 1000 at h = 1e-3.
+        cells, terms = _taylor_size(marks, N, B * u)
+        exact = 2 * N * terms <= m1 and cells * terms <= MAX_BATCH_SAMPLES
+        if not exact:
+            # Edges rounded to the grid h (half up), on the lattice m1/g.
+            marks = [m1 + (2 * (k - m1) * j + m_steps) // (2 * m_steps)
+                     for j in range(m_steps + 1)]
+            g = math.gcd(m1, *marks)
+            N, marks, terms = m1 // g, [mk // g for mk in marks], _taylor_terms(m1 // g)
         # The re-validation solve runs at h' = 1/M, the largest step <= h
         # on which every edge lies; M >= N, so this budget covers the engine's.
         M = N * -(-m1 // N)
-        _check_grid(max(B * k / m1, k / m1), 1.0 / M)
-        panels.append((k / m1, N, marks, M))
+        _check_grid(max(B * u, u), 1.0 / M)
+        panels.append((u, N, marks, M, terms, exact))
 
     rho_floor = dickman_rho(B)
     rng = np.random.default_rng(seed)
@@ -372,7 +395,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     max_abs_seen = 0.0
     evaluations = 0
 
-    for u, N, marks, M in panels:
+    for u, N, marks, M, terms, exact in panels:
         m = m_steps
         target = B * u
         edges = [mk / N for mk in marks]
@@ -380,18 +403,28 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         # starts at a: each use of the level delays by at least a.
         lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
-        cells, terms = _taylor_size(marks, N, target)
-        chunk = max(1, MAX_BATCH_SAMPLES // (cells * terms))
+        if exact:
+            chunk = MAX_BATCH_SAMPLES // (_taylor_size(marks, N, target)[0] * terms)
+        else:
+            n = _grid_steps(max(target, u), h)
+            chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
+            # sigma(target) interpolates linearly from node i_t on, as GridFunction.value_at.
+            i_t, frac = _grid_point(target, h, n)
 
         def solve(levels: np.ndarray) -> np.ndarray:
-            """sigma(target) for the kernel of each row of levels, exactly, in batches."""
+            """sigma(target) for the kernel of each row of levels, in batches."""
             nonlocal max_abs_seen, evaluations
             segments = np.zeros((len(levels), m + 2))
             segments[:, 0] = 1.0
             segments[:, 1:-1] = levels
             vals = np.empty(len(levels))
             for r in range(0, len(levels), chunk):
-                vals[r:r + chunk] = _taylor_rows(marks, N, segments[r:r + chunk], [target])[0]
+                rows = segments[r:r + chunk]
+                if exact:
+                    vals[r:r + chunk] = _taylor_rows(marks, N, rows, [target])[0]
+                else:
+                    sigma, _ = _solve_rows(edges, rows, max(target, u), h, check_residual=False)
+                    vals[r:r + chunk] = sigma[i_t] + frac * (sigma[i_t + 1] - sigma[i_t])
             evaluations += len(vals)
             max_abs_seen = max(max_abs_seen, float(np.max(np.abs(vals))))
             return vals
@@ -432,7 +465,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         for r in range(restarts):
             if val[r] < best_val:
                 best_val = float(val[r])
-                best = (u, N, marks, M, terms, (1.0,) + tuple(y[r]) + (0.0,))
+                best = (u, N, marks, M, terms, exact, (1.0,) + tuple(y[r]) + (0.0,))
 
     if not (-rho_floor - 1e-4 <= best_val < 0.0):
         raise ContractError(
@@ -440,7 +473,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     if max_abs_seen > rho_floor + 1e-4:
         raise ContractError(
             f"candidate |sigma(B*u)| = {max_abs_seen:.6f} exceeds rho(B) + 1e-4")
-    u, N, marks, M, terms, values = best
+    u, N, marks, M, terms, exact, values = best
     target = B * u
     kernel = StepFunction(tuple(mk / N for mk in marks), values[:-1], 0.0)
     # Re-validate the winner with every contract of a residual-checked march
@@ -458,6 +491,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         "rho_floor": -rho_floor,
         "max_abs_sigma": max_abs_seen,
         "evaluations": evaluations,
+        "exact": exact,
         "lattice": N,
         "taylor_terms": terms,
         "revalidation_h": 1.0 / M,

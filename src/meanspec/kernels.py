@@ -17,7 +17,6 @@ u = 2.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from bisect import bisect_right
@@ -238,35 +237,26 @@ def _horner(coeffs, s: np.ndarray) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=16)
-def _taylor_tables(N: int):
-    """(T, sides) for cells of width w = 1/N; sides is read-only.
-
-    T is the least term count with ((w/2)/(1 + w/2))**T = (2N + 1)**-T below
-    2**-56: every singularity of sigma's continuation from a cell lies at
-    least 1 + w/2 left of its centre, so on the cell the terms fall by that
-    ratio.  sides holds the powers (w/2)**i - (-w/2)**i and (-w/2)**i,
-    i = 1..T-1, that give a cell's increment and its left edge minus a_0.
-    """
+def _taylor_terms(N: int) -> int:
+    """The least term count T with ((w/2)/(1 + w/2))**T = (2N + 1)**-T below
+    2**-56 for cells of width w = 1/N: every singularity of sigma's
+    continuation from a cell lies at least 1 + w/2 left of its centre, so on
+    the cell the terms fall by that ratio."""
     T = 1
     while (2 * N + 1) ** T <= 2 ** 56:
         T += 1
-    right = (0.5 / N) ** np.arange(1.0, T)
-    left = np.where(np.arange(1, T) % 2, -right, right)
-    sides = np.stack([right - left, left])
-    sides.setflags(write=False)
-    return T, sides
+    return T
 
 
 def _taylor_size(marks, N: int, u_max: float):
     """(cells, T) of _taylor_rows for points up to u_max: T terms per cell,
     and per kernel the cells it holds, a ring of N per unit block for the
     blocks a later block still reads (up to the largest mark it uses) and
-    the one it builds, plus the block's N sums G."""
-    T = _taylor_tables(N)[0]
+    the one it builds, plus the block's N sums G and N products.  Besides
+    these it holds N x T arrays shared by the batch and N sums per kernel."""
     last = max(math.ceil(u_max * N) - 1, 0)
     reach = max([mk for mk in marks if mk <= last], default=N)
-    return N * (-(-reach // N) + 2), T
+    return N * (-(-reach // N) + 3), _taylor_terms(N)
 
 
 def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
@@ -315,11 +305,17 @@ def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
     jumps = [(mk, dk[..., None]) for mk, dk in zip(marks, (values[..., 1:] - values[..., :-1]).T)
              if mk <= cells[-1]]
     size, T = _taylor_size(marks, N, points[-1])
-    sides = _taylor_tables(N)[1]
-    orders = np.arange(1.0, T)  # i + 1
-    L = size - N
+    L = size - 2 * N
     ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
     ring[:N, ..., 0] = 1.0
+    G = np.empty((N,) + batch + (T,), dtype=values.dtype)
+    buf = np.empty_like(G)
+    # A cell's increment and its left edge minus a_0 take the powers
+    # (w/2)**i - (-w/2)**i and (-w/2)**i, i = 1..T-1.
+    right = (0.5 / N) ** np.arange(1.0, T)
+    left = np.where(np.arange(1, T) % 2, -right, right)
+    rise = right - left
+    orders = np.arange(1.0, T)  # i + 1
     bounds = np.searchsorted(cells, N * np.arange(n_blocks + 1))
     out = np.empty(points.shape + batch, dtype=values.dtype)
     edge = np.ones(batch, dtype=values.dtype)  # sigma at the block's left edge
@@ -328,15 +324,15 @@ def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
         slot = j0 % L
         centres = (np.arange(j0, j0 + N) + 0.5) / N
         if b:
-            G = np.zeros((N,) + batch + (T,), dtype=values.dtype)
+            G.fill(0)
             for mk, dk in jumps:
                 if mk >= j0 + N:  # no cell of the block reaches this break yet
                     break
                 s = (j0 - mk) % L  # cells j0 - mk + [0, N), which may wrap the ring
                 n = min(N, L - s)
-                G[:n] += dk * ring[s:s + n]
+                G[:n] += np.multiply(dk, ring[s:s + n], out=buf[:n])
                 if n < N:
-                    G[n:] += dk * ring[:N - n]
+                    G[n:] += np.multiply(dk, ring[:N - n], out=buf[n:])
             # The recurrence times (i + 1) c (-c)**i telescopes:
             # (i + 1) c (-c)**i a_{i+1} = sum_{l <= i} G_l (-c)**l.
             powers = np.empty((N, T - 1))
@@ -345,17 +341,18 @@ def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
             np.cumprod(powers, axis=1, out=powers)
             powers = powers.reshape((N,) + ones + (T - 1,))
             a = ring[slot:slot + N]
-            np.cumsum(G[..., :-1] * powers, axis=-1, out=a[..., 1:])
+            G[..., :-1] *= powers
+            np.cumsum(G[..., :-1], axis=-1, out=a[..., 1:])
             a[..., 1:] /= powers * centres.reshape((N,) + ones + (1,)) * orders
-            parts = (a[..., None, 1:] * sides).sum(axis=-1)
             edges = np.empty((N + 1,) + batch, dtype=values.dtype)
             edges[0] = edge
-            edges[1:] = parts[..., 0]
+            np.multiply(a[..., 1:], rise, out=buf[..., 1:]).sum(axis=-1, out=edges[1:])
             np.cumsum(edges, axis=0, out=edges)
             overshoot = float(np.max(np.abs(edges))) - 1.0
             if not overshoot <= 1e-9:  # NaN fails too
                 raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
-            np.subtract(edges[:-1], parts[..., 1], out=a[..., 0])
+            np.subtract(edges[:-1], np.multiply(a[..., 1:], left, out=buf[..., 1:]).sum(axis=-1),
+                        out=a[..., 0])
             edge = edges[-1]
         lo, hi = bounds[b], bounds[b + 1]
         if lo < hi:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.dde_solver import SigmaSolution, solve_sigma
-from meanspec.extremal_search import (MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M, MAX_RESTARTS,
+from meanspec.extremal_search import (MAX_BATCH_SAMPLES, MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M,
+                                      MAX_RESTARTS,
                                       TAU_MAX, _dct1, _line_argmins, average_bound_expressions,
                                       delta_constants, golden_section,
                                       log_gap_endpoint_values,
@@ -294,14 +295,16 @@ class TestTruncatedKernelMinMean:
         ({"m_steps": 10 ** 10}, ValidationError),
         # Steps that do not divide 1 leave no lattice for the panel edges.
         ({"h": 3e-3}, GridError), ({"h": 0.3}, GridError), ({"h": 1.5e-3}, GridError),
-        # 999 panels of [1, 6.001] lie on the lattice 1/333000, so sigma(60.01)
-        # would need 2e7 cells, past MAX_SOLVER_NODES.
-        ({"B": 10.0, "m_steps": 999, "u_grid": (6.001,)}, BudgetError),
+        # 7 panels of [1, 2] lie on the lattice 1/7, so at h = 1e-6 the
+        # re-validation runs at 1/1000006: 9.99999 of its steps exceed
+        # MAX_SOLVER_NODES, though 9.99999 of h's do not.
+        ({"B": 4.999995, "m_steps": 7, "h": 1e-6}, BudgetError),
     ])
     def test_inputs_rejected_before_any_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
         monkeypatch.setattr(es, "_taylor_rows", None)
+        monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):
             truncated_kernel_min_mean(**args)
@@ -311,22 +314,34 @@ class TestTruncatedKernelMinMean:
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)
         monkeypatch.setattr(es, "_taylor_rows", None)
+        monkeypatch.setattr(es, "_solve_rows", None)
         with pytest.raises(ValidationError, match="seed"):
             truncated_kernel_min_mean(1.0, u_grid=(2.0,), seed=seed)
 
-    def test_fine_lattice_within_the_batch_budget(self, monkeypatch):
-        # u = 6.001 on 8 panels puts the edges on the lattice 1/8000: one row
-        # holds 72,000 cells of 5 terms, within MAX_BATCH_SAMPLES.
+    @pytest.mark.parametrize("u, lattice, exact", [
+        # 8 panels of [1, 3.08] lie on the lattice 1/50 with 9 terms a cell:
+        # 2 x 450 cell terms per unit cost less than the march's 1000 nodes.
+        (3.08, 50, True),
+        # On 1/125 with 8 terms, 2 x 1000 do not; the march reads the same
+        # panels, which lie on the grid.
+        (3.112, 125, False),
+        # 6.001 puts them on 1/8000, finer than the grid: rounded to h.
+        (6.001, 1000, False),
+    ])
+    def test_engine_or_march_by_cost(self, u, lattice, exact, monkeypatch):
         import meanspec.extremal_search as es
-        sizes = []
-        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
-        r = truncated_kernel_min_mean(10.0, m_steps=8, u_grid=(6.001,), restarts=1, sweeps=0)
+        engine, march = [], []
+        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, engine))
+        monkeypatch.setattr(es, "_solve_rows", recording(es._solve_rows, march))
+        r = truncated_kernel_min_mean(3.0, m_steps=8, u_grid=(u,), restarts=2, sweeps=1)
         d = r.diagnostics
-        assert (d["lattice"], d["taylor_terms"], d["revalidation_h"]) == (8000, 5, 1 / 8000)
-        marks = [round(b * 8000) for b in r.argmin.breaks]
-        cells, terms = _taylor_size(marks, 8000, d["target"])
-        assert sizes == [1] and cells * terms <= es.MAX_BATCH_SAMPLES
-        assert d["revalidation_gap"] <= d["revalidation_h"] ** 2
+        assert (d["exact"], d["lattice"], d["u"]) == (exact, lattice, round(u * 1000) / 1000)
+        assert (bool(engine), bool(march)) == (exact, not exact)
+        assert 0.0 < d["revalidation_gap"] <= d["revalidation_h"] ** 2
+        if not exact:  # the edges are the h-rounded equal panels
+            ideal = [1.0 + (d["u"] - 1.0) * j / 8 for j in range(9)]
+            assert d["revalidation_h"] == 1e-3
+            assert max(abs(a - b) for a, b in zip(r.argmin.breaks, ideal)) <= 0.5e-3 + 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_revalidation_gap_within_h_squared(self, seed):
@@ -547,7 +562,8 @@ def exact_value(kernel, N, u):
 
 
 def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
-    """The search loop with one engine call per kernel, restart after restart.
+    """The search loop with one engine call or solve_sigma call per kernel,
+    restart after restart.
 
     The reference for the lockstep search: same panels, starts, line searches
     and stop rule; returns (value, argmin, u, max_abs_sigma, evaluations).
@@ -563,16 +579,24 @@ def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
         g = math.gcd(D, k - m1)
         N = D // g
         marks = [(D + (k - m1) * j) // g for j in range(m_steps + 1)]
-        edges = [mk / N for mk in marks]
         u = k / m1
         target = B * u
+        cells, T = _taylor_size(marks, N, target)
+        exact = 2 * N * T <= m1 and cells * T <= MAX_BATCH_SAMPLES
+        if not exact:  # edges rounded half up to the grid h
+            N, marks = m1, [m1 + (2 * (k - m1) * j + m_steps) // (2 * m_steps)
+                            for j in range(m_steps + 1)]
+        edges = [mk / N for mk in marks]
         lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
 
         def objective(levels):
             nonlocal max_abs_seen, evaluations
             kernel = StepFunction(tuple(edges), (1.0,) + tuple(levels), 0.0)
-            val = float(exact_value(kernel, N, target))
+            if exact:
+                val = float(exact_value(kernel, N, target))
+            else:
+                val = complex(solve_sigma(kernel, max(target, u), h).value_at(target)).real
             evaluations += 1
             max_abs_seen = max(max_abs_seen, abs(val))
             return val
@@ -678,6 +702,7 @@ class TestLockstepSearch:
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
         monkeypatch.setattr(es, "_taylor_rows", None)
+        monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):
             truncated_kernel_min_mean(**args)
@@ -702,11 +727,13 @@ class TestLockstepSearch:
                                       h=1e-3, seed=0, sweeps=1)
 
 
-def recording(taylor, sizes):
-    """taylor, recording the row count of each batched call (the search's
-    line searches; the re-validation passes one kernel as a 1-d row)."""
-    def call(marks, N, values, points):
-        if np.ndim(values) == 2:
-            sizes.append(len(values))
-        return taylor(marks, N, values, points)
+def recording(evaluate, sizes):
+    """_taylor_rows or _solve_rows, recording the row count of each batched
+    call (the search's line searches; the re-validation passes one kernel as
+    a 1-d row)."""
+    def call(*args, **kwargs):
+        rows = [a for a in args if np.ndim(a) == 2]
+        if rows:
+            sizes.append(len(rows[0]))
+        return evaluate(*args, **kwargs)
     return call

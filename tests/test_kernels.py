@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, MAX_SOLVER_NODES, SQRT_E, GridFunction,
                               StepFunction, _grid_point, _li2, _taylor_rows, _taylor_size,
-                              _taylor_tables, dickman_rho, dickman_rho_grid, rho_minus,
+                              _taylor_terms, dickman_rho, dickman_rho_grid, rho_minus,
                               rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
@@ -376,9 +376,8 @@ class TestTaylorEngine:
 
     @pytest.mark.parametrize("N", [1, 2, 3, 6, 16, 8000])
     def test_terms_reach_the_rounding_floor(self, N):
-        T, sides = _taylor_tables(N)
+        T = _taylor_terms(N)
         assert (2 * N + 1) ** T > 2 ** 56 >= (2 * N + 1) ** (T - 1)
-        assert sides.shape == (2, T - 1) and not sides.flags.writeable
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("N, n_marks", [(1, 2), (4, 6), (10, 24)])
@@ -450,9 +449,28 @@ class TestTaylorEngine:
 
     def test_ring_holds_only_what_later_cells_read(self):
         # Cells a later block still reads: up to the largest mark used, plus
-        # the block being built and its sums; marks past the last point go.
-        assert _taylor_size([8000 + 5001 * j for j in range(9)], 8000, 60.01) == (72000, 5)
-        assert _taylor_size([3, 4, 30], 3, 4.0) == (3 * 4, _taylor_tables(3)[0])
+        # the block being built, its sums and its products; marks past the
+        # last point go.
+        assert _taylor_size([8000 + 5001 * j for j in range(9)], 8000, 60.01) == (80000, 5)
+        assert _taylor_size([3, 4, 30], 3, 4.0) == (3 * 5, _taylor_terms(3))
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("N, n_marks, u", [(16, 9, 6.0), (4, 3, 30.0), (60, 12, 3.5)])
+    def test_peak_memory_within_its_size(self, N, n_marks, u, complex_values):
+        # What one call allocates stays within rows x cells x terms values,
+        # plus the N x T tables, the N sums per row that _taylor_size leaves
+        # out, and numpy's fixed iteration buffers (about 200 KB).
+        import tracemalloc
+        R = 400
+        marks, values = lattice_rows(N, N, R, n_marks, complex_values=complex_values)
+        cells, T = _taylor_size(marks, N, u)
+        tracemalloc.start()
+        try:
+            _taylor_rows(marks, N, values, [u])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (cells * T + 4 * N) * R * values.itemsize + 8 * N * T * 8 + (1 << 19)
 
     @pytest.mark.parametrize("marks, N, values, points", [
         ([1], 1, [1.0, 0.0], [math.nan]), ([1], 1, [1.0, 0.0], [-0.5]),
