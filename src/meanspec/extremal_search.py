@@ -7,10 +7,11 @@ power residues, the auxiliary minimizations behind the disc and projection
 containments, and the search for the most negative sigma(B*u) over sign
 kernels truncated at u, together with the sign-change scan of the solution
 for the kernel that is -1 on [1, 2] and 0 beyond.  The search reads
-sigma(B*u) exactly off the Taylor engine kernels._taylor_rows where its
-panels' lattice is coarse, and off the solver's batched march elsewhere, many
-kernels per call within its own batch budget MAX_BATCH_SAMPLES, and
-re-validates its winner with a residual-checked march.
+sigma(B*u) exactly off the Taylor engine where its panels' lattice is
+coarse, through one kernels._taylor_plan per panel built before the descent,
+and off the solver's batched march elsewhere, many kernels per call within
+its own batch budget MAX_BATCH_SAMPLES, and re-validates its winner with a
+residual-checked march.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from numpy.polynomial import chebyshev as cheb
 
 from .dde_solver import _solve_rows, solve_sigma
 from .errors import BudgetError, ContractError, GridError, ValidationError
-from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _grid_point,
-                      _grid_steps, _li2, _taylor_rows, _taylor_size, _taylor_terms,
-                      dickman_rho, rho_minus_correction)
+from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _check_taylor,
+                      _grid_point, _grid_steps, _li2, _taylor_plan, _taylor_rows,
+                      _taylor_size, _taylor_terms, dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -235,7 +236,10 @@ MAX_LINE_DEGREE = 100
 #: reads the engine only where one row fits.  gamma-b --B 10 holds at most 8
 #: restarts x 61 rows x 72 cells x 14 terms (492 k) in one engine call, and
 #: with --steps 16 a row holds at most 192 cells x 10 terms; unchunked, the
-#: march would hold 8 x 61 x 60,001 nodes (234 MB) there.
+#: march would hold 8 x 61 x 60,001 nodes (234 MB) there.  Beside the rows,
+#: each engine panel keeps one plan, whose tables (kernels._taylor_plan_size)
+#: hold fewer than B*u*2NT <= B*u/h values: at most 12,272 for gamma-b --B 10
+#: and 20,768 with --steps 16.
 MAX_BATCH_SAMPLES = 2 ** 19
 
 
@@ -317,7 +321,9 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     lockstep, so each coordinate's solves for every restart still improving
     are one batched engine call or march (in chunks of at most
     MAX_BATCH_SAMPLES values), bit for bit as one call per kernel, and their
-    argmins one batched interpolation step (_line_argmins).  Every
+    argmins one batched interpolation step (_line_argmins).  An engine panel
+    builds one kernels._taylor_plan for its marks, N and B*u before the
+    descent, and every engine call is that plan called on a chunk.  Every
     line-search kernel is held to |sigma| <= 1 (the march also to its running
     average, not to its residual); the best kernel is then
     solved by the residual-checked march at h' = 1/M, the largest step <= h
@@ -383,9 +389,11 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
             g = math.gcd(m1, *marks)
             N, marks, terms = m1 // g, [mk // g for mk in marks], _taylor_terms(m1 // g)
         # The re-validation solve runs at h' = 1/M, the largest step <= h
-        # on which every edge lies; M >= N, so this budget covers the engine's.
+        # on which every edge lies, and the engine reads it at the nodes
+        # around B*u, up to B*u + h' (one more h' for rounding).
         M = N * -(-m1 // N)
         _check_grid(max(B * u, u), 1.0 / M)
+        _check_taylor(N, B * u + 2.0 / M)
         panels.append((u, N, marks, M, terms, exact))
 
     rho_floor = dickman_rho(B)
@@ -405,6 +413,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
                    for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
         if exact:
             chunk = MAX_BATCH_SAMPLES // (_taylor_size(marks, N, target)[0] * terms)
+            plan = _taylor_plan(marks, N, [target])
         else:
             n = _grid_steps(max(target, u), h)
             chunk = max(1, MAX_BATCH_SAMPLES // (n + 1))
@@ -421,7 +430,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
             for r in range(0, len(levels), chunk):
                 rows = segments[r:r + chunk]
                 if exact:
-                    vals[r:r + chunk] = _taylor_rows(marks, N, rows, [target])[0]
+                    vals[r:r + chunk] = plan(rows)[0]
                 else:
                     sigma, _ = _solve_rows(edges, rows, max(target, u), h, check_residual=False)
                     vals[r:r + chunk] = sigma[i_t] + frac * (sigma[i_t + 1] - sigma[i_t])

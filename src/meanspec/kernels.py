@@ -5,13 +5,15 @@ right-continuous piecewise-constant complex function on [0, oo) whose
 initial segment is identically 1; it plays the role of the kernel in the
 delay integral equation.  A GridFunction holds samples of a continuous
 function on the uniform grid u = 0, h, 2h, ...  On top of these the module
-provides _taylor_rows, which evaluates sigma exactly, to rounding, for
+provides the exact Taylor engine, which evaluates sigma, to rounding, for
 kernels whose breaks lie on a lattice 1/N: piecewise Taylor series about the
 lattice cells' centres (after Marsaglia, Zaman & Marsaglia, Math. Comp. 53,
-1989), one or many kernels at once.  The Dickman function and its factor-two
-signed variant are its one-break case; the module also gives the
-logarithmic integral correction that the signed variant picks up past
-u = 2.
+1989), one or many kernels at once.  _taylor_plan builds what depends only
+on the marks, N and the points, once; calling the plan on the levels runs
+the recurrence, and _taylor_rows is one plan called once.  The Dickman
+function and its factor-two signed variant are its one-break case; the
+module also gives the logarithmic integral correction that the signed
+variant picks up past u = 2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ DISC_TOL = 1e-12
 ALIGN_TOL = 1e-9
 
 #: Budget of grid steps u_max/h (80x the largest acceptance solve, u = 12 at h = 1e-4),
-#: and of the Taylor engine's lattice cells u_max*N.
+#: of the Taylor engine's lattice cells u_max*N, and of its plan's table values.
 MAX_SOLVER_NODES = 10 ** 7
 
 #: Largest delay-function argument (one engine block per unit interval); past
@@ -242,26 +244,48 @@ def _taylor_terms(N: int) -> int:
     2**-56 for cells of width w = 1/N: every singularity of sigma's
     continuation from a cell lies at least 1 + w/2 left of its centre, so on
     the cell the terms fall by that ratio."""
-    T = 1
-    while (2 * N + 1) ** T <= 2 ** 56:
-        T += 1
+    T, power = 1, 2 * N + 1  # power = (2N + 1)**T
+    while power <= 2 ** 56:
+        T, power = T + 1, power * (2 * N + 1)
     return T
 
 
 def _taylor_size(marks, N: int, u_max: float):
-    """(cells, T) of _taylor_rows for points up to u_max: T terms per cell,
-    and per kernel the cells it holds, a ring of N per unit block for the
-    blocks a later block still reads (up to the largest mark it uses) and
+    """(cells, T) of a _taylor_plan call for points up to u_max: T terms per
+    cell, and per kernel the cells it holds, a ring of N per unit block for
+    the blocks a later block still reads (up to the largest mark it uses) and
     the one it builds, plus the block's N sums G and N products.  Besides
-    these it holds N x T arrays shared by the batch and N sums per kernel."""
+    these it holds N + 1 edge sums and N sums per kernel; the plan's tables,
+    shared by the batch, are _taylor_plan_size."""
     last = max(math.ceil(u_max * N) - 1, 0)
     reach = max([mk for mk in marks if mk <= last], default=N)
     return N * (-(-reach // N) + 3), _taylor_terms(N)
 
 
-def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
-    """sigma at the ascending points for step kernels whose breaks lie on the
-    lattice of width w = 1/N: the exact delay-equation Taylor recurrence.
+def _taylor_plan_size(N: int, u_max: float) -> int:
+    """Values in the tables of a _taylor_plan for points up to u_max: per
+    unit block after the first, the N x (T - 1) powers (-c)**i of its
+    cells' centres c and as many divisors."""
+    blocks = max(math.ceil(u_max * N) - 1, 0) // N
+    return 2 * blocks * N * (_taylor_terms(N) - 1)
+
+
+def _check_taylor(N: int, u_max: float) -> None:
+    """Reject points up to u_max on the lattice 1/N past the engine's
+    budgets: MAX_SOLVER_NODES lattice cells u_max*N and as many table values
+    (_taylor_plan_size)."""
+    if u_max * N >= MAX_SOLVER_NODES:
+        raise BudgetError(f"{u_max * N:.3g} lattice cells exceed the budget {MAX_SOLVER_NODES}")
+    tables = _taylor_plan_size(N, u_max)
+    if tables > MAX_SOLVER_NODES:
+        raise BudgetError(f"{tables} Taylor table values exceed the budget {MAX_SOLVER_NODES}")
+
+
+def _taylor_plan(marks, N: int, points):
+    """The exact Taylor engine for step kernels whose breaks lie on the
+    lattice of width w = 1/N, read at the ascending points: everything that
+    does not depend on the levels, built once.  Calling the plan on values
+    gives sigma at the points.
 
     marks are the breaks in cells, strictly increasing integers >= N.  values
     holds the segment constants along its last axis, as for
@@ -285,82 +309,113 @@ def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
     Horner.  Every product is elementwise and every sum runs along the
     coefficients or the cells, so no row's bits depend on the rows batched
     with it.
+
+    The plan checks the marks, the points and both budgets, and holds each
+    block's powers (-c)**i and divisors (i + 1) c (-c)**i (_taylor_plan_size),
+    the ring offsets of the jumps each block reads, and each read cell's
+    offsets s.  A call checks the values, sums the jump products one mark at
+    a time in mark order, checks every edge and reads by Horner, so a plan
+    called again gives each row the bits of a fresh _taylor_rows call.
     """
-    values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-    if (values.ndim not in (1, 2) or values.shape[-1] != len(marks) + 1
-            or not np.all(values[..., 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
-        raise ValidationError("each kernel needs one value per segment in the unit disc, 1 first")
     if any(mk < N for mk in marks[:1]) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValidationError(f"marks must increase strictly from at least N = {N}")
     points = np.asarray(points, dtype=np.float64)
     if not (points[0] >= 0 and math.isfinite(points[-1])):  # NaN fails too
         raise ValidationError("argument must be finite and nonnegative")
-    if points[-1] * N >= MAX_SOLVER_NODES:
-        raise BudgetError(f"{points[-1] * N:.3g} lattice cells exceed the budget "
-                          f"{MAX_SOLVER_NODES}")
+    _check_taylor(N, float(points[-1]))
+    n_marks = len(marks)
     cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
     n_blocks = int(cells[-1]) // N + 1
-    batch = values.shape[:-1]
-    ones = (1,) * len(batch)
-    jumps = [(mk, dk[..., None]) for mk, dk in zip(marks, (values[..., 1:] - values[..., :-1]).T)
-             if mk <= cells[-1]]
+    active = [mk for mk in marks if mk <= cells[-1]]  # a prefix: the marks ascend
     size, T = _taylor_size(marks, N, points[-1])
     L = size - 2 * N
-    ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
-    ring[:N, ..., 0] = 1.0
-    G = np.empty((N,) + batch + (T,), dtype=values.dtype)
-    buf = np.empty_like(G)
     # A cell's increment and its left edge minus a_0 take the powers
     # (w/2)**i - (-w/2)**i and (-w/2)**i, i = 1..T-1.
     right = (0.5 / N) ** np.arange(1.0, T)
     left = np.where(np.arange(1, T) % 2, -right, right)
     rise = right - left
     orders = np.arange(1.0, T)  # i + 1
+    centres = (np.arange(n_blocks * N) + 0.5) / N
+    # The recurrence times (i + 1) c (-c)**i telescopes:
+    # (i + 1) c (-c)**i a_{i+1} = sum_{l <= i} G_l (-c)**l.
+    later = centres[N:].reshape(n_blocks - 1, N, 1)
+    powers = np.empty((n_blocks - 1, N, T - 1))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = -later
+    np.cumprod(powers, axis=-1, out=powers)
+    divisors = powers * later
+    divisors *= orders
+    # Block b reads cells b N - m_k + [0, N) of each mark it reaches, which
+    # may wrap the ring: (k, ring offset, rows before the wrap).
+    sources = [[(k, (b * N - mk) % L, min(N, L - (b * N - mk) % L))
+                for k, mk in enumerate(active) if mk < (b + 1) * N]
+               for b in range(1, n_blocks)]
     bounds = np.searchsorted(cells, N * np.arange(n_blocks + 1))
-    out = np.empty(points.shape + batch, dtype=values.dtype)
-    edge = np.ones(batch, dtype=values.dtype)  # sigma at the block's left edge
+    reads = [[] for _ in range(n_blocks)]  # (ring row, first point, last + 1, offsets)
     for b in range(n_blocks):
-        j0 = b * N
-        slot = j0 % L
-        centres = (np.arange(j0, j0 + N) + 0.5) / N
-        if b:
-            G.fill(0)
-            for mk, dk in jumps:
-                if mk >= j0 + N:  # no cell of the block reaches this break yet
-                    break
-                s = (j0 - mk) % L  # cells j0 - mk + [0, N), which may wrap the ring
-                n = min(N, L - s)
-                G[:n] += np.multiply(dk, ring[s:s + n], out=buf[:n])
-                if n < N:
-                    G[n:] += np.multiply(dk, ring[:N - n], out=buf[n:])
-            # The recurrence times (i + 1) c (-c)**i telescopes:
-            # (i + 1) c (-c)**i a_{i+1} = sum_{l <= i} G_l (-c)**l.
-            powers = np.empty((N, T - 1))
-            powers[:, 0] = 1.0
-            powers[:, 1:] = -centres[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            powers = powers.reshape((N,) + ones + (T - 1,))
-            a = ring[slot:slot + N]
-            G[..., :-1] *= powers
-            np.cumsum(G[..., :-1], axis=-1, out=a[..., 1:])
-            a[..., 1:] /= powers * centres.reshape((N,) + ones + (1,)) * orders
-            edges = np.empty((N + 1,) + batch, dtype=values.dtype)
-            edges[0] = edge
-            np.multiply(a[..., 1:], rise, out=buf[..., 1:]).sum(axis=-1, out=edges[1:])
-            np.cumsum(edges, axis=0, out=edges)
-            overshoot = float(np.max(np.abs(edges))) - 1.0
-            if not overshoot <= 1e-9:  # NaN fails too
-                raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
-            np.subtract(edges[:-1], np.multiply(a[..., 1:], left, out=buf[..., 1:]).sum(axis=-1),
-                        out=a[..., 0])
-            edge = edges[-1]
         lo, hi = bounds[b], bounds[b + 1]
         if lo < hi:
+            j0 = b * N
             cuts = np.searchsorted(cells[lo:hi], np.arange(j0, j0 + N + 1)) + lo
             for j in np.flatnonzero(np.diff(cuts)).tolist():
-                s = (points[cuts[j]:cuts[j + 1]] - centres[j]).reshape((-1,) + ones)
-                out[cuts[j]:cuts[j + 1]] = _horner(ring[slot + j].T, s)  # coefficient-major
-    return out
+                reads[b].append((j0 % L + j, cuts[j], cuts[j + 1],
+                                 points[cuts[j]:cuts[j + 1]] - centres[j0 + j]))
+
+    def rows(values) -> np.ndarray:
+        values = np.asarray(values,
+                            dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+        if (values.ndim not in (1, 2) or values.shape[-1] != n_marks + 1
+                or not np.all(values[..., 0] == 1)
+                or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
+            raise ValidationError(
+                "each kernel needs one value per segment in the unit disc, 1 first")
+        batch = values.shape[:-1]
+        ones = (1,) * len(batch)
+        jumps = (values[..., 1:] - values[..., :-1]).T[..., None]
+        ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
+        ring[:N, ..., 0] = 1.0
+        G = np.empty((N,) + batch + (T,), dtype=values.dtype)
+        buf = np.empty_like(G)
+        edges = np.empty((N + 1,) + batch, dtype=values.dtype)
+        edges[-1] = 1.0  # sigma at the first block's right edge
+        block_powers = powers.reshape((n_blocks - 1, N) + ones + (T - 1,))
+        block_divisors = divisors.reshape(block_powers.shape)
+        out = np.empty(points.shape + batch, dtype=values.dtype)
+        for b in range(n_blocks):
+            if b:
+                G.fill(0)
+                for k, s, n in sources[b - 1]:
+                    G[:n] += np.multiply(jumps[k], ring[s:s + n], out=buf[:n])
+                    if n < N:
+                        G[n:] += np.multiply(jumps[k], ring[:N - n], out=buf[n:])
+                slot = b * N % L
+                a = ring[slot:slot + N]
+                G[..., :-1] *= block_powers[b - 1]
+                # ufunc methods, not np.cumsum, .sum and np.max: on search-sized
+                # blocks of a few thousand values those wrappers cost 6-9 % of a call.
+                np.add.accumulate(G[..., :-1], axis=-1, out=a[..., 1:])
+                a[..., 1:] /= block_divisors[b - 1]
+                edges[0] = edges[-1]
+                rises = np.multiply(a[..., 1:], rise, out=buf[..., 1:])
+                np.add.reduce(rises, axis=-1, out=edges[1:])
+                np.add.accumulate(edges, axis=0, out=edges)
+                overshoot = float(np.maximum.reduce(np.abs(edges), axis=None)) - 1.0
+                if not overshoot <= 1e-9:  # NaN fails too
+                    raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
+                lefts = np.multiply(a[..., 1:], left, out=buf[..., 1:])
+                np.subtract(edges[:-1], np.add.reduce(lefts, axis=-1), out=a[..., 0])
+            for row, lo, hi, s in reads[b]:
+                out[lo:hi] = _horner(ring[row].T, s.reshape((-1,) + ones))  # coefficient-major
+        return out
+
+    return rows
+
+
+def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
+    """sigma at the ascending points for step kernels whose breaks lie on the
+    lattice of width w = 1/N: the exact Taylor engine, _taylor_plan(marks, N,
+    points) called once on values."""
+    return _taylor_plan(marks, N, points)(values)
 
 
 def _delay(u: np.ndarray, factor: float) -> np.ndarray:

@@ -526,3 +526,16 @@ def test_readme_bounds_artifact_bytes(kernel, tmp_path):
     assert main(["bounds", "--chi", str(tmp_path / kernel), "--kmax", "12",
                  "--umax", "8", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_BOUNDS_SHA256[kernel]
+
+
+#: sha256 of the README `gamma-b` artifact, read off the Taylor engine. A
+#: search speed-up keeps these bytes; a change that means to move them
+#: updates the pin with it.
+README_GAMMA_B_SHA256 = "65edfdee8d1ecee261b372e603980f26cc9b0f1d30e436b9fbfba9ca8b3aac13"
+
+
+def test_readme_gamma_b_artifact_bytes(tmp_path):
+    out = tmp_path / "gamma_b.json"
+    assert main(["gamma-b", "--B", "1.0", "--steps", "16", "--restarts", "8", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_GAMMA_B_SHA256

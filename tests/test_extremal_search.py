@@ -299,10 +299,15 @@ class TestTruncatedKernelMinMean:
         # re-validation runs at 1/1000006: 9.99999 of its steps exceed
         # MAX_SOLVER_NODES, though 9.99999 of h's do not.
         ({"B": 4.999995, "m_steps": 7, "h": 1e-6}, BudgetError),
+        # 2 panels of [1, 4.000001] round to the lattice 1/10^6, where the
+        # engine's re-validation read would hold 4 blocks x 2 x 10^6 x 2
+        # table values, past MAX_SOLVER_NODES, though its cells fit.
+        ({"u_grid": (4.000001,), "m_steps": 2, "h": 1e-6}, BudgetError),
     ])
     def test_inputs_rejected_before_any_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
+        monkeypatch.setattr(es, "_taylor_plan", None)
         monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
@@ -313,6 +318,7 @@ class TestTruncatedKernelMinMean:
     def test_bad_seed_rejected_before_any_solve(self, seed, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)
+        monkeypatch.setattr(es, "_taylor_plan", None)
         monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         with pytest.raises(ValidationError, match="seed"):
@@ -331,7 +337,7 @@ class TestTruncatedKernelMinMean:
     def test_engine_or_march_by_cost(self, u, lattice, exact, monkeypatch):
         import meanspec.extremal_search as es
         engine, march = [], []
-        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, engine))
+        monkeypatch.setattr(es, "_taylor_plan", recording_plan(es._taylor_plan, engine))
         monkeypatch.setattr(es, "_solve_rows", recording(es._solve_rows, march))
         r = truncated_kernel_min_mean(3.0, m_steps=8, u_grid=(u,), restarts=2, sweeps=1)
         d = r.diagnostics
@@ -659,11 +665,24 @@ class TestLockstepSearch:
     def test_batches_hold_every_active_restart(self, monkeypatch):
         import meanspec.extremal_search as es
         sizes = []
-        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
+        monkeypatch.setattr(es, "_taylor_plan", recording_plan(es._taylor_plan, sizes))
         r = truncated_kernel_min_mean(1.0, m_steps=6, u_grid=(2.0,), restarts=3,
                                       h=1e-3, seed=0, sweeps=2)
         assert sizes[0] == 3  # every start in one solve
         assert sizes[1] == 3 * 3  # d + 1 = 3 Lobatto rows for the panel at 1, per restart
+        assert sum(sizes) == r.diagnostics["evaluations"]
+
+    def test_one_plan_per_engine_panel(self, monkeypatch):
+        # Each engine panel builds one plan for its marks, N and target B*u,
+        # and every line-search row is read through it.
+        import meanspec.extremal_search as es
+        sizes, plans = [], []
+        monkeypatch.setattr(es, "_taylor_plan", recording_plan(es._taylor_plan, sizes, plans))
+        r = truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(1.5, 2.0, 3.0), restarts=3,
+                                      h=1e-3, seed=2, sweeps=2)
+        assert plans == [(list(range(8, 13)), 8, [1.5]), (list(range(4, 9)), 4, [2.0]),
+                         (list(range(2, 7)), 2, [3.0])]
+        assert r.diagnostics["exact"]
         assert sum(sizes) == r.diagnostics["evaluations"]
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -676,7 +695,7 @@ class TestLockstepSearch:
         cells, terms = _taylor_size([4, 5, 6, 7, 8], 4, 2.0)  # panels 1 + j/4, target 2
         monkeypatch.setattr(es, "MAX_BATCH_SAMPLES", (chunk * cells + cells // 2) * terms)
         sizes = []
-        monkeypatch.setattr(es, "_taylor_rows", recording(es._taylor_rows, sizes))
+        monkeypatch.setattr(es, "_taylor_plan", recording_plan(es._taylor_plan, sizes))
         got = truncated_kernel_min_mean(1.0, **args)
         assert max(sizes) == chunk and sizes[0] == min(chunk, 3)
         assert repr(got.value) == repr(whole.value)
@@ -701,6 +720,7 @@ class TestLockstepSearch:
     def test_inputs_rejected_before_any_batched_solve(self, kwargs, error, monkeypatch):
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
+        monkeypatch.setattr(es, "_taylor_plan", None)
         monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
@@ -712,23 +732,27 @@ class TestLockstepSearch:
         # drives that row's |sigma| past 1; the engine checks every row.
         import meanspec.extremal_search as es
         import meanspec.kernels as kernels
-        taylor = es._taylor_rows
+        build = es._taylor_plan
 
-        def overshoot(marks, N, values, points):
-            values = np.array(values)
-            if values.ndim == 2 and len(values) > 2:
-                values[2, 1:-1] = 3.0
-            return taylor(marks, N, values, points)
+        def overshooting(marks, N, points):
+            plan = build(marks, N, points)
+
+            def rows(values):
+                values = np.array(values)
+                if values.ndim == 2 and len(values) > 2:
+                    values[2, 1:-1] = 3.0
+                return plan(values)
+            return rows
 
         monkeypatch.setattr(kernels, "DISC_TOL", 10.0)
-        monkeypatch.setattr(es, "_taylor_rows", overshoot)
+        monkeypatch.setattr(es, "_taylor_plan", overshooting)
         with pytest.raises(ContractError, match="exceeded 1"):
             truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=3,
                                       h=1e-3, seed=0, sweeps=1)
 
 
 def recording(evaluate, sizes):
-    """_taylor_rows or _solve_rows, recording the row count of each batched
+    """A Taylor plan or _solve_rows, recording the row count of each batched
     call (the search's line searches; the re-validation passes one kernel as
     a 1-d row)."""
     def call(*args, **kwargs):
@@ -737,3 +761,13 @@ def recording(evaluate, sizes):
             sizes.append(len(rows[0]))
         return evaluate(*args, **kwargs)
     return call
+
+
+def recording_plan(build, sizes, plans=None):
+    """_taylor_plan whose plans record the row count of each call, and, given
+    a list plans, the (marks, N, points) of each plan built."""
+    def plan(marks, N, points):
+        if plans is not None:
+            plans.append((list(marks), N, list(points)))
+        return recording(build(marks, N, points), sizes)
+    return plan

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, MAX_SOLVER_NODES, SQRT_E, GridFunction,
-                              StepFunction, _grid_point, _li2, _taylor_rows, _taylor_size,
-                              _taylor_terms, dickman_rho, dickman_rho_grid, rho_minus,
-                              rho_minus_correction, rho_minus_grid)
+                              StepFunction, _grid_point, _li2, _taylor_plan, _taylor_plan_size,
+                              _taylor_rows, _taylor_size, _taylor_terms, dickman_rho,
+                              dickman_rho_grid, rho_minus, rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
@@ -394,6 +394,75 @@ class TestTaylorEngine:
             == repr(batch[:, order].tolist())
         assert repr(_taylor_rows(marks, N, values[1::3], points).tolist()) \
             == repr(batch[:, 1::3].tolist())
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("N, n_marks", [(1, 2), (4, 6), (10, 24)])
+    def test_reused_plan_equals_fresh_calls(self, N, n_marks, complex_values):
+        # One plan called on several batches, in any order and size, gives
+        # the bits of a fresh _taylor_rows call per batch and per row.
+        marks, values = lattice_rows(N + 1, N, 9, n_marks, complex_values=complex_values)
+        points = np.linspace(0.0, 5.5, 37)
+        plan = _taylor_plan(marks, N, points)
+        for batch in (values[:4], values[4:], values, values[::-2], values[5]):
+            got = plan(batch)
+            assert repr(got.tolist()) == repr(_taylor_rows(marks, N, batch, points).tolist())
+            for r, row in enumerate(np.atleast_2d(batch)):
+                alone = _taylor_rows(marks, N, row, points)
+                assert repr(alone.tolist()) == repr(np.atleast_2d(got.T)[r].tolist())
+
+    def test_reused_plan_still_checks_values(self):
+        marks, values = lattice_rows(3, 4, 3, 4)
+        plan = _taylor_plan(marks, 4, [3.5])
+        good = plan(values)
+        bad = values.copy()
+        bad[1, 2] = 1.5
+        with pytest.raises(ValidationError):
+            plan(bad)
+        bad = values.copy()
+        bad[2, 0] = 0.5
+        with pytest.raises(ValidationError):
+            plan(bad)
+        with pytest.raises(ValidationError):
+            plan(values[:, :-1])
+        assert repr(plan(values).tolist()) == repr(good.tolist())
+
+    def test_reused_plan_still_checks_every_edge(self, monkeypatch):
+        # A plan that has run clean rows still raises on a row whose |sigma|
+        # passes 1, and runs clean rows again afterwards.
+        import meanspec.kernels as kernels
+        marks, values = lattice_rows(6, 4, 5, 4)
+        plan = _taylor_plan(marks, 4, [4.0])
+        good = plan(values)
+        monkeypatch.setattr(kernels, "DISC_TOL", 10.0)
+        wild = values.copy()
+        wild[3, 1:] = 3.0
+        with pytest.raises(ContractError, match="exceeded 1"):
+            plan(wild)
+        with pytest.raises(ContractError, match="exceeded 1"):
+            plan(wild[3])
+        assert repr(plan(values).tolist()) == repr(good.tolist())
+
+    def test_table_budget_before_allocation(self):
+        # 2 x 19 blocks x 10^5 cells x 3 powers pass the budget; the cells fit.
+        import tracemalloc
+        N, u = 10 ** 5, 20.0
+        assert N * u < MAX_SOLVER_NODES < _taylor_plan_size(N, u)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="table"):
+                _taylor_plan([N, 2 * N], N, [u])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_tables_count_what_the_plan_holds(self):
+        # Per block after the first, N x (T - 1) powers and as many divisors.
+        T = _taylor_terms(4)
+        assert _taylor_plan_size(4, 1.0) == 0
+        assert _taylor_plan_size(4, 1.1) == 2 * 4 * (T - 1)
+        assert _taylor_plan_size(4, 30.0) == 2 * 29 * 4 * (T - 1)
+        assert _taylor_plan_size(1, MAX_DELAY_U) == 2 * 999 * 35  # the delay functions' largest
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
