@@ -19,7 +19,7 @@ from . import series_bounds as series
 from . import spectrum_region as region
 from .dde_solver import perturbation_gap, solve_sigma
 from .errors import ContractError
-from .kernels import (SQRT_E, StepFunction, _taylor_rows, dickman_rho, dickman_rho_grid,
+from .kernels import (SQRT_E, StepFunction, _taylor_plan, dickman_rho, dickman_rho_grid,
                       rho_minus, rho_minus_correction, rho_minus_grid)
 
 DELTA1_PRINTED = -0.656999
@@ -126,8 +126,8 @@ def check_solver_cross() -> CheckResult:
             segs = np.array(k.segment_values())
             coarse = solve_sigma(k, 4.0, h).sigma
             fine = solve_sigma(k, 4.0, h / 2).sigma.samples[::2]
-            exact = _taylor_rows([round(b * N) for b in k.breaks], N,
-                                 segs.real if k.is_real else segs, coarse.u)
+            exact = _taylor_plan([round(b * N) for b in k.breaks], N, coarse.u)(
+                segs.real if k.is_real else segs)
             gaps = [float(np.max(np.abs(s - exact))) for s in (coarse.samples, fine)]
             scaled.append(gaps[0] / h ** 2)
             exact_ratios.append(gaps[0] / gaps[1])

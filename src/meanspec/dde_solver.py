@@ -15,7 +15,7 @@ its own march, and every column is held to the same contracts.  On request
 it re-checks the discrete convolution identity, built from the trapezoid
 antiderivative and not from the recurrence.  solve_sigma is the one-kernel
 case with that check always on.  Where only a few values of sigma are
-needed and the breaks lie on a coarse lattice 1/N, kernels._taylor_rows
+needed and the breaks lie on a coarse lattice 1/N, kernels._taylor_plan
 gives them exactly and for less: the extremal search reads sigma(B*u) there,
 batches its kernels here where the lattice is fine, and re-validates its
 winner here; criterion 3 measures this march's O(h^2) gap against it.
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GridError, ValidationError
-from .kernels import (ALIGN_TOL, DISC_TOL, GridFunction, StepFunction, _grid_steps,
-                      _trapezoid_cumulative)
+from .errors import ContractError, ValidationError
+from .kernels import (GridFunction, StepFunction, _check_modulus, _grid_steps, _segment_rows,
+                      _trapezoid_cumulative, _unit_steps)
 from .kernels import MAX_SOLVER_NODES  # noqa: F401 - the solver's node budget, re-exported
 
 #: Residual contract of the solver: |u*sigma(u) - trapz(sigma*chi)(u)| <= RESIDUAL_TOL * u.
@@ -141,16 +141,10 @@ def _solve_rows(breaks, values, u_max: float, h: float, *, check_residual: bool)
     n = _grid_steps(u_max, h)
     if u_max < 1.0:
         raise ValidationError("u_max must be at least 1")
-    m1 = round(1.0 / h)
-    if abs(m1 * h - 1.0) > ALIGN_TOL:
-        raise GridError(f"grid step {h} must divide 1.0 exactly")
-    StepFunction(breaks, (1.0,) * len(breaks), 1.0).require_aligned(h)  # the breaks alone
-    values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-    if (values.ndim not in (1, 2) or values.shape[-1] != len(breaks) + 1
-            or not np.all(values[..., 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
-        raise ValidationError("each kernel needs one value per segment in the unit disc, 1 first")
+    m1 = _unit_steps(h)
+    marks = StepFunction(breaks, (1.0,) * len(breaks), 1.0).require_aligned(h)  # the breaks alone
+    values = _segment_rows(values, len(breaks))
     jumps = np.diff(values).T.copy()  # a contiguous row per break
-    marks = [round(b / h) for b in breaks]
     sigma = _march([(mk, dk) for mk, dk in zip(marks, jumps) if mk <= n],
                    n, h, m1, values.shape[:-1], values.dtype)
     if check_residual:
@@ -199,10 +193,8 @@ def _check_contracts(sigma: np.ndarray, avg: np.ndarray, m1: int) -> None:
     past u = 1, in every column of a batch (of any width, also none)."""
     if not np.all(sigma[: m1 + 1] == 1):
         raise ContractError("sigma must equal 1 exactly on [0, 1]")
-    # Written so that NaN, which np.max propagates, fails each comparison.
-    overshoot = float(np.max(np.abs(sigma), initial=1.0)) - 1.0
-    if not overshoot <= 1e-9:
-        raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
+    _check_modulus(sigma)
+    # Written so that NaN, which np.max propagates, fails the comparison.
     growth = float(np.max(np.diff(avg[m1:], axis=0), initial=0.0))
     if not growth <= 1e-9:
         raise ContractError(f"running average increased past u=1 by {growth:.3e}")

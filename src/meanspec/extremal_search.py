@@ -23,10 +23,10 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .dde_solver import _solve_rows, solve_sigma
-from .errors import BudgetError, ContractError, GridError, ValidationError
+from .errors import BudgetError, ContractError, ValidationError
 from .kernels import (ALIGN_TOL, SQRT_E, StepFunction, _check_grid, _check_taylor,
-                      _grid_point, _grid_steps, _li2, _taylor_plan, _taylor_rows,
-                      _taylor_size, _taylor_terms, dickman_rho, rho_minus_correction)
+                      _grid_point, _grid_steps, _li2, _taylor_plan, _taylor_size,
+                      _taylor_terms, _unit_steps, dickman_rho, rho_minus_correction)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -360,9 +360,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         if math.floor(B * u + ALIGN_TOL) > MAX_LINE_DEGREE:
             raise BudgetError(f"line-search degree floor(B*u) = {math.floor(B * u)} "
                               f"exceeds the budget {MAX_LINE_DEGREE}")
-    m1 = round(1.0 / h)
-    if abs(m1 * h - 1.0) > ALIGN_TOL:
-        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    m1 = _unit_steps(h)
     panels = []
     for u_raw in u_grid:
         # u = k/m1 on the h grid, split into m_steps exact equal panels
@@ -491,7 +489,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
     sol = solve_sigma(kernel, max(target, u), 1.0 / M)
     i = min(int(target * M), len(sol.sigma) - 2)
     nodes = sol.sigma.u[i:i + 2]
-    gap = float(np.max(np.abs(sol.sigma.samples[i:i + 2] - _taylor_rows(marks, N, values, nodes))))
+    gap = float(np.max(np.abs(sol.sigma.samples[i:i + 2] - _taylor_plan(marks, N, nodes)(values))))
     if not gap <= M ** -2.0:
         raise ContractError(f"march and Taylor engine differ by {gap:.3e} > h'^2 near u = {target}")
     return ExtremalResult(best_val, kernel, {
@@ -526,7 +524,7 @@ def minus_kernel_sign_changes(w_max: float, h: float = 1e-4) -> SignChangeReport
     chi = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
     sol = solve_sigma(chi, w_max, h)
     s = sol.sigma.samples.real
-    m1 = round(1.0 / h)
+    m1 = _unit_steps(h)
     # A node at an exact zero brackets its two neighbours; otherwise a sign
     # change between nodes i and i + 1 brackets that panel.
     zero = s[m1:-1] == 0.0

@@ -8,12 +8,12 @@ function on the uniform grid u = 0, h, 2h, ...  On top of these the module
 provides the exact Taylor engine, which evaluates sigma, to rounding, for
 kernels whose breaks lie on a lattice 1/N: piecewise Taylor series about the
 lattice cells' centres (after Marsaglia, Zaman & Marsaglia, Math. Comp. 53,
-1989), one or many kernels at once.  _taylor_plan builds what depends only
-on the marks, N and the points, once; calling the plan on the levels runs
-the recurrence, and _taylor_rows is one plan called once.  The Dickman
-function and its factor-two signed variant are its one-break case; the
-module also gives the logarithmic integral correction that the signed
-variant picks up past u = 2.
+1989), one or many kernels at once; its one entry point _taylor_plan builds
+what depends only on the marks, N and the points, and the plan runs the
+recurrence on the levels.  The input rules and the |sigma| <= 1 contract it
+shares with dde_solver's march live here once.  The Dickman function and
+its factor-two signed variant are its one-break case; the module also gives
+the logarithmic integral correction the signed variant picks up past u = 2.
 """
 
 from __future__ import annotations
@@ -98,11 +98,13 @@ class StepFunction:
         k = bisect_right(self.breaks, t)
         return self.values[k] if k < len(self.breaks) else self.tail
 
-    def require_aligned(self, h: float) -> None:
-        """Raise unless every breakpoint is an integer multiple of h."""
-        for b in self.breaks:
-            if abs(round(b / h) * h - b) > ALIGN_TOL:
+    def require_aligned(self, h: float) -> list:
+        """Grid indices round(b / h) of the breaks; raise unless each is a multiple of h."""
+        marks = [round(b / h) for b in self.breaks]
+        for b, mk in zip(self.breaks, marks):
+            if abs(mk * h - b) > ALIGN_TOL:
                 raise GridError(f"breakpoint {b} is not a multiple of the grid step {h}")
+        return marks
 
     def panel_values(self, n_panels: int, h: float) -> np.ndarray:
         """Kernel value on each grid panel [jh, (j+1)h), j = 0..n_panels-1.
@@ -110,9 +112,8 @@ class StepFunction:
         Requires breakpoints aligned to the grid, so the kernel is constant
         within every panel.
         """
-        self.require_aligned(h)
+        marks = np.array(self.require_aligned(h), dtype=np.int64)
         segs = np.asarray(self.segment_values(), dtype=np.complex128)
-        marks = np.array([round(b / h) for b in self.breaks], dtype=np.int64)
         # Segment i covers the panels from mark i - 1 (0 for i = 0) up to mark i.
         edges = np.concatenate(([0], np.minimum(marks, n_panels), [n_panels]))
         out = np.repeat(segs, np.diff(edges))
@@ -229,6 +230,32 @@ def _grid_steps(u_max: float, h: float) -> int:
     return max(1, int(math.ceil(u_max / h - ALIGN_TOL)))
 
 
+def _unit_steps(h: float) -> int:
+    """m1 = 1/h steps of the positive grid step h per unit; raise unless h divides 1.0."""
+    m1 = round(1.0 / h)
+    if abs(m1 * h - 1.0) > ALIGN_TOL:
+        raise GridError(f"grid step {h} must divide 1.0 exactly")
+    return m1
+
+
+def _segment_rows(values, n_breaks: int) -> np.ndarray:
+    """values, float64 or complex128: one kernel's n_breaks + 1 segment constants or
+    a row each of R kernels; raise unless each row has 1 first, all in the unit disc."""
+    values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+    if (values.ndim not in (1, 2) or values.shape[-1] != n_breaks + 1
+            or not np.all(values[..., 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
+        raise ValidationError("each kernel needs one value per segment in the unit disc, 1 first")
+    return values
+
+
+def _check_modulus(sigma: np.ndarray) -> None:
+    """|sigma| <= 1 + 1e-9 over an array of any shape, also empty, by a ufunc
+    method: np.max's wrapper costs several % of a search-sized engine call."""
+    overshoot = float(np.maximum.reduce(np.abs(sigma), axis=None, initial=1.0)) - 1.0
+    if not overshoot <= 1e-9:  # NaN, which the reduction propagates, fails too
+        raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
+
+
 def _horner(coeffs, s: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * s**i by Horner's rule, on an array s and at least two
     coefficients, in place after the first step."""
@@ -315,7 +342,7 @@ def _taylor_plan(marks, N: int, points):
     the ring offsets of the jumps each block reads, and each read cell's
     offsets s.  A call checks the values, sums the jump products one mark at
     a time in mark order, checks every edge and reads by Horner, so a plan
-    called again gives each row the bits of a fresh _taylor_rows call.
+    called again gives each row the bits of a fresh plan; no rows give (P, 0).
     """
     if any(mk < N for mk in marks[:1]) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValidationError(f"marks must increase strictly from at least N = {N}")
@@ -323,7 +350,6 @@ def _taylor_plan(marks, N: int, points):
     if not (points[0] >= 0 and math.isfinite(points[-1])):  # NaN fails too
         raise ValidationError("argument must be finite and nonnegative")
     _check_taylor(N, float(points[-1]))
-    n_marks = len(marks)
     cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
     n_blocks = int(cells[-1]) // N + 1
     active = [mk for mk in marks if mk <= cells[-1]]  # a prefix: the marks ascend
@@ -350,25 +376,16 @@ def _taylor_plan(marks, N: int, points):
     sources = [[(k, (b * N - mk) % L, min(N, L - (b * N - mk) % L))
                 for k, mk in enumerate(active) if mk < (b + 1) * N]
                for b in range(1, n_blocks)]
-    bounds = np.searchsorted(cells, N * np.arange(n_blocks + 1))
-    reads = [[] for _ in range(n_blocks)]  # (ring row, first point, last + 1, offsets)
-    for b in range(n_blocks):
-        lo, hi = bounds[b], bounds[b + 1]
-        if lo < hi:
-            j0 = b * N
-            cuts = np.searchsorted(cells[lo:hi], np.arange(j0, j0 + N + 1)) + lo
-            for j in np.flatnonzero(np.diff(cuts)).tolist():
-                reads[b].append((j0 % L + j, cuts[j], cuts[j + 1],
-                                 points[cuts[j]:cuts[j + 1]] - centres[j0 + j]))
+    # Each distinct read cell j is read once its block j // N is built, from
+    # ring row j % L (L is a multiple of N): (ring row, first point, last + 1, offsets).
+    reads = [[] for _ in range(n_blocks)]
+    cuts = (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(cells)]):
+        j = int(cells[lo])
+        reads[j // N].append((j % L, lo, hi, points[lo:hi] - centres[j]))
 
     def rows(values) -> np.ndarray:
-        values = np.asarray(values,
-                            dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-        if (values.ndim not in (1, 2) or values.shape[-1] != n_marks + 1
-                or not np.all(values[..., 0] == 1)
-                or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
-            raise ValidationError(
-                "each kernel needs one value per segment in the unit disc, 1 first")
+        values = _segment_rows(values, len(marks))
         batch = values.shape[:-1]
         ones = (1,) * len(batch)
         jumps = (values[..., 1:] - values[..., :-1]).T[..., None]
@@ -391,17 +408,15 @@ def _taylor_plan(marks, N: int, points):
                 slot = b * N % L
                 a = ring[slot:slot + N]
                 G[..., :-1] *= block_powers[b - 1]
-                # ufunc methods, not np.cumsum, .sum and np.max: on search-sized
-                # blocks of a few thousand values those wrappers cost 6-9 % of a call.
+                # ufunc methods, not np.cumsum and .sum: on search-sized blocks
+                # of a few thousand values those wrappers cost 6-9 % of a call.
                 np.add.accumulate(G[..., :-1], axis=-1, out=a[..., 1:])
                 a[..., 1:] /= block_divisors[b - 1]
                 edges[0] = edges[-1]
                 rises = np.multiply(a[..., 1:], rise, out=buf[..., 1:])
                 np.add.reduce(rises, axis=-1, out=edges[1:])
                 np.add.accumulate(edges, axis=0, out=edges)
-                overshoot = float(np.maximum.reduce(np.abs(edges), axis=None)) - 1.0
-                if not overshoot <= 1e-9:  # NaN fails too
-                    raise ContractError(f"|sigma| exceeded 1 by {overshoot:.3e}")
+                _check_modulus(edges)
                 lefts = np.multiply(a[..., 1:], left, out=buf[..., 1:])
                 np.subtract(edges[:-1], np.add.reduce(lefts, axis=-1), out=a[..., 0])
             for row, lo, hi, s in reads[b]:
@@ -411,20 +426,13 @@ def _taylor_plan(marks, N: int, points):
     return rows
 
 
-def _taylor_rows(marks, N: int, values, points) -> np.ndarray:
-    """sigma at the ascending points for step kernels whose breaks lie on the
-    lattice of width w = 1/N: the exact Taylor engine, _taylor_plan(marks, N,
-    points) called once on values."""
-    return _taylor_plan(marks, N, points)(values)
-
-
 def _delay(u: np.ndarray, factor: float) -> np.ndarray:
     """f at the ascending points u for u f'(u) = -factor f(u - 1): the
-    one-break case of _taylor_rows, one cell per unit interval about
+    one-break case of _taylor_plan, one cell per unit interval about
     k + 1/2, 36 terms each."""
-    if math.isfinite(u[-1]) and u[-1] > MAX_DELAY_U:  # _taylor_rows rejects the rest
+    if math.isfinite(u[-1]) and u[-1] > MAX_DELAY_U:  # _taylor_plan rejects the rest
         raise BudgetError(f"u = {u[-1]:.3g} exceeds the delay-function budget {MAX_DELAY_U}")
-    return _taylor_rows([1], 1, [1.0, 1.0 - factor], u)
+    return _taylor_plan([1], 1, u)([1.0, 1.0 - factor])
 
 
 def _delay_grid(u_max: float, h: float, factor: float) -> GridFunction:

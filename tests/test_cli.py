@@ -528,14 +528,24 @@ def test_readme_bounds_artifact_bytes(kernel, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_BOUNDS_SHA256[kernel]
 
 
-#: sha256 of the README `gamma-b` artifact, read off the Taylor engine. A
-#: search speed-up keeps these bytes; a change that means to move them
-#: updates the pin with it.
+#: sha256 of `gamma-b` artifacts: the README's, read off the Taylor engine,
+#: and one at --B 0.5, whose panels lie on the lattice 1/8000, too fine for
+#: the engine, so it is read off the batched march. A search speed-up keeps
+#: these bytes; a change that means to move them updates the pin with it.
 README_GAMMA_B_SHA256 = "65edfdee8d1ecee261b372e603980f26cc9b0f1d30e436b9fbfba9ca8b3aac13"
+MARCH_GAMMA_B_SHA256 = "48ed3ab4e80173b2709e0d08514e95ec2091ac505230e254f1cf6bc1a13d5585"
+
+
+def gamma_b_sha256(tmp_path, B: str, steps: str, restarts: str) -> str:
+    out = tmp_path / "gamma_b.json"
+    assert main(["gamma-b", "--B", B, "--steps", steps, "--restarts", restarts, "--seed", "0",
+                 "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_readme_gamma_b_artifact_bytes(tmp_path):
-    out = tmp_path / "gamma_b.json"
-    assert main(["gamma-b", "--B", "1.0", "--steps", "16", "--restarts", "8", "--seed", "0",
-                 "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_GAMMA_B_SHA256
+    assert gamma_b_sha256(tmp_path, "1.0", "16", "8") == README_GAMMA_B_SHA256
+
+
+def test_march_gamma_b_artifact_bytes(tmp_path):
+    assert gamma_b_sha256(tmp_path, "0.5", "8", "2") == MARCH_GAMMA_B_SHA256

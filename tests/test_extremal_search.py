@@ -18,7 +18,7 @@ from meanspec.extremal_search import (MAX_BATCH_SAMPLES, MAX_LINE_DEGREE, MAX_PO
                                       power_residue_log_density_bound,
                                       projection_auxiliary_minimum,
                                       truncated_kernel_min_mean)
-from meanspec.kernels import (ALIGN_TOL, SQRT_E, GridFunction, StepFunction, _taylor_rows,
+from meanspec.kernels import (ALIGN_TOL, SQRT_E, GridFunction, StepFunction, _taylor_plan,
                               _taylor_size, dickman_rho, rho_minus_correction)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
@@ -308,7 +308,6 @@ class TestTruncatedKernelMinMean:
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
         monkeypatch.setattr(es, "_taylor_plan", None)
-        monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):
@@ -319,7 +318,6 @@ class TestTruncatedKernelMinMean:
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)
         monkeypatch.setattr(es, "_taylor_plan", None)
-        monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         with pytest.raises(ValidationError, match="seed"):
             truncated_kernel_min_mean(1.0, u_grid=(2.0,), seed=seed)
@@ -360,13 +358,17 @@ class TestTruncatedKernelMinMean:
 
     def test_revalidation_catches_a_wrong_engine(self, monkeypatch):
         import meanspec.extremal_search as es
-        taylor = es._taylor_rows
+        build = es._taylor_plan
 
-        def off(marks, N, values, points):
-            out = taylor(marks, N, values, points)
-            return out if np.ndim(values) == 2 else out + 1e-5
+        def off(marks, N, points):
+            plan = build(marks, N, points)
 
-        monkeypatch.setattr(es, "_taylor_rows", off)
+            def rows(values):
+                out = plan(values)
+                return out if np.ndim(values) == 2 else out + 1e-5
+            return rows
+
+        monkeypatch.setattr(es, "_taylor_plan", off)
         with pytest.raises(ContractError, match="differ"):
             truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(2.0,), restarts=2, sweeps=1)
 
@@ -564,7 +566,7 @@ def exact_value(kernel, N, u):
     """sigma(u) of a kernel whose breaks lie on the lattice 1/N, by the Taylor engine."""
     values = np.array(kernel.segment_values())
     marks = [round(b * N) for b in kernel.breaks]
-    return _taylor_rows(marks, N, values.real if kernel.is_real else values, [u])[0]
+    return _taylor_plan(marks, N, [u])(values.real if kernel.is_real else values)[0]
 
 
 def per_call_search(B, m_steps, u_grid, h, restarts, seed, sweeps):
@@ -674,14 +676,15 @@ class TestLockstepSearch:
 
     def test_one_plan_per_engine_panel(self, monkeypatch):
         # Each engine panel builds one plan for its marks, N and target B*u,
-        # and every line-search row is read through it.
+        # and every line-search row is read through it; the re-validation
+        # builds a fourth, for the winner's panel at the two nodes around B*u.
         import meanspec.extremal_search as es
         sizes, plans = [], []
         monkeypatch.setattr(es, "_taylor_plan", recording_plan(es._taylor_plan, sizes, plans))
         r = truncated_kernel_min_mean(1.0, m_steps=4, u_grid=(1.5, 2.0, 3.0), restarts=3,
                                       h=1e-3, seed=2, sweeps=2)
         assert plans == [(list(range(8, 13)), 8, [1.5]), (list(range(4, 9)), 4, [2.0]),
-                         (list(range(2, 7)), 2, [3.0])]
+                         (list(range(2, 7)), 2, [3.0]), (list(range(2, 7)), 2, [2.999, 3.0])]
         assert r.diagnostics["exact"]
         assert sum(sizes) == r.diagnostics["evaluations"]
 
@@ -721,7 +724,6 @@ class TestLockstepSearch:
         import meanspec.extremal_search as es
         monkeypatch.setattr(es, "solve_sigma", None)  # any solve would raise TypeError
         monkeypatch.setattr(es, "_taylor_plan", None)
-        monkeypatch.setattr(es, "_taylor_rows", None)
         monkeypatch.setattr(es, "_solve_rows", None)
         args = {"B": 1.0, "u_grid": (2.0,)} | kwargs
         with pytest.raises(error):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, MAX_SOLVER_NODES, SQRT_E, GridFunction,
                               StepFunction, _grid_point, _li2, _taylor_plan, _taylor_plan_size,
-                              _taylor_rows, _taylor_size, _taylor_terms, dickman_rho,
-                              dickman_rho_grid, rho_minus, rho_minus_correction, rho_minus_grid)
+                              _taylor_size, _taylor_terms, dickman_rho, dickman_rho_grid,
+                              rho_minus, rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
@@ -372,7 +372,7 @@ def lattice_rows(seed, N, R, n_marks, span=3.5, complex_values=False):
 
 
 class TestTaylorEngine:
-    """_taylor_rows: sigma exactly for kernels whose breaks lie on a lattice 1/N."""
+    """_taylor_plan: sigma exactly for kernels whose breaks lie on a lattice 1/N."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 6, 16, 8000])
     def test_terms_reach_the_rounding_floor(self, N):
@@ -384,30 +384,30 @@ class TestTaylorEngine:
     def test_batch_equals_each_row_alone(self, N, n_marks, complex_values):
         marks, values = lattice_rows(N, N, 7, n_marks, complex_values=complex_values)
         points = np.linspace(0.0, 6.5, 53)
-        batch = _taylor_rows(marks, N, values, points)
+        batch = _taylor_plan(marks, N, points)(values)
         assert batch.shape == (53, 7)
         for r, row in enumerate(values):
-            alone = _taylor_rows(marks, N, row, points)
+            alone = _taylor_plan(marks, N, points)(row)
             assert repr(alone.tolist()) == repr(batch[:, r].tolist())
         order = np.random.default_rng(N).permutation(7)
-        assert repr(_taylor_rows(marks, N, values[order], points).tolist()) \
+        assert repr(_taylor_plan(marks, N, points)(values[order]).tolist()) \
             == repr(batch[:, order].tolist())
-        assert repr(_taylor_rows(marks, N, values[1::3], points).tolist()) \
+        assert repr(_taylor_plan(marks, N, points)(values[1::3]).tolist()) \
             == repr(batch[:, 1::3].tolist())
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("N, n_marks", [(1, 2), (4, 6), (10, 24)])
     def test_reused_plan_equals_fresh_calls(self, N, n_marks, complex_values):
         # One plan called on several batches, in any order and size, gives
-        # the bits of a fresh _taylor_rows call per batch and per row.
+        # the bits of a fresh plan per batch and per row.
         marks, values = lattice_rows(N + 1, N, 9, n_marks, complex_values=complex_values)
         points = np.linspace(0.0, 5.5, 37)
         plan = _taylor_plan(marks, N, points)
         for batch in (values[:4], values[4:], values, values[::-2], values[5]):
             got = plan(batch)
-            assert repr(got.tolist()) == repr(_taylor_rows(marks, N, batch, points).tolist())
+            assert repr(got.tolist()) == repr(_taylor_plan(marks, N, points)(batch).tolist())
             for r, row in enumerate(np.atleast_2d(batch)):
-                alone = _taylor_rows(marks, N, row, points)
+                alone = _taylor_plan(marks, N, points)(row)
                 assert repr(alone.tolist()) == repr(np.atleast_2d(got.T)[r].tolist())
 
     def test_reused_plan_still_checks_values(self):
@@ -425,6 +425,27 @@ class TestTaylorEngine:
         with pytest.raises(ValidationError):
             plan(values[:, :-1])
         assert repr(plan(values).tolist()) == repr(good.tolist())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_no_rows_give_no_columns(self, dtype):
+        # As _solve_rows gives (n + 1, 0), a plan gives (P, 0) for no kernels.
+        marks, _ = lattice_rows(4, 4, 3, 5)
+        got = _taylor_plan(marks, 4, [0.5, 2.0, 3.5, 6.0])(np.empty((0, 6), dtype=dtype))
+        assert got.shape == (4, 0) and got.dtype == dtype
+
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.5], [0.5, -0.5, 0.25], [1.0, 1.5, 0.25], [1.0, 0.9 + 0.9j, 0.0],
+        [1.0, math.nan, 0.25], np.ones((2, 2, 3)),
+    ], ids=["short", "first-not-1", "outside-disc", "complex-outside", "nan", "3-d"])
+    def test_same_segment_rule_as_the_march(self, values):
+        # One rule and one message for the segment rows of both engines.
+        from meanspec.dde_solver import _solve_rows
+        with pytest.raises(ValidationError) as march:
+            _solve_rows((1.0, 1.5), values, 3.0, 0.5, check_residual=False)
+        with pytest.raises(ValidationError) as engine:
+            _taylor_plan([2, 3], 2, [3.0])(values)
+        assert str(engine.value) == str(march.value)
+        assert "one value per segment in the unit disc" in str(march.value)
 
     def test_reused_plan_still_checks_every_edge(self, monkeypatch):
         # A plan that has run clean rows still raises on a row whose |sigma|
@@ -476,7 +497,7 @@ class TestTaylorEngine:
         h = 1.0 / (10 * N)
         coarse = solve_sigma(kernel, 4.0, h).sigma
         fine = solve_sigma(kernel, 4.0, h / 2).sigma.samples[::2]
-        exact = _taylor_rows(marks, N, values[0], coarse.u)
+        exact = _taylor_plan(marks, N, coarse.u)(values[0])
         gaps = [float(np.max(np.abs(s - exact))) for s in (coarse.samples, fine)]
         assert gaps[0] <= h * h
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
@@ -485,13 +506,13 @@ class TestTaylorEngine:
     def test_one_on_the_unit_interval(self):
         marks, values = lattice_rows(5, 6, 3, 5)
         points = np.linspace(0.0, 1.0, 17)
-        assert np.all(_taylor_rows(marks, 6, values, points) == 1.0)
+        assert np.all(_taylor_plan(marks, 6, points)(values) == 1.0)
 
     def test_matches_the_delay_closed_form(self):
         # One break at 1 on a lattice finer than the delay functions' own.
         u = np.linspace(1.0, 3.0, 41)
         ref = [1.0 - 2.0 * math.log(t) + rho_minus_correction(t) for t in u.tolist()]
-        got = _taylor_rows([7], 7, [1.0, -1.0], u)
+        got = _taylor_plan([7], 7, u)([1.0, -1.0])
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_breach_in_one_row_raises(self, monkeypatch):
@@ -502,7 +523,7 @@ class TestTaylorEngine:
         values[3, 1:] = 3.0
         monkeypatch.setattr(kernels, "DISC_TOL", 10.0)
         with pytest.raises(ContractError, match="exceeded 1"):
-            _taylor_rows(marks, 4, values, [4.0])
+            _taylor_plan(marks, 4, [4.0])(values)
 
     def test_budget_before_allocation(self):
         import tracemalloc
@@ -510,7 +531,7 @@ class TestTaylorEngine:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError):
-                _taylor_rows([N, 2 * N], N, np.ones((50, 3)), [MAX_SOLVER_NODES / N])
+                _taylor_plan([N, 2 * N], N, [MAX_SOLVER_NODES / N])(np.ones((50, 3)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,7 +556,7 @@ class TestTaylorEngine:
         cells, T = _taylor_size(marks, N, u)
         tracemalloc.start()
         try:
-            _taylor_rows(marks, N, values, [u])
+            _taylor_plan(marks, N, [u])(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,4 +570,4 @@ class TestTaylorEngine:
     ])
     def test_bad_input_rejected(self, marks, N, values, points):
         with pytest.raises(ValidationError):
-            _taylor_rows(marks, N, values, points)
+            _taylor_plan(marks, N, points)(values)
