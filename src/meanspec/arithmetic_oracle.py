@@ -10,7 +10,9 @@ by f(p) = 1 is skipped.  It accumulates partial sums, logarithmic sums,
 Euler products, and the prime reciprocal deficit.  A spec's values form a
 short palette over integer edges, with a slot for f(1) = 1 below the first
 prime; a cofactor is 1 or a prime above sqrt(x), so only the few edges above
-sqrt(x) tell two apart, and f at the cofactors is one comparison per such
+sqrt(x) tell two apart.  No segment is divided by its sieved part s: the
+cofactor n // s exceeds 1 when s < n and reaches an edge e when s <= n // e,
+so f at the cofactors is one scalar division and one comparison per such
 edge and a gather.  Two segments run at a time, each wholly on one thread
 (numpy drops the GIL in the long strided and elementwise loops), and their
 sums fold in segment order.  The segment's integers are int32 arrays, and
@@ -37,8 +39,8 @@ from .dde_solver import solve_sigma
 from .errors import BudgetError, ContractError, ValidationError
 from .kernels import DISC_TOL, GridFunction, StepFunction
 
-#: Below 2**31, so the sieve's integer arrays (n, its sieved part, the
-#: cofactor) are exact in int32.
+#: Below 2**31, so the sieve's integer arrays (n, its sieved part and the
+#: quotients of n) are exact in int32.
 MAX_SIEVE_X = 10 ** 8
 DEFAULT_SEGMENT = 1 << 19
 #: Segments in flight at once, each on its own thread of a per-call pool.
@@ -264,31 +266,38 @@ def _check_budget(x: int) -> int:
 
 
 #: Edges in (isqrt(x), x] that _cofactor_slots compares against one pass
-#: each; with more it falls back to palette_index.  A pass costs about 1 ns
-#: per integer and the searchsorted 10-17 ns, so 8 passes still win.
+#: each; with more it falls back to palette_index.  A pass (a division by
+#: the scalar edge, a comparison and an add) costs about 1.5 ns per integer
+#: and the fallback's division and searchsorted 9-17 ns, so 8 passes cost
+#: about as much as the fallback.
 _MAX_HI_EDGES = 8
 
 
-def _cofactor_slots(spec: MultiplicativeSpec, x: int, rem: np.ndarray) -> np.ndarray:
-    """``spec.palette_index(rem)`` (intp) for cofactors rem of n <= x, each 1
-    or a prime above isqrt(x).
+def _cofactor_slots(spec: MultiplicativeSpec, x: int, n: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """``spec.palette_index(n // s)`` (intp) for n <= x and their sieved
+    parts s, each cofactor n // s 1 or a prime above isqrt(x).
 
     The k0 edges <= isqrt(x) lie below every such prime and above 1, and
-    edges above x lie above every rem, so the slot is k0 * (rem > 1) plus one
-    comparison per edge in (isqrt(x), x], as long as there are at most
-    _MAX_HI_EDGES of those.  The slots stay intp: narrower ones would only
-    widen to an intp temporary in the gather.
+    edges above x lie above every cofactor, so the slot is k0 * (n // s > 1)
+    plus one comparison n // s >= e per edge e in (isqrt(x), x], as long as
+    there are at most _MAX_HI_EDGES of those.  s divides n, so s < n and
+    s <= n // e (one division by the scalar e, into an int32 buffer that
+    every edge reuses) are those tests exactly.  The slots stay intp:
+    narrower ones would only widen to an intp temporary in the gather.
     """
     edges = spec._edges
     k0 = int(np.searchsorted(edges, math.isqrt(x), side="right"))
     hi = edges[k0:np.searchsorted(edges, x, side="right")]
     if len(hi) > _MAX_HI_EDGES:
-        return spec.palette_index(rem)
-    slots = np.empty(len(rem), dtype=np.intp)
-    np.greater(rem, 1, out=slots)
+        return spec.palette_index(n // s)
+    slots = np.empty(len(n), dtype=np.intp)
+    np.less(s, n, out=slots)
     slots *= k0
+    quot = np.empty_like(n)
     for e in hi.tolist():
-        slots += rem >= e
+        np.floor_divide(n, e, out=quot)
+        slots += np.less_equal(s, quot, out=quot)
     return slots
 
 
@@ -298,15 +307,17 @@ _WHEEL_TOPS = {2: 16, 3: 9, 5: 5, 7: 7}
 
 
 def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
-    """Yield finish(n, acc, rem) for each segment of [1, x], in segment order.
+    """Yield finish(n, acc, s) for each segment of [1, x], in segment order.
 
     Each power q = p^e <= hi of a base prime p <= sqrt(x) owns the strided
-    view [start::q] of the multiples of q: there the divided-out part s gains
-    a factor p and acc is updated in place by op(acc, v), v the caller's value
+    view [start::q] of the multiples of q: there the sieved part s gains a
+    factor p and acc is updated in place by op(acc, v), v the caller's value
     for p, primes ascending and then exponents ascending.  An update by the
     identity (f(p) = 1 under multiply, exponent 0 under add) is skipped.
-    rem = n // s is then 1 or the one prime factor of n above sqrt(x), so
-    the caller's finish applies its value at rem (by _cofactor_slots) to
+    s is then the product of the prime powers <= sqrt(x) dividing n, and the
+    cofactor n // s is 1 or the one prime factor of n above sqrt(x).  The
+    segment is never divided: the caller's finish finds each cofactor's
+    slot from n and s (by _cofactor_slots), applies its value there to
     every integer unmasked, the value at 1 being the identity, and returns
     the segment's sums.  acc has the caller's dtype, the narrowest exact
     one: for f in sieve_sums, and for the exponents mod m in the density
@@ -353,12 +364,15 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
             q = p
             while q <= hi:
                 start = (-lo) % q
+                # One view per update: `s[start::q] *= p` would also assign the view back.
                 if q > top:
-                    s[start::q] *= p
+                    view = s[start::q]
+                    np.multiply(view, p, out=view)
                 if q > acc_top and not idle:
-                    op(acc[start::q], v, out=acc[start::q])
+                    view = acc[start::q]
+                    op(view, v, out=view)
                 q *= p
-        return finish(n, acc, np.floor_divide(n, s, out=s))
+        return finish(n, acc, s)
 
     # Nothing kept grows with x: a segment's arrays are freed when its finish
     # returns, and the oldest result is yielded as soon as a segment queues.
@@ -380,9 +394,10 @@ def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
     f(n) accumulates in int8 when every palette value is -1, 0 or 1 (so
     the partial sums are exact integers), in float64 for other real
     palettes and in complex128 otherwise.  Every integer then takes f at its
-    cofactor rem with no mask (f(1) = 1 has its own slot); the primes above
-    sqrt(x) are the n > 1 with rem == n.  Each segment's sums come back
-    from its worker and fold here in segment order.
+    cofactor n // s with no mask (f(1) = 1 has its own slot), its slot found
+    from the sieved part s without dividing; the primes above sqrt(x) are
+    the n > 1 with s == 1.  Each segment's sums come back from its worker
+    and fold here in segment order.
     """
     x = _check_budget(x)
     partial = logsum = 0.0 + 0.0j
@@ -396,13 +411,13 @@ def sieve_sums(spec: MultiplicativeSpec, x: int) -> SieveResult:
     theta = _theta_factor_product(ps, fp_base)
     deficit = float(np.sum(np.abs(1.0 - fp_base) / ps))
 
-    def finish(n, acc, rem):
+    def finish(n, acc, s):
         """(sum f, sum f/n, theta factor, deficit) over one segment; the last
         two are exactly 1 and 0.0 on a segment without primes above sqrt(x)."""
-        fr = palette[_cofactor_slots(spec, x, rem)]
+        fr = palette[_cofactor_slots(spec, x, n, s)]
         acc *= fr
-        # rem == n at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
-        at = np.flatnonzero(rem == n)[1 if n[0] == 1 else 0:]
+        # s == 1 at n = 1 and at the primes above sqrt(x), whose f(p) is in fr.
+        at = np.flatnonzero(s == 1)[1 if n[0] == 1 else 0:]
         fp = fr[at]
         ps = n[at].astype(np.float64)
         primes = _theta_factor_product(ps, fp), float(np.sum(np.abs(1.0 - fp) / ps))
@@ -735,9 +750,9 @@ def mth_root_log_density(spec: MultiplicativeSpec, x: int, m: int) -> float:
     base = primes_upto(math.isqrt(x))
     base_exps = exps[spec.palette_index(base)]
 
-    def finish(n, expo, rem):
+    def finish(n, expo, s):
         """sum 1/n over the segment's n with f(n) = 1."""
-        expo += exps[_cofactor_slots(spec, x, rem)]
+        expo += exps[_cofactor_slots(spec, x, n, s)]
         good = (expo % m) == 0
         return float(np.sum(1.0 / n[good].astype(np.float64)))
 

@@ -74,6 +74,12 @@ def _march(jumps, n: int, h: float, m1: int, batch: tuple, dtype):
 RESIDUAL_BLOCK = 1 << 16
 
 
+def _break_marks(breaks, h: float) -> list:
+    """The breaks' grid nodes by StepFunction.require_aligned: a GridError
+    unless h divides every break."""
+    return StepFunction(breaks, (1.0,) * len(breaks), 1.0).require_aligned(h)
+
+
 def trapezoid_convolution_with_kernel(sigma: np.ndarray, breaks, values: np.ndarray,
                                       h: float) -> np.ndarray:
     """Panel-exact trapezoid values of (sigma * chi) at every grid node.
@@ -81,15 +87,17 @@ def trapezoid_convolution_with_kernel(sigma: np.ndarray, breaks, values: np.ndar
     chi has the segment constants values[..., k] between its breaks, as in
     _solve_rows; a batched sigma holds one kernel per column.  With C the
     trapezoid antiderivative of sigma, T = v_0 C + sum_k (v_k - v_{k-1})
-    C(. - m_k), m_k the k-th break's node, each shift read where it is >= 0.
-    T is built in blocks of RESIDUAL_BLOCK nodes through one product buffer.
+    C(. - m_k), m_k the k-th break's node (_break_marks), each shift read
+    where it is >= 0.  T is built in blocks of RESIDUAL_BLOCK nodes through
+    one product buffer.
     """
+    marks = _break_marks(breaks, h)
     C = _trapezoid_cumulative(sigma, h)
     n = len(C)
     dtype = np.result_type(C, values)
     T = np.empty(C.shape, dtype=dtype)
     buf = np.empty((min(n, RESIDUAL_BLOCK),) + C.shape[1:], dtype=dtype)
-    jumps = [(round(b / h), values[..., k + 1] - values[..., k]) for k, b in enumerate(breaks)]
+    jumps = [(mk, values[..., k + 1] - values[..., k]) for k, mk in enumerate(marks)]
     for a in range(0, n, RESIDUAL_BLOCK):
         b = min(a + RESIDUAL_BLOCK, n)
         np.multiply(C[a:b], values[..., 0], out=T[a:b])
@@ -142,7 +150,7 @@ def _solve_rows(breaks, values, u_max: float, h: float, *, check_residual: bool)
     if u_max < 1.0:
         raise ValidationError("u_max must be at least 1")
     m1 = _unit_steps(h)
-    marks = StepFunction(breaks, (1.0,) * len(breaks), 1.0).require_aligned(h)  # the breaks alone
+    marks = _break_marks(breaks, h)
     values = _segment_rows(values, len(breaks))
     jumps = np.diff(values).T.copy()  # a contiguous row per break
     sigma = _march([(mk, dk) for mk, dk in zip(marks, jumps) if mk <= n],

@@ -349,6 +349,8 @@ def _taylor_plan(marks, N: int, points):
     points = np.asarray(points, dtype=np.float64)
     if not (points[0] >= 0 and math.isfinite(points[-1])):  # NaN fails too
         raise ValidationError("argument must be finite and nonnegative")
+    if not (points[1:] >= points[:-1]).all():  # and so does a NaN inside
+        raise ValidationError("points must ascend")
     _check_taylor(N, float(points[-1]))
     cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
     n_blocks = int(cells[-1]) // N + 1

@@ -334,10 +334,21 @@ def hi_edges(spec, x):
 
 
 def cofactors(x):
-    """1 and every prime in (isqrt(x), x], in int32 like the sieve's rem,
-    with 1 at both ends."""
+    """1 and every prime in (isqrt(x), x], with 1 at both ends."""
     ps = primes_upto(x)
-    return np.concatenate([[1], ps[ps > math.isqrt(x)], [1]]).astype(np.int32)
+    return np.concatenate([[1], ps[ps > math.isqrt(x)], [1]])
+
+
+def with_sieved_parts(x, rem):
+    """(n, s) in int32 like the sieve's arrays, with n = rem * s <= x: each
+    cofactor rem once with s = 1 and once with s the largest power of 2 up
+    to x // rem."""
+    rem = np.asarray(rem, dtype=np.int64)
+    s = np.array([1 << ((x // r).bit_length() - 1) for r in rem.tolist()], dtype=np.int64)
+    s = np.concatenate([np.ones(len(rem), dtype=np.int64), s])
+    n = np.concatenate([rem, rem]) * s
+    assert n.max() <= x
+    return n.astype(np.int32), s.astype(np.int32)
 
 
 def wide_table(cycle=(-1.0, 0.0, 1j, 0.6 + 0.8j)):
@@ -366,13 +377,14 @@ def spy_palette_index(monkeypatch):
 
 
 class TestCofactorSlots:
-    """The per-edge comparison slots of the cofactors equal palette_index."""
+    """The per-edge comparison slots of the cofactors n // s, found from n
+    and the sieved part s, equal palette_index(n // s)."""
 
     @staticmethod
-    def assert_slots_match(spec, x, rem):
-        got = arithmetic_oracle._cofactor_slots(spec, x, rem)
+    def assert_slots_match(spec, x, n, s):
+        got = arithmetic_oracle._cofactor_slots(spec, x, n, s)
         assert got.dtype == np.intp
-        assert np.array_equal(got, spec.palette_index(rem))
+        assert np.array_equal(got, spec.palette_index(n // s))
 
     @pytest.mark.parametrize("spec, n_hi", [
         (LIOUVILLE, 0),
@@ -384,46 +396,88 @@ class TestCofactorSlots:
     def test_few_edges_above_the_root(self, monkeypatch, spec, n_hi):
         x = 10 ** 4
         assert hi_edges(spec, x) == n_hi
-        rem = cofactors(x)
+        n, s = with_sieved_parts(x, cofactors(x))
         seen = spy_palette_index(monkeypatch)
-        self.assert_slots_match(spec, x, rem)
-        assert seen == [len(rem)]  # the reference alone
+        self.assert_slots_match(spec, x, n, s)
+        assert seen == [len(n)]  # the reference alone
 
     def test_edges_at_and_next_to_the_root(self):
         # Key 101 has edges 101 = isqrt(101^2) and 102 = isqrt + 1.
-        self.assert_slots_match(MultiplicativeSpec.from_table({101: 1j}, -1.0), 101 ** 2,
-                                cofactors(101 ** 2))
+        x = 101 ** 2
+        self.assert_slots_match(MultiplicativeSpec.from_table({101: 1j}, -1.0), x,
+                                *with_sieved_parts(x, cofactors(x)))
         # And an edge at x itself, a prime that is its own cofactor.
         for x in (10007, 10008):
             self.assert_slots_match(MultiplicativeSpec.from_table({10007: 1j}, -1.0), x,
-                                    cofactors(x))
+                                    *with_sieved_parts(x, cofactors(x)))
         spec = MultiplicativeSpec.step(CHI_MINUS, 500.0)
         assert spec._edges.tolist() == [2, 500]
         for x in (499 ** 2, 500 ** 2 - 1, 500 ** 2, 500 ** 2 + 1):
-            self.assert_slots_match(spec, x, cofactors(x))
+            self.assert_slots_match(spec, x, *with_sieved_parts(x, cofactors(x)))
 
     def test_repeated_edges(self):
         spec = MultiplicativeSpec.step(StepFunction((1.5, 3.0), (1.0, 0.0), -1.0), 1 + 1e-7)
         assert spec._edges.tolist() == [2, 2, 2]
         for x in range(1, 30):
-            self.assert_slots_match(spec, x, cofactors(x))
+            self.assert_slots_match(spec, x, *with_sieved_parts(x, cofactors(x)))
 
     def test_clamped_edge_at_the_budget(self):
         spec = MultiplicativeSpec.step(StepFunction((1.0, 60.0), (1.0, -1.0), 1.0), 10.0)
         assert spec._edges.tolist() == [2, 10, MAX_SIEVE_X + 1]
         ps = primes_upto(2 * 10 ** 4)
-        rem = np.concatenate([[1], ps[ps > 10 ** 4], [99999989, 1]]).astype(np.int32)
-        self.assert_slots_match(spec, MAX_SIEVE_X, rem)
+        rem = np.concatenate([[1], ps[ps > 10 ** 4], [99999989, 1]])
+        self.assert_slots_match(spec, MAX_SIEVE_X, *with_sieved_parts(MAX_SIEVE_X, rem))
+
+    @pytest.mark.parametrize("spec, x", [
+        (MultiplicativeSpec.from_table({10007: 1j}, -1.0), 10 ** 6),
+        (step_with_breaks(3), 10 ** 4),
+        (step_with_breaks(arithmetic_oracle._MAX_HI_EDGES), 10 ** 4),
+    ])
+    def test_cofactor_at_and_just_below_each_edge(self, spec, x):
+        # n // s == e passes s <= n // e with equality; n // s == e - 1 just
+        # fails it.  Every s > 1, so s < n never decides the slot alone.
+        hi = [e for e in spec._edges.tolist() if math.isqrt(x) < e <= x]
+        assert hi
+        n, s = [], []
+        for e in hi:
+            for rem in (e - 1, e):
+                for part in sorted({2, 3, x // rem}):
+                    assert rem * part <= x
+                    n.append(rem * part)
+                    s.append(part)
+        n, s = np.array(n, dtype=np.int32), np.array(s, dtype=np.int32)
+        assert np.all(s > 1)
+        self.assert_slots_match(spec, x, n, s)
+        assert np.unique(spec.palette_index(n // s)).size > 1
+
+    @pytest.mark.parametrize("spec", [LIOUVILLE, step_with_breaks(3),
+                                      MultiplicativeSpec.from_table({101: 1j, 9973: -1j}, -1.0),
+                                      WIDE_TABLE])
+    def test_every_segment_of_the_sieve(self, monkeypatch, spec):
+        # The sieve's own (n, s), n = 1 first in the first segment and every
+        # later segment starting at lo > 1; WIDE_TABLE takes the fallback.
+        x = 10 ** 4
+        monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: 1000)
+        base = primes_upto(math.isqrt(x))
+
+        def finish(n, acc, s):
+            self.assert_slots_match(spec, x, n, s)
+            return int(n[0]), int(s[0])
+
+        firsts = list(arithmetic_oracle._factor_segments(
+            x, base, [-1] * len(base), np.multiply, 1, np.int8, finish=finish))
+        assert firsts[0] == (1, 1)
+        assert [lo for lo, _ in firsts] == list(range(1, x + 1, 1000))
 
     @pytest.mark.parametrize("spec", [WIDE_TABLE,
                                       step_with_breaks(arithmetic_oracle._MAX_HI_EDGES + 1)])
     def test_more_edges_fall_back_to_palette_index(self, monkeypatch, spec):
         x = 10 ** 4
         assert hi_edges(spec, x) > arithmetic_oracle._MAX_HI_EDGES
-        rem = cofactors(x)
+        n, s = with_sieved_parts(x, cofactors(x))
         seen = spy_palette_index(monkeypatch)
-        self.assert_slots_match(spec, x, rem)
-        assert seen == [len(rem)] * 2
+        self.assert_slots_match(spec, x, n, s)
+        assert seen == [len(n)] * 2
 
     @pytest.mark.parametrize("build", [
         wide_table, lambda cycle: step_with_breaks(3, cycle),
@@ -1107,10 +1161,10 @@ class TestWheelTile:
         monkeypatch.setattr(arithmetic_oracle, "_segment_length", lambda: seg)
         parts = list(arithmetic_oracle._factor_segments(
             x, np.array(base), weights, pattern_only, 0, np.int64,
-            finish=lambda n, acc, rem: (n.copy(), acc.copy(), rem.copy())))
+            finish=lambda n, acc, s: (n.copy(), acc.copy(), s.copy())))
         n = np.concatenate([part[0] for part in parts])
         acc = np.concatenate([part[1] for part in parts])
-        rem = np.concatenate([part[2] for part in parts])
+        s = np.concatenate([part[2] for part in parts])
         assert n.tolist() == list(range(1, x + 1))
         # acc is the pattern itself: each wheel power up to its top, weighted.
         pattern = np.zeros(period, dtype=np.int64)
@@ -1128,7 +1182,7 @@ class TestWheelTile:
             while q <= x:
                 smooth[q - 1::q] *= p
                 q *= p
-        assert np.array_equal(n // rem, smooth)
+        assert np.array_equal(s, smooth)
 
 
 class TestSegmentThreads:
@@ -1170,7 +1224,7 @@ class TestSegmentThreads:
     def test_closing_after_the_first_result_joins_every_worker(self):
         workers = set()
 
-        def finish(n, acc, rem):
+        def finish(n, acc, s):
             workers.add(threading.current_thread())
             return len(n)
 

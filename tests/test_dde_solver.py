@@ -355,6 +355,13 @@ def segment_convolution(sigma, breaks, values, h):
 
 
 class TestResidualConvolution:
+    def test_misaligned_break_raises(self):
+        # The breaks' nodes follow StepFunction.require_aligned, as in the
+        # march: a break off the grid raises instead of rounding to a node.
+        sigma = solve_sigma(CHI_MINUS, 3.0, 1e-3).sigma.samples
+        with pytest.raises(GridError, match="breakpoint 1.0004 is not a multiple"):
+            trapezoid_convolution_with_kernel(sigma, (1.0004,), np.array([1.0, -1.0]), 1e-3)
+
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     def test_matches_segment_form(self, rng, h):
         # At h = 1e-4 the grid spans two blocks of RESIDUAL_BLOCK nodes.

@@ -426,6 +426,18 @@ class TestTaylorEngine:
             plan(values[:, :-1])
         assert repr(plan(values).tolist()) == repr(good.tolist())
 
+    @pytest.mark.parametrize("points", [[3.0, 0.5], [0.5, 3.0, 2.0], [0.5, math.nan, 3.0]])
+    def test_points_must_ascend(self, points):
+        # The plan sizes its blocks by the last point, so unsorted points
+        # once read sigma(3) = 1.0 at [3.0, 0.5]; they raise at the plan.
+        with pytest.raises(ValidationError, match="^points must ascend$"):
+            _taylor_plan([1], 1, points)
+
+    def test_repeated_points_ascend(self):
+        got = _taylor_plan([1], 1, [0.5, 3.0, 3.0])([1.0, 0.0])
+        assert got[0] == 1.0 and got[1] == got[2]
+        assert abs(got[2] - dickman_rho(3.0)) <= 1e-15
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_no_rows_give_no_columns(self, dtype):
         # As _solve_rows gives (n + 1, 0), a plan gives (P, 0) for no kernels.
