@@ -13,9 +13,12 @@ prime; a cofactor is 1 or a prime above sqrt(x), so only the few edges above
 sqrt(x) tell two apart.  No segment is divided by its sieved part s: the
 cofactor n // s exceeds 1 when s < n and reaches an edge e when s <= n // e,
 so f at the cofactors is one scalar division and one comparison per such
-edge and a gather.  Two segments run at a time, each wholly on one thread
-(numpy drops the GIL in the long strided and elementwise loops), and their
-sums fold in segment order.  The segment's integers are int32 arrays, and
+edge and a gather.  Two segments run at a time, each wholly on one thread,
+and their sums fold in segment order; a call of one segment runs on the
+caller's thread.  The threads overlap only in part: a segment is mostly
+short numpy calls that hold the GIL, so two one-thread calls at x = 10^7
+took about 1.5 times their solo time side by side in one process, and their
+solo time in two processes.  The segment's integers are int32 arrays, and
 f(n) accumulates in the narrowest exact dtype: int8 when every value is -1,
 0 or 1, float64 for other real values and complex128 otherwise; the
 density's exponents mod m likewise in int8 while they fit.  On top of it
@@ -266,10 +269,14 @@ def _check_budget(x: int) -> int:
 
 
 #: Edges in (isqrt(x), x] that _cofactor_slots compares against one pass
-#: each; with more it falls back to palette_index.  A pass (a division by
-#: the scalar edge, a comparison and an add) costs about 1.5 ns per integer
-#: and the fallback's division and searchsorted 9-17 ns, so 8 passes cost
-#: about as much as the fallback.
+#: each; with more it falls back to palette_index.  On the second
+#: 2^19-integer segment of x = 10^7 (2-vCPU VM, NumPy 2.4.6, best of 45
+#: calls per edge count, two runs), the slots' first comparison took 0.55 ms
+#: and each pass (a division by the scalar edge, a comparison and an add)
+#: 0.7-0.8 ms, about 1.4 ns per integer, while the fallback's n // s and
+#: searchsorted over the int32 edges took 6.1-7.4 ms (12-14 ns per integer)
+#: for 1 to 16 edges: 8 passes took 6.3-6.7 ms against 6.6-7.3, 9 tied or
+#: lost (6.8-7.6 against 6.8-7.2) and 10 lost, 8.0-8.4 to 7.1-7.3.
 _MAX_HI_EDGES = 8
 
 
@@ -332,10 +339,12 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
     wheel power above the top would otherwise multiply after the larger
     primes and change the rounding.
 
-    SEGMENT_THREADS segments are in flight at once, each built, sieved and
-    finished wholly on one thread of a pool that lives for this generator
-    only, and one more waits queued so that the threads stay busy while the
-    caller folds; every worker has ended when the generator ends or closes.
+    A call of one segment (x no more than its length) runs it on the
+    caller's thread.  Otherwise SEGMENT_THREADS segments are in flight at
+    once, each built, sieved and finished wholly on one thread of a pool that
+    lives for this generator only, and one more waits queued so that the
+    threads stay busy while the caller folds; every worker has ended when the
+    generator ends or closes.
     """
     exact = np.dtype(dtype).kind == "i"
     tops = [_WHEEL_TOPS.get(p, 1) for p in base.tolist()]
@@ -374,6 +383,9 @@ def _factor_segments(x: int, base, base_vals, op, identity, dtype, *, finish):
                 q *= p
         return finish(n, acc, s)
 
+    if x <= seg:  # one segment: the caller's thread, no pool
+        yield segment(1)
+        return
     # Nothing kept grows with x: a segment's arrays are freed when its finish
     # returns, and the oldest result is yielded as soon as a segment queues.
     pending = []

@@ -16,6 +16,7 @@ residual-checked march.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -233,10 +234,12 @@ MAX_LINE_DEGREE = 100
 #: cells x terms in the engine (kernels._taylor_size, ring and buffers), rows
 #: x (n + 1) nodes in the march, which with its checks keeps about three such
 #: arrays alive.  More rows go in chunks, which changes no bit; the search
-#: reads the engine only where one row fits.  gamma-b --B 10 holds at most 8
-#: restarts x 61 rows x 72 cells x 14 terms (492 k) in one engine call, and
-#: with --steps 16 a row holds at most 192 cells x 10 terms; unchunked, the
-#: march would hold 8 x 61 x 60,001 nodes (234 MB) there.  Beside the rows,
+#: reads the engine only where one row fits.  gamma-b --B 10 holds at most
+#: 290 rows x 129 cells x 14 terms (524 k) in one engine call, so the 8
+#: restarts x 61 rows of a line search there go in two chunks, and with
+#: --steps 16 a row holds at most 721 cells x 10 terms, its 17 marks' gathered
+#: products among them; unchunked, the march would hold 8 x 61 x 60,001
+#: nodes (234 MB) there.  Beside the rows,
 #: each engine panel keeps one plan, whose tables (kernels._taylor_plan_size)
 #: hold fewer than B*u*2NT <= B*u/h values: at most 12,272 for gamma-b --B 10
 #: and 20,768 with --steps 16.
@@ -268,6 +271,32 @@ def _colleague(c: np.ndarray) -> np.ndarray:
     return mat[:, ::-1, ::-1]
 
 
+@functools.lru_cache(maxsize=MAX_LINE_DEGREE + 1)
+def _lobatto(d: int):
+    """(nodes cos(pi k/d), _dct1(d)) of the line-search degree d, built once
+    per process and read-only, since every caller shares them."""
+    pair = np.cos(np.pi * np.arange(d + 1) / d), _dct1(d)
+    for a in pair:
+        a.setflags(write=False)
+    return pair
+
+
+def _chebder(coef: np.ndarray) -> np.ndarray:
+    """cheb.chebder(coef, axis=1) bit for bit, for rows of at least two
+    coefficients: its column operations on one copy, without its checks,
+    moved axes and multiplication by the scale 1."""
+    c = coef.T.copy()
+    n = len(c) - 1
+    der = np.empty((n, len(coef)))
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der.T
+
+
 def _line_argmins(dct: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """Argmin on [-1, 1] of the interpolant through each row of lines, given at
     the Lobatto nodes of dct = _dct1(d): the least of the endpoints -1 and 1
@@ -278,12 +307,12 @@ def _line_argmins(dct: np.ndarray, lines: np.ndarray) -> np.ndarray:
     row's argmin does not depend on the rows batched with it.
     """
     coef = (lines[:, None, :] * dct).sum(axis=2)
-    der = cheb.chebder(coef, axis=1)
+    der = _chebder(coef)
     nonzero = der[:, ::-1] != 0.0  # trim exact-zero leading coefficients, as chebtrim
     length = np.where(nonzero.any(axis=1), der.shape[1] - nonzero.argmax(axis=1), 1)
     cand = np.full((len(lines), der.shape[1] + 1), np.nan)
     cand[:, :2] = -1.0, 1.0
-    for n in np.unique(length[length > 1]):
+    for n in sorted(set(length.tolist()) - {1}):
         rows = np.flatnonzero(length == n)
         c = der[rows, :n]
         if n == 2:
@@ -407,8 +436,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
         edges = [mk / N for mk in marks]
         # sigma(target) has degree <= floor(target / a) in a level whose panel
         # starts at a: each use of the level delays by at least a.
-        lobatto = [(np.cos(np.pi * np.arange(d + 1) / d), _dct1(d))
-                   for d in (max(1, math.floor(target / a + ALIGN_TOL)) for a in edges[:-1])]
+        lobatto = [_lobatto(max(1, math.floor(target / a + ALIGN_TOL))) for a in edges[:-1]]
         if exact:
             chunk = MAX_BATCH_SAMPLES // (_taylor_size(marks, N, target)[0] * terms)
             plan = _taylor_plan(marks, N, [target])
@@ -433,7 +461,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
                     sigma, _ = _solve_rows(edges, rows, max(target, u), h, check_residual=False)
                     vals[r:r + chunk] = sigma[i_t] + frac * (sigma[i_t + 1] - sigma[i_t])
             evaluations += len(vals)
-            max_abs_seen = max(max_abs_seen, float(np.max(np.abs(vals))))
+            max_abs_seen = max(max_abs_seen, float(np.abs(vals).max()))
             return vals
 
         starts = [np.full(m, -1.0)]
@@ -450,7 +478,7 @@ def truncated_kernel_min_mean(B: float, m_steps: int = 8, u_grid=None,
             improved = np.zeros(len(active), dtype=bool)
             for j, (nodes, dct) in enumerate(lobatto):
                 trials = np.repeat(y[active], len(nodes), axis=0)
-                trials[:, j] = np.tile(nodes, len(active))
+                trials.reshape(len(active), len(nodes), m)[:, :, j] = nodes
                 lines = solve(trials).reshape(len(active), len(nodes))
                 ts = _line_argmins(dct, lines)
                 # A node's value was solved already; the others need a solve.

@@ -243,7 +243,7 @@ def _segment_rows(values, n_breaks: int) -> np.ndarray:
     a row each of R kernels; raise unless each row has 1 first, all in the unit disc."""
     values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if (values.ndim not in (1, 2) or values.shape[-1] != n_breaks + 1
-            or not np.all(values[..., 0] == 1) or not np.all(np.abs(values) <= 1.0 + DISC_TOL)):
+            or not (values[..., 0] == 1).all() or not (np.abs(values) <= 1.0 + DISC_TOL).all()):
         raise ValidationError("each kernel needs one value per segment in the unit disc, 1 first")
     return values
 
@@ -279,14 +279,18 @@ def _taylor_terms(N: int) -> int:
 
 def _taylor_size(marks, N: int, u_max: float):
     """(cells, T) of a _taylor_plan call for points up to u_max: T terms per
-    cell, and per kernel the cells it holds, a ring of N per unit block for
+    cell, and per kernel the cells it holds: a ring of N per unit block for
     the blocks a later block still reads (up to the largest mark it uses) and
-    the one it builds, plus the block's N sums G and N products.  Besides
-    these it holds N + 1 edge sums and N sums per kernel; the plan's tables,
-    shared by the batch, are _taylor_plan_size."""
+    the one it builds, the block's N sums G, the N products of each mark the
+    last block reads, gathered at once (at least 2 N, which the two edge sums
+    reuse), and one cell per mark read for its jump, repeated along the terms.
+    Besides these it holds 2 (N + 1) edge sums per kernel; the plan's tables,
+    shared by the batch, are _taylor_plan_size and the ring rows each block
+    gathers."""
     last = max(math.ceil(u_max * N) - 1, 0)
-    reach = max([mk for mk in marks if mk <= last], default=N)
-    return N * (-(-reach // N) + 3), _taylor_terms(N)
+    active = [mk for mk in marks if mk <= last]
+    ring = N * (-(-max(active, default=N) // N) + 1)
+    return ring + N + N * max(len(active), 2) + len(active), _taylor_terms(N)
 
 
 def _taylor_plan_size(N: int, u_max: float) -> int:
@@ -339,10 +343,18 @@ def _taylor_plan(marks, N: int, points):
 
     The plan checks the marks, the points and both budgets, and holds each
     block's powers (-c)**i and divisors (i + 1) c (-c)**i (_taylor_plan_size),
-    the ring offsets of the jumps each block reads, and each read cell's
-    offsets s.  A call checks the values, sums the jump products one mark at
-    a time in mark order, checks every edge and reads by Horner, so a plan
-    called again gives each row the bits of a fresh plan; no rows give (P, 0).
+    each read cell's offsets s, and per block the (K_b, N) ring rows of the
+    K_b marks it reads, at most (blocks - 1) K N indices for K marks.
+    A call checks the values and takes each block's jump sums G in three
+    numpy calls: one gather of those rows into a (K_b, N, R, T) buffer
+    (_taylor_size counts it, K_b N cells per kernel), one multiply by the
+    jumps, each the first factor since numpy rounds a complex a b and b a
+    apart, and one reduction along the marks, which adds them in mark order
+    from 0 as a loop over the marks would.  Both edge sums are one multiply by
+    the stacked (2, T - 1) powers and one reduction along the terms, each
+    row's pairwise sum as alone.  It checks every edge and reads by Horner,
+    so a plan called again gives each row the bits of a fresh plan; no rows
+    give (P, 0).
     """
     if any(mk < N for mk in marks[:1]) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValidationError(f"marks must increase strictly from at least N = {N}")
@@ -354,76 +366,86 @@ def _taylor_plan(marks, N: int, points):
     _check_taylor(N, float(points[-1]))
     cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
     n_blocks = int(cells[-1]) // N + 1
-    active = [mk for mk in marks if mk <= cells[-1]]  # a prefix: the marks ascend
+    active = np.array([mk for mk in marks if mk <= cells[-1]], dtype=np.intp)  # a prefix
     size, T = _taylor_size(marks, N, points[-1])
-    L = size - 2 * N
+    # Per kernel the ring's L cells, the N sums G, N products for each of up
+    # to `depth` marks (at least the two edge sums' 2 N) and a jump per mark.
+    depth = max(len(active), 2)
+    L = size - (depth + 1) * N - len(active)
     # A cell's increment and its left edge minus a_0 take the powers
-    # (w/2)**i - (-w/2)**i and (-w/2)**i, i = 1..T-1.
+    # (w/2)**i - (-w/2)**i and (-w/2)**i, i = 1..T-1: one (2, T - 1) table.
     right = (0.5 / N) ** np.arange(1.0, T)
     left = np.where(np.arange(1, T) % 2, -right, right)
-    rise = right - left
+    ends = np.array((right - left, left)).reshape(2, 1, 1, T - 1)
     orders = np.arange(1.0, T)  # i + 1
     centres = (np.arange(n_blocks * N) + 0.5) / N
     # The recurrence times (i + 1) c (-c)**i telescopes:
     # (i + 1) c (-c)**i a_{i+1} = sum_{l <= i} G_l (-c)**l.
-    later = centres[N:].reshape(n_blocks - 1, N, 1)
-    powers = np.empty((n_blocks - 1, N, T - 1))
+    later = centres[N:].reshape(n_blocks - 1, N, 1, 1)
+    powers = np.empty((n_blocks - 1, N, 1, T - 1))
     powers[..., 0] = 1.0
     powers[..., 1:] = -later
     np.cumprod(powers, axis=-1, out=powers)
     divisors = powers * later
     divisors *= orders
-    # Block b reads cells b N - m_k + [0, N) of each mark it reaches, which
-    # may wrap the ring: (k, ring offset, rows before the wrap).
-    sources = [[(k, (b * N - mk) % L, min(N, L - (b * N - mk) % L))
-                for k, mk in enumerate(active) if mk < (b + 1) * N]
-               for b in range(1, n_blocks)]
+    # Block b reads cells b N - m_k + [0, N), ring rows modulo L, of its K_b
+    # marks, the first ones, below (b + 1) N:
+    # (ring rows (K_b, N), K_b, ring slot, powers, divisors) per block.
+    tables = (N * np.arange(1, n_blocks)[:, None, None] - active[:, None] + np.arange(N)) % L
+    reading = np.searchsorted(active, N * np.arange(2, n_blocks + 1)).tolist()
+    blocks = [(tables[b - 1, :n_read], n_read, b * N % L, powers[b - 1], divisors[b - 1])
+              for b, n_read in enumerate(reading, 1)]
     # Each distinct read cell j is read once its block j // N is built, from
     # ring row j % L (L is a multiple of N): (ring row, first point, last + 1, offsets).
     reads = [[] for _ in range(n_blocks)]
     cuts = (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(cells)]):
         j = int(cells[lo])
-        reads[j // N].append((j % L, lo, hi, points[lo:hi] - centres[j]))
+        reads[j // N].append((j % L, lo, hi, (points[lo:hi] - centres[j])[:, None]))
 
     def rows(values) -> np.ndarray:
         values = _segment_rows(values, len(marks))
-        batch = values.shape[:-1]
-        ones = (1,) * len(batch)
-        jumps = (values[..., 1:] - values[..., :-1]).T[..., None]
-        ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
-        ring[:N, ..., 0] = 1.0
-        G = np.empty((N,) + batch + (T,), dtype=values.dtype)
-        buf = np.empty_like(G)
-        edges = np.empty((N + 1,) + batch, dtype=values.dtype)
-        edges[-1] = 1.0  # sigma at the first block's right edge
-        block_powers = powers.reshape((n_blocks - 1, N) + ones + (T - 1,))
-        block_divisors = divisors.reshape(block_powers.shape)
-        out = np.empty(points.shape + batch, dtype=values.dtype)
+        batch = values.reshape(-1, values.shape[-1])  # one kernel is a batch of one
+        R = len(batch)
+        # Each jump repeated along the terms, so the product runs over whole
+        # rows, and the first factor: numpy rounds a complex a b and b a apart.
+        k = len(active)
+        jumps = np.repeat((batch[:, 1:k + 1] - batch[:, :k]).T.reshape(k, 1, R, 1), T, axis=-1)
+        ring = np.zeros((L, R, T), dtype=values.dtype)
+        ring[:N, :, 0] = 1.0
+        G = np.empty((N, R, T), dtype=values.dtype)
+        sums = G[..., :-1]
+        # One buffer holds a block's jump products and then its two edge sums' products.
+        prods = np.empty((depth, N, R, T), dtype=values.dtype)
+        both = prods.reshape(-1)[:2 * sums.size].reshape((2,) + sums.shape)
+        # sigma at the block's N + 1 edges, and the sums for its cells' left edges.
+        edges = np.empty((2, N + 1, R), dtype=values.dtype)
+        edges[0, -1] = 1.0  # sigma at the first block's right edge
+        out = np.empty((len(points), R), dtype=values.dtype)
         for b in range(n_blocks):
             if b:
-                G.fill(0)
-                for k, s, n in sources[b - 1]:
-                    G[:n] += np.multiply(jumps[k], ring[s:s + n], out=buf[:n])
-                    if n < N:
-                        G[n:] += np.multiply(jumps[k], ring[:N - n], out=buf[n:])
-                slot = b * N % L
+                idx, n_read, slot, power, divisor = blocks[b - 1]
+                p = prods[:n_read]
+                ring.take(idx, axis=0, out=p, mode="clip")
+                np.multiply(jumps[:n_read], p, out=p)
+                # Along the first axis the reduction adds in mark order, after 0.
+                np.add.reduce(p, axis=0, out=G, initial=0.0)
                 a = ring[slot:slot + N]
-                G[..., :-1] *= block_powers[b - 1]
+                coeffs = a[..., 1:]
+                sums *= power
                 # ufunc methods, not np.cumsum and .sum: on search-sized blocks
                 # of a few thousand values those wrappers cost 6-9 % of a call.
-                np.add.accumulate(G[..., :-1], axis=-1, out=a[..., 1:])
-                a[..., 1:] /= block_divisors[b - 1]
-                edges[0] = edges[-1]
-                rises = np.multiply(a[..., 1:], rise, out=buf[..., 1:])
-                np.add.reduce(rises, axis=-1, out=edges[1:])
-                np.add.accumulate(edges, axis=0, out=edges)
-                _check_modulus(edges)
-                lefts = np.multiply(a[..., 1:], left, out=buf[..., 1:])
-                np.subtract(edges[:-1], np.add.reduce(lefts, axis=-1), out=a[..., 0])
+                np.add.accumulate(sums, axis=-1, out=coeffs)
+                coeffs /= divisor
+                edges[0, 0] = edges[0, -1]
+                np.multiply(coeffs, ends, out=both)
+                np.add.reduce(both, axis=-1, out=edges[:, 1:])
+                np.add.accumulate(edges[0], axis=0, out=edges[0])
+                _check_modulus(edges[0])
+                np.subtract(edges[0, :-1], edges[1, 1:], out=a[..., 0])
             for row, lo, hi, s in reads[b]:
-                out[lo:hi] = _horner(ring[row].T, s.reshape((-1,) + ones))  # coefficient-major
-        return out
+                out[lo:hi] = _horner(ring[row].T, s)  # coefficient-major
+        return out.reshape(points.shape + values.shape[:-1])
 
     return rows
 

@@ -1221,6 +1221,23 @@ class TestSegmentThreads:
         assert threading.active_count() == before
         assert workers and not any(t.is_alive() for t in workers)
 
+    def test_one_segment_runs_on_the_calling_thread(self):
+        # x up to the segment length starts no pool and no thread.
+        workers = []
+
+        def finish(n, acc, s):
+            workers.append(threading.current_thread())
+            return len(n)
+
+        x = arithmetic_oracle._segment_length()
+        base = primes_upto(math.isqrt(x))
+        before = threading.active_count()
+        parts = arithmetic_oracle._factor_segments(
+            x, base, [-1] * len(base), np.multiply, 1, np.int8, finish=finish)
+        assert list(parts) == [x]
+        assert workers == [threading.current_thread()]
+        assert threading.active_count() == before
+
     def test_closing_after_the_first_result_joins_every_worker(self):
         workers = set()
 

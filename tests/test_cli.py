@@ -77,6 +77,19 @@ class TestSolve:
 
 
 class TestConstants:
+    def test_parser_built_once(self, monkeypatch, capsys):
+        # main parses every call with one parser per process; exit codes stay.
+        import meanspec.cli as cli
+        assert main(["constants", "--format", "json"]) == 0
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+        assert cli._parser() is cli._parser()
+        assert main(["constants", "--format", "json"]) == 0
+        assert main(["gamma-b", "--B", "nan"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_json_payload(self, tmp_path, capsys):
         rc = main(["constants", "--format", "json"])
         assert rc == 0

@@ -10,7 +10,8 @@ from meanspec.errors import BudgetError, ContractError, GridError, ValidationErr
 from meanspec.dde_solver import SigmaSolution, solve_sigma
 from meanspec.extremal_search import (MAX_BATCH_SAMPLES, MAX_LINE_DEGREE, MAX_POWER_RESIDUE_M,
                                       MAX_RESTARTS,
-                                      TAU_MAX, _dct1, _line_argmins, average_bound_expressions,
+                                      TAU_MAX, _chebder, _dct1, _line_argmins, _lobatto,
+                                      average_bound_expressions,
                                       delta_constants, golden_section,
                                       log_gap_endpoint_values,
                                       minus_kernel_sign_changes,
@@ -528,6 +529,31 @@ class TestBatchedArgmin:
         order = np.random.default_rng(d).permutation(len(lines))
         assert repr(_line_argmins(dct, lines[order]).tolist()) == repr(batch[order].tolist())
         assert repr(_line_argmins(dct, lines[1::2]).tolist()) == repr(batch[1::2].tolist())
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_derivative_is_chebder_bit_for_bit(self, d):
+        # The search's coefficient rows, and rows whose leading coefficients
+        # are exact zeros (of either sign), as trimmed lines give.
+        coef = (self.block(d, 3)[:, None, :] * _dct1(d)).sum(axis=2)
+        zeros = np.random.default_rng(d).normal(size=(d + 2, d + 1))
+        for k in range(1, d + 2):
+            zeros[k, -k:] = 0.0
+        zeros[-1, -1] = -0.0
+        coef = np.concatenate([coef, zeros])
+        got, want = _chebder(coef), cheb.chebder(coef, axis=1)
+        assert got.shape == want.shape == (len(coef), d)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 7, MAX_LINE_DEGREE])
+    def test_lobatto_tables_are_shared_and_read_only(self, d):
+        nodes, dct = _lobatto(d)
+        assert _lobatto(d)[0] is nodes and _lobatto(d)[1] is dct
+        assert nodes.tobytes() == lobatto_nodes(d).tobytes()
+        assert dct.tobytes() == _dct1(d).tobytes()
+        for table in (nodes, dct):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     @pytest.mark.parametrize("d", range(1, MAX_LINE_DEGREE + 1))
     def test_agrees_with_chebfit_argmin(self, d):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
 from meanspec.kernels import (ALIGN_TOL, MAX_DELAY_U, MAX_SOLVER_NODES, SQRT_E, GridFunction,
-                              StepFunction, _grid_point, _li2, _taylor_plan, _taylor_plan_size,
-                              _taylor_size, _taylor_terms, dickman_rho, dickman_rho_grid,
-                              rho_minus, rho_minus_correction, rho_minus_grid)
+                              StepFunction, _check_modulus, _grid_point, _horner, _li2,
+                              _segment_rows, _taylor_plan, _taylor_plan_size, _taylor_size,
+                              _taylor_terms, dickman_rho, dickman_rho_grid, rho_minus,
+                              rho_minus_correction, rho_minus_grid)
 
 CHI_MINUS_CUT = StepFunction((1.0, 2.0), (1.0, -1.0), 0.0)
 
@@ -371,6 +373,82 @@ def lattice_rows(seed, N, R, n_marks, span=3.5, complex_values=False):
     return marks, np.concatenate([np.ones((R, 1)), levels], axis=1)
 
 
+def per_mark_engine(marks, N, points, values):
+    """The Taylor engine with its jump sums taken one mark at a time, as
+    G[:n] += d_k ring[s:s + n] (and the wrapped rest), and its two edge sums
+    one after the other: the reference for _taylor_plan's gathered sums."""
+    points = np.asarray(points, dtype=np.float64)
+    cells = np.maximum(np.ceil(points * N) - 1.0, 0.0).astype(np.int64)
+    n_blocks = int(cells[-1]) // N + 1
+    active = [mk for mk in marks if mk <= cells[-1]]
+    T = _taylor_terms(N)
+    L = N * (-(-max(active, default=N) // N) + 1)
+    right = (0.5 / N) ** np.arange(1.0, T)
+    left = np.where(np.arange(1, T) % 2, -right, right)
+    rise = right - left
+    centres = (np.arange(n_blocks * N) + 0.5) / N
+    later = centres[N:].reshape(n_blocks - 1, N, 1)
+    powers = np.empty((n_blocks - 1, N, T - 1))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = -later
+    np.cumprod(powers, axis=-1, out=powers)
+    divisors = powers * later
+    divisors *= np.arange(1.0, T)
+    values = _segment_rows(values, len(marks))
+    batch = values.shape[:-1]
+    ones = (1,) * len(batch)
+    jumps = (values[..., 1:] - values[..., :-1]).T[..., None]
+    ring = np.zeros((L,) + batch + (T,), dtype=values.dtype)
+    ring[:N, ..., 0] = 1.0
+    G = np.empty((N,) + batch + (T,), dtype=values.dtype)
+    buf = np.empty_like(G)
+    edges = np.empty((N + 1,) + batch, dtype=values.dtype)
+    edges[-1] = 1.0
+    out = np.empty(points.shape + batch, dtype=values.dtype)
+    for b in range(n_blocks):
+        if b:
+            G.fill(0)
+            for k, mk in enumerate(active):
+                if mk < (b + 1) * N:
+                    s = (b * N - mk) % L
+                    n = min(N, L - s)
+                    G[:n] += np.multiply(jumps[k], ring[s:s + n], out=buf[:n])
+                    if n < N:
+                        G[n:] += np.multiply(jumps[k], ring[:N - n], out=buf[n:])
+            a = ring[b * N % L:b * N % L + N]
+            G[..., :-1] *= powers[b - 1].reshape((N,) + ones + (T - 1,))
+            np.add.accumulate(G[..., :-1], axis=-1, out=a[..., 1:])
+            a[..., 1:] /= divisors[b - 1].reshape((N,) + ones + (T - 1,))
+            edges[0] = edges[-1]
+            np.add.reduce(np.multiply(a[..., 1:], rise, out=buf[..., 1:]), axis=-1, out=edges[1:])
+            np.add.accumulate(edges, axis=0, out=edges)
+            _check_modulus(edges)
+            lefts = np.multiply(a[..., 1:], left, out=buf[..., 1:])
+            np.subtract(edges[:-1], np.add.reduce(lefts, axis=-1), out=a[..., 0])
+        for i in np.flatnonzero(cells // N == b).tolist():
+            row = ring[cells[i] % L].T
+            out[i] = _horner(row, np.array(points[i] - centres[cells[i]]).reshape(ones))
+    return out
+
+
+def engine_cases(complex_values):
+    """(marks, N, points, values) for N = 1..12 with up to 30 marks, each
+    batch shape (), (1,), (5,) and (40,), the windows of many wrapping the ring."""
+    for N in range(1, 13):
+        for batch in [(), (1,), (5,), (40,)]:
+            rng = np.random.default_rng([N, len(batch) and batch[0], complex_values])
+            n_marks = min(int(rng.integers(1, 31)), 5 * N)
+            marks, values = lattice_rows(int(rng.integers(2 ** 31)), N, max(batch, default=1),
+                                         n_marks, span=6.0, complex_values=complex_values)
+            points = np.sort(rng.uniform(0.0, 8.0, 6))
+            yield marks, N, points, values.reshape(batch + values.shape[-1:])
+
+
+#: sha256 of the real outputs of engine_cases, in order; complex bytes follow
+#: numpy's SIMD dispatch, so they are compared with the reference, not pinned.
+ENGINE_REAL_SHA256 = "a8ad937d3a039509d485939749cb59a45c0d486a94a0b730a7477b1d8610c71b"
+
+
 class TestTaylorEngine:
     """_taylor_plan: sigma exactly for kernels whose breaks lie on a lattice 1/N."""
 
@@ -378,6 +456,22 @@ class TestTaylorEngine:
     def test_terms_reach_the_rounding_floor(self, N):
         T = _taylor_terms(N)
         assert (2 * N + 1) ** T > 2 ** 56 >= (2 * N + 1) ** (T - 1)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_gathered_sums_equal_the_per_mark_loop(self, complex_values):
+        # One gather, multiply and reduction per block adds the jump products
+        # in mark order, the jump first, so every bit is the per-mark loop's.
+        for marks, N, points, values in engine_cases(complex_values):
+            got = _taylor_plan(marks, N, points)(values)
+            want = per_mark_engine(marks, N, points, values)
+            assert got.shape == want.shape == points.shape + values.shape[:-1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_real_engine_bytes(self):
+        digest = hashlib.sha256()
+        for marks, N, points, values in engine_cases(False):
+            digest.update(_taylor_plan(marks, N, points)(values).tobytes())
+        assert digest.hexdigest() == ENGINE_REAL_SHA256
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("N, n_marks", [(1, 2), (4, 6), (10, 24)])
@@ -553,8 +647,8 @@ class TestTaylorEngine:
         # Cells a later block still reads: up to the largest mark used, plus
         # the block being built, its sums and its products; marks past the
         # last point go.
-        assert _taylor_size([8000 + 5001 * j for j in range(9)], 8000, 60.01) == (80000, 5)
-        assert _taylor_size([3, 4, 30], 3, 4.0) == (3 * 5, _taylor_terms(3))
+        assert _taylor_size([8000 + 5001 * j for j in range(9)], 8000, 60.01) == (144009, 5)
+        assert _taylor_size([3, 4, 30], 3, 4.0) == (3 * 6 + 2, _taylor_terms(3))
 
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("N, n_marks, u", [(16, 9, 6.0), (4, 3, 30.0), (60, 12, 3.5)])
