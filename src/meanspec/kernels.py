@@ -147,7 +147,8 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a function at u = 0, h, 2h, ..., h*(len(samples)-1)."""
+    """Samples of a function at u = 0, h, 2h, ..., h*(len(samples)-1); a read-only
+    float64 or complex128 array that owns its memory is kept, any other copied."""
 
     h: float
     samples: np.ndarray
@@ -160,8 +161,10 @@ class GridFunction:
             raise ValidationError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("samples must be finite")
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True)
-        arr.setflags(write=False)
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        if arr.flags.writeable or not arr.flags.owndata or arr.dtype != dtype:
+            arr = arr.astype(dtype)
+            arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:

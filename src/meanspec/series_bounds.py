@@ -1,26 +1,23 @@
 """Iterated kernel integrals and certified two-sided envelopes for sigma.
 
 I_k is the k-fold convolution power 1 * kappa^{*k} with kappa(t) =
-(1 - chi(t))/t (zero on [0, 1)), computed with panel-sided endpoint values
-so the step kernel's jumps never contaminate a quadrature node.  The
-alternating partial sums sigma_k = sum_{j<=k} (-1)^j I_j / j! sandwich the
-true solution for real kernels; for complex kernels the analogous moments
-of 1 - Re(chi) and |Im(chi)| bound the real and imaginary parts.
+(1 - chi(t))/t (zero on [0, 1)).  The alternating partial sums sigma_k =
+sum_{j<=k} (-1)^j I_j / j! sandwich the true solution for real kernels; for
+complex kernels the analogous moments of 1 - Re(chi) and |Im(chi)| bound
+the real and imaginary parts.
 
-Every power comes from one engine, the generator _powers, which folds the
-left and right panel-end trapezoid sums into one kernel w.  kappa vanishes
-below its first nonzero panel p0 (p0 >= 1/h for every valid kernel), so I_j
-is exactly zero on the nodes <= j*p0.  I_1 is a running sum of w; each I_j with
-j >= 2 is one FFT convolution of the supports of I_{j-1} and w, of length
-n - 1 - j*p0, and a power with j*p0 >= n - 1 is zero on the whole grid.
+Every power comes from one engine, the generator _powers: I_1 is a running
+sum of the kernel's panel-sided endpoint values, so the step kernel's jumps
+never contaminate a quadrature node; each higher power integrates shifted
+sums of the one before, one multiply-add per jump of 1 - chi.  A call keeps
+its powers and running totals in a few rows allocated once.
 
-sandwich and complex_bounds run in two lanes.  The calling thread checks
-the inputs and reads the panel values, then hands the solver check, which
-depends only on the kernel too, to the one worker thread of a pool that
-lives for the call; meanwhile it computes the powers itself.  It then joins
-the worker, also when its own lane raises, and checks the envelopes.  Each
-lane runs the same code on the same inputs as one after the other would, so
-every array is bit-identical to a serial run.  Only the worker calls
+sandwich and complex_bounds run in two lanes: after the input checks and
+the panel values, the one worker thread of a pool that lives for the call
+runs the solver check while the calling thread computes the powers, then
+the caller joins it, also when its own lane raises, and checks the
+envelopes.  Each lane runs the same code on the same inputs as a serial
+run, so every array is bit-identical to one.  Only the worker calls
 solve_sigma, and neither lane calls tail_envelope: a report computes its
 tail bound when it is read.
 """
@@ -30,6 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -54,69 +52,59 @@ def _envelope_slack(h: float, slack: float | None) -> float:
     return slack
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a length pocketfft transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _powers(g: np.ndarray, h: float, k: int):
     """Yield I_0 = 1, I_1, ..., I_k for kappa = g/t, given the panel values g.
 
-    The trapezoid rule on panel [jh, (j+1)h) takes the limits of kappa at
-    the panel's left and right end from inside the panel: left[j] =
-    g[j]/(jh) (zero for j = 0) and right[j] = g[j]/((j+1)h).  The two end
-    sums share one folded kernel w[j] = left[j] + right[j-1].  I_j is
-    exactly zero on the nodes <= j*p0, p0 the first panel where g is nonzero
-    (n - 1 when there is none), so every I_j with j*p0 >= n - 1 is +0.0 on
-    the whole grid: those powers are one shared read-only array of zeros.
-    The transforms write into views of one set of buffers, sized for I_2,
-    the longest.
+    I_1 is the running sum of the trapezoid rule on each panel [jh, (j+1)h)
+    with the limits of kappa at its ends from inside: left[j] = g[j]/(jh)
+    (0 for j = 0) and right[j] = g[j]/((j+1)h), folded into w[j] = left[j] +
+    right[j-1].  For j >= 2, t kappa^{*j} = j (g * kappa^{*(j-1)}) and g
+    jumps by dg_m at the nodes m, so kappa^{*j} at node i is exactly j/(ih)
+    sum_m dg_m I_{j-1}[i - m]; I_j is its trapezoid running sum.  I_j is
+    exactly zero on the nodes <= j*p0, p0 the first panel where g is
+    nonzero; the powers with j*p0 >= n - 1 are one shared read-only array of
+    zeros, the others share three rows allocated once: a yielded power holds
+    its values until the generator resumes twice.
     """
     n = len(g) + 1
-    t_left = h * np.arange(n - 1)
-    left = np.zeros_like(g)
-    left[1:] = g[1:] / t_left[1:]
-    right = g / (t_left + h)
-    w = np.zeros(n, dtype=np.result_type(left, right))
-    w[:-1] = left
-    w[1:] += right
-    support = np.flatnonzero((left != 0) | (right != 0))
-    p0 = int(support[0]) if support.size else n - 1
-    real = not np.iscomplexobj(w)
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    zero = np.zeros(n, dtype=w.dtype)
-    zero.setflags(write=False)
-    cur = np.ones(n, dtype=w.dtype)
-    yield cur
+    u = h * np.arange(n)
+    dtype = np.result_type(g, u)
+    yield np.ones(n, dtype=dtype)
+    a, b, cur = rows = [np.empty(n, dtype), np.empty(n, dtype), np.zeros(n, dtype)]
+    moves = a.view(bool)[:n - 1]  # where g jumps, read before a holds left
+    moves[0] = g[0] != 0
+    np.not_equal(g[1:], g[:-1], out=moves[1:])
+    marks = np.flatnonzero(moves)
+    dg, p0 = np.diff(g[marks], prepend=0), int(marks[0]) if marks.size else n - 1
     for j in range(1, k + 1):
         if j * p0 >= n - 1:
-            yield zero
-            continue
-        if j == 1:  # w * 1 is a running sum
-            conv = np.cumsum(w)
-            conv[:-1] -= left
-            conv[:p0 + 1] = 0
-        else:  # I_{j-1} is zero on the nodes < lo, w on the panels < p0
-            lo, m = (j - 1) * p0 + 1, n - 1 - j * p0
-            size = _fast_len(2 * m - 1)
-            half = size // 2 + 1 if real else size
-            if j == 2:  # the longest transforms: every later one fits
-                spec_a, spec_b = np.empty(half, complex), np.empty(half, complex)
-                back = np.empty(size, dtype=w.dtype)
-            a = fwd(cur[lo:lo + m], size, out=spec_a[:half])
-            a *= fwd(w[p0:p0 + m], size, out=spec_b[:half])
-            conv = np.zeros(n, dtype=w.dtype)
-            conv[lo + p0:] = inv(a, size, out=back[:size])[:m]
-        conv *= 0.5 * h
-        cur = conv
+            zero = np.zeros(n, dtype=dtype)
+            zero.setflags(write=False)
+            yield from [zero] * (k + 1 - j)
+            return
+        if j == 1:  # w * 1 is a running sum; left, right and w vanish below p0
+            left, right, q = a[:-1], b[:-1], max(p0, 1)
+            left[p0:q] = 0
+            np.divide(g[q:], u[q:-1], out=left[q:])
+            np.divide(g[p0:], np.add(u[p0:-1], h, out=cur.real[p0:-1]), out=right[p0:])
+            cur[p0], cur[-1] = left[p0], right[-1]
+            np.add(left[p0 + 1:], right[p0:-1], out=cur[p0 + 1:-1])
+            np.cumsum(cur[p0:], out=cur[p0:])
+            cur[p0:-1] -= left[p0:]  # 0 at p0, as below it
+            cur[p0 + 1:] *= 0.5 * h
+            np.divide(1.0, u[2 * p0 + 1:], out=u[2 * p0 + 1:])  # 1/u from here on
+        else:  # h/2 times the density into cur, its running sum into buf
+            prev, (cur, buf) = cur, (r for r in rows if r is not cur)
+            lo, d = j * p0 + 1, (0.5 * j * h) * dg
+            cur[:lo] = 0
+            np.multiply(prev[lo - p0:n - p0], d[0], out=cur[lo:])
+            for m, dm in zip(marks[1:].tolist(), d[1:]):
+                s = m - p0 + lo  # I_{j-1} vanishes on the nodes <= (j-1)*p0
+                if s < n:
+                    cur[s:] += np.multiply(prev[s - m:n - m], dm, out=buf[s:])
+            np.multiply(cur[lo:], u[lo:], out=cur[lo:])
+            np.cumsum(cur[lo:], out=buf[lo:])
+            np.add(buf[lo + 1:], buf[lo:-1], out=cur[lo + 1:])
         yield cur
 
 
@@ -131,16 +119,22 @@ def _partial_sums(g: np.ndarray, h: float, k: int):
     """Yield sigma_0, ..., sigma_k: the alternating partial sums of the powers
     of kappa = g/t, given the panel values g.
 
-    A power that is _powers' shared zero array is not added.  That changes
-    no bit: I_0 = 1 holds no -0.0 and a sum is -0.0 only when both its terms
-    are, so no total holds a -0.0, the one value that adding 0 could change.
+    A shared zero power is not added, which changes no bit: I_0 = 1 holds no
+    -0.0 and a sum is -0.0 only when both its terms are.  The totals alternate
+    between I_0's row and one more (a yielded total lasts until the generator
+    resumes twice); below node (j-1)*p0 + 1 the row of sigma_j holds the bits
+    of sigma_{j-2}, which are its own there, so only the rest is added.
     """
     powers = _powers(g, h, k)
     total = next(powers)
     yield total
+    rows, p0 = [total, np.ones_like(total)], int(np.argmax(g != 0))
     for j, power in enumerate(powers, start=1):
         if power.flags.writeable:
-            total = total + ((-1) ** j / math.factorial(j)) * power
+            lo, out = max(j - 1, 1) * p0 + 1, rows[j % 2]
+            np.multiply(power[lo:], (-1) ** j / math.factorial(j), out=out[lo:])
+            np.add(total[lo:], out[lo:], out=out[lo:])
+            total = out
         yield total
 
 
@@ -202,6 +196,8 @@ class BoundsReport:
     upper: GridFunction
     r_series: tuple = ()
     c_series: tuple = ()
+    #: Largest gap of sigma past a checked bound (-inf: none); not in the artifact.
+    worst_gap: float = -math.inf
 
     @property
     def tail_bound(self) -> GridFunction:
@@ -236,8 +232,7 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
     tol = _envelope_slack(h, slack)
-    k_lo = 2 * ((k_max - 1) // 2) + 1
-    k_up = 2 * (k_max // 2)
+    k_lo, k_up = 2 * ((k_max - 1) // 2) + 1, 2 * (k_max // 2)
     n = _grid_steps(u_max, h) + 1
     g = 1.0 - chi.panel_values(n - 1, h)
 
@@ -248,10 +243,13 @@ def sandwich(chi: StepFunction, k_max: int, u_max: float, h: float,
         s = solve.result().sigma.samples[:n].real
     lower, upper = kept[k_lo], kept[k_up]
     # np.maximum and np.max propagate NaN, and NaN fails the comparison.
-    worst = float(np.max(np.maximum(lower - s, s - upper)))
+    worst = float(np.maximum(np.max(lower - s), np.max(s - upper)))
     if not worst <= tol:
         raise ContractError(f"envelope violated by {worst:.3e} (slack {tol:.1e})")
-    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper))
+    for row in (lower, upper):  # GridFunction keeps them as they are
+        row.setflags(write=False)
+    return BoundsReport(k_max, GridFunction(h, lower), GridFunction(h, upper),
+                        worst_gap=worst)
 
 
 def complex_bounds(chi: StepFunction, u_max: float, h: float,
@@ -274,27 +272,25 @@ def complex_bounds(chi: StepFunction, u_max: float, h: float,
 
     with ThreadPoolExecutor(1) as pool:
         solved = pool.submit(solves)
-        _, R1, R2 = _powers(1.0 - c.real, h, 2)
-        _, C1, C2 = _powers(np.abs(c.imag), h, 2)
+        moments = [islice(_powers(g, h, 2), 1, None) for g in (1.0 - c.real, np.abs(c.imag))]
+        del c
+        (R1, R2), (C1, C2) = moments
         s, s_hat = solved.result()
 
     lower = 1.0 - R1 - 0.5 * C2
     upper = 1.0 - R1 + 0.5 * (R2 + C2)
-    checks = {
-        "imag part exceeds C1": np.abs(s.imag) - C1,
-        "real-part drift exceeds C2/2": np.abs(s.real - s_hat) - 0.5 * C2,
-        "real part below 1 - R1 - C2/2": lower - s.real,
-        "real part above 1 - R1 + (R2+C2)/2": s.real - upper,
-    }
-    for label, gap in checks.items():
-        worst = float(np.max(gap))
+    worst_gap = -math.inf  # one gap at a time is live
+    for label, gap in (
+            ("imag part exceeds C1", lambda: np.abs(s.imag) - C1),
+            ("real-part drift exceeds C2/2", lambda: np.abs(s.real - s_hat) - 0.5 * C2),
+            ("real part below 1 - R1 - C2/2", lambda: lower - s.real),
+            ("real part above 1 - R1 + (R2+C2)/2", lambda: s.real - upper)):
+        worst = float(np.max(gap()))
         if not worst <= tol:  # NaN fails too
             raise ContractError(f"{label} by {worst:.3e} (slack {tol:.1e})")
-
-    return BoundsReport(
-        2,
-        GridFunction(h, lower),
-        GridFunction(h, upper),
-        r_series=(GridFunction(h, R1), GridFunction(h, R2)),
-        c_series=(GridFunction(h, C1), GridFunction(h, C2)),
-    )
+        worst_gap = max(worst_gap, worst)
+    for row in (lower, upper, R1, R2, C1, C2):  # GridFunction keeps them as they are
+        row.setflags(write=False)
+    return BoundsReport(2, GridFunction(h, lower), GridFunction(h, upper),
+                        (GridFunction(h, R1), GridFunction(h, R2)),
+                        (GridFunction(h, C1), GridFunction(h, C2)), worst_gap)

@@ -128,6 +128,21 @@ class TestStepFunction:
 
 
 class TestGridFunction:
+    def test_keeps_only_a_read_only_array_it_may_own(self):
+        owned = np.arange(4.0)
+        owned.setflags(write=False)
+        assert GridFunction(0.5, owned).samples is owned
+        writable, view = np.arange(4.0), owned[:3]
+        for arr in (writable, view, np.arange(4), np.arange(4, dtype=np.float32)):
+            samples = GridFunction(0.5, arr).samples
+            assert samples is not arr and not samples.flags.writeable
+            assert samples.dtype == np.float64 and np.array_equal(samples, arr)
+        writable[0] = 9.0
+        assert GridFunction(0.5, writable).samples[0] == 9.0
+        kept = GridFunction(0.5, writable)
+        writable[1] = 7.0
+        assert kept.samples[1] == 1.0
+
     def test_u_max_matches_length(self):
         g = GridFunction(0.25, np.arange(5.0))
         assert g.u_max == 1.0 and len(g) == 5

@@ -1,17 +1,17 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from meanspec.acceptance import random_complex_kernel, random_real_kernel
 from meanspec.dde_solver import solve_sigma
 from meanspec import series_bounds
 from meanspec.errors import BudgetError, ContractError, GridError, ValidationError
-from meanspec.kernels import StepFunction, _grid_steps, rho_minus
-from meanspec.series_bounds import (MAX_SERIES_ORDER, _fast_len, _partial_sums, _powers,
+from meanspec.kernels import StepFunction, _grid_steps, _li2, rho_minus
+from meanspec.series_bounds import (MAX_SERIES_ORDER, _partial_sums, _powers,
                                     complex_bounds, iterated_integral, sandwich,
                                     sigma_partial, tail_envelope)
 
@@ -36,73 +36,71 @@ def brute_force_double_integral(u: float, delta: float = 1e-3) -> float:
     return total * delta * delta
 
 
-def direct_powers(g, k: int, u_max: float, h: float) -> np.ndarray:
-    """I_0..I_k for kappa = g(t)/t by the O(n^2) trapezoid double sum.
+def shifted_sum_powers(g, k: int, h: float) -> list:
+    """I_0..I_k for kappa = g(t)/t by a pure-Python loop over every node.
 
-    g is read at panel midpoints; each panel [ph, (p+1)h) contributes the
-    trapezoid of its two inside limits of kappa against F at the panel ends.
+    g holds the panel values.  I_1 is the trapezoid sum over the panels of
+    the inside limits g[p]/(ph) (zero for p = 0) and g[p]/((p+1)h); each
+    later power takes the density j/(ih) sum_m dg_m I_{j-1}[i - m], dg_m the
+    jump of g at node m, and integrates it by the trapezoid rule.
     """
-    n = round(u_max / h) + 1
-    gp = [g((p + 0.5) * h) for p in range(n - 1)]
-    powers = [[1.0] * n]
-    for _ in range(k):
-        F = powers[-1]
-        nxt = [0.0] * n
+    g = list(g)
+    n = len(g) + 1
+    jumps = [(m, g[m] - (g[m - 1] if m else 0.0)) for m in range(n - 1)
+             if g[m] != (g[m - 1] if m else 0.0)]
+    powers = [[1.0] * n, [0.0] * n]
+    for i in range(1, n):
+        p = i - 1
+        left = g[p] / (p * h) if p else 0.0
+        powers[1][i] = powers[1][i - 1] + 0.5 * h * (left + g[p] / ((p + 1) * h))
+    for j in range(2, k + 1):
+        prev = powers[-1]
+        dens = [0.0] + [j / (i * h) * sum(d * prev[i - m] for m, d in jumps if m <= i)
+                        for i in range(1, n)]
+        cur = [0.0] * n
         for i in range(1, n):
-            acc = 0.0
-            for p in range(i):
-                if p:
-                    acc += gp[p] / (p * h) * F[i - p]
-                acc += gp[p] / ((p + 1) * h) * F[i - p - 1]
-            nxt[i] = 0.5 * h * acc
-        powers.append(nxt)
-    return np.array(powers)
+            cur[i] = cur[i - 1] + 0.5 * h * (dens[i - 1] + dens[i])
+        powers.append(cur)
+    return [np.array(p) for p in powers[:k + 1]]
 
 
-def linear_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) terms of the linear convolution a * b, by a 2n-point FFT."""
-    size = 2 * len(a)
-    out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:len(a)]
-    return out if np.iscomplexobj(a) or np.iscomplexobj(b) else out.real
+def midpoint_panels(f, u_max: float, h: float) -> list:
+    """f read at the panel midpoints of the grid on [0, u_max]."""
+    return [f((p + 0.5) * h) for p in range(round(u_max / h))]
 
 
-def trapezoid_convolution(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """Composite trapezoid (f*g)(u) = int_0^u f(t) g(u-t) dt on a shared grid."""
-    return h * (linear_convolution(f, g) - 0.5 * f[0] * g - 0.5 * g[0] * f)
+def assert_close_to_loop(powers, ref):
+    """Each power within 1e-14 of the largest value of the loop's power."""
+    count = 0
+    for got, want in zip(powers, ref):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        count += 1
+    assert count == len(ref)
 
 
-def panel_convolution(left: np.ndarray, right: np.ndarray, F: np.ndarray,
-                      h: float) -> np.ndarray:
-    """Trapezoid rule for F -> int_0^{u_i} k(t) F(u_i - t) dt on len(F) nodes.
-
-    left[j] and right[j] are the limits of the kernel k at the left and
-    right end of panel [jh, (j+1)h), taken from inside the panel.
-    """
-    w = np.zeros(len(F), dtype=np.result_type(left, right))
-    w[:-1] = left
-    w[1:] += right
-    conv = linear_convolution(F, w)
-    conv[:-1] -= left * F[0]
-    out = 0.5 * h * conv
-    out[0] = 0
+def running_integral(F: np.ndarray, h: float) -> np.ndarray:
+    """Composite trapezoid int_0^u F on the grid of F."""
+    out = np.zeros_like(F)
+    out[1:] = np.cumsum(0.5 * h * (F[1:] + F[:-1]))
     return out
 
 
-def full_window_powers(g: np.ndarray, k: int, h: float) -> np.ndarray:
-    """I_0..I_k for kappa = g/t by full-window FFT convolutions on all n nodes.
+def step_convolution(g: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid rule for F -> int_0^{u_i} g(t) F(u_i - t) dt on len(F) nodes:
+    sum_{p < i} (h/2) g[p] (F[i-p] + F[i-p-1]), g the panel values.
 
-    g holds the n - 1 panel values of the numerator; every power convolves
-    the whole previous power with the whole folded kernel, with no use of
-    the supports.
+    Each run [a, b) of equal panel values adds its value times two window
+    sums of F, read off the prefix sums P[q] = F[0] + ... + F[q-1].
     """
-    n = len(g) + 1
-    t = h * np.arange(n - 1)
-    left = np.zeros_like(g)
-    left[1:] = g[1:] / t[1:]
-    powers = [np.ones(n, dtype=g.dtype)]
-    for _ in range(k):
-        powers.append(panel_convolution(left, g / (t + h), powers[-1], h))
-    return np.array(powers)
+    n = len(F)
+    P = np.concatenate(([0.0], np.cumsum(F)))
+    out = np.zeros(n, dtype=np.result_type(g, F))
+    edges = [0] + [p for p in range(1, len(g)) if g[p] != g[p - 1]] + [len(g)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        i = np.arange(a + 1, n)
+        e = np.minimum(b, i)
+        out[a + 1:] += 0.5 * h * g[a] * (P[i - a + 1] - P[i - e + 1] + P[i - a] - P[i - e])
+    return out
 
 
 class TestIteratedIntegral:
@@ -121,6 +119,16 @@ class TestIteratedIntegral:
         I2 = iterated_integral(CHI_MINUS, 2, 3.0, 1e-4)
         assert abs(I2.value_at(3.0) - oracle) <= 1e-4
 
+    @pytest.mark.parametrize("h", [1e-3, 5e-4, 2.5e-4])
+    def test_second_order_closed_form(self, h):
+        # kappa = 2/t past 1, so for u >= 2, I_2(u) = 4 int_1^{u-1} log(u - t)/t dt
+        # = 4 (log u log(u - 1) - Li2(1 - 1/u) + Li2(1/u)); the engine is O(h^2).
+        I2 = iterated_integral(CHI_MINUS, 2, 8.0, h)
+        first = round(2.0 / h)
+        u = I2.u[first:]
+        exact = 4.0 * (np.log(u) * np.log(u - 1.0) - _li2(1.0 - 1.0 / u) + _li2(1.0 / u))
+        assert np.max(np.abs(I2.samples[first:] - exact)) <= 0.5 * h * h
+
     def test_nonnegative_for_real_kernels(self, rng):
         for _ in range(5):
             k = random_real_kernel(rng, 1e-3, 4.0, 4)
@@ -136,7 +144,6 @@ class TestRecurrence:
     @staticmethod
     def _residual(chi, j_max, u_max, h):
         n = round(u_max / h) + 1
-        ones = np.ones(n)
         g = 1.0 - chi.panel_values(n - 1, h)
         cur = np.ones(n)
         worst = 0.0
@@ -144,8 +151,7 @@ class TestRecurrence:
             prev = cur
             cur = iterated_integral(chi, j, u_max, h).samples
             lhs = (h * np.arange(n)) * cur
-            rhs = (trapezoid_convolution(ones, cur, h)
-                   + j * panel_convolution(g, g, prev, h))
+            rhs = running_integral(cur, h) + j * step_convolution(g, prev, h)
             worst = max(worst, float(np.max(
                 np.abs(lhs - rhs) / np.maximum(h * np.arange(n), 1.0))))
         return worst
@@ -164,18 +170,19 @@ class TestEngine:
 
     @pytest.mark.parametrize("chi", [CHI_REAL, CHI_COMPLEX], ids=["real", "complex"])
     def test_powers_match_direct_sum(self, chi):
-        ref = direct_powers(lambda t: 1.0 - chi(t), 5, self.U, self.H)
-        for j in range(6):
-            got = iterated_integral(chi, j, self.U, self.H).samples
-            assert np.max(np.abs(got - ref[j])) <= 1e-12
+        ref = shifted_sum_powers(midpoint_panels(lambda t: 1.0 - chi(t), self.U, self.H),
+                                 5, self.H)
+        assert_close_to_loop((iterated_integral(chi, j, self.U, self.H).samples
+                              for j in range(6)), ref)
 
     @pytest.mark.parametrize("transform", [lambda z: 1.0 - z.real, lambda z: abs(z.imag)],
                              ids=["one_minus_re", "abs_im"])
     def test_complex_moment_kernels_match_direct_sum(self, transform):
         n = round(self.U / self.H) + 1
         got = _powers(transform(CHI_COMPLEX.panel_values(n - 1, self.H)), self.H, 5)
-        ref = direct_powers(lambda t: transform(CHI_COMPLEX(t)), 5, self.U, self.H)
-        assert np.max(np.abs(np.array(list(got)) - ref)) <= 1e-12
+        ref = shifted_sum_powers(midpoint_panels(lambda t: transform(CHI_COMPLEX(t)),
+                                                 self.U, self.H), 5, self.H)
+        assert_close_to_loop(got, ref)
 
     def test_skipped_powers_are_exact_zeros(self):
         # kappa starts at panel p0 = 1000 and n - 1 = 3000, so I_3 is skipped.
@@ -193,24 +200,23 @@ class TestEngine:
     def test_support_cases_match_direct_sum(self, chi, u_max):
         # p0 = 1.5/h; p0 = n - 1 (every power past I_0 is zero); and
         # j*p0 >= n - 1 for every j >= 2 (only I_1 is nonzero).
-        ref = direct_powers(lambda t: 1.0 - chi(t), 4, u_max, self.H)
-        for j in range(5):
-            got = iterated_integral(chi, j, u_max, self.H).samples
-            assert np.max(np.abs(got - ref[j])) <= 1e-12
+        ref = shifted_sum_powers(midpoint_panels(lambda t: 1.0 - chi(t), u_max, self.H),
+                                 4, self.H)
+        assert_close_to_loop((iterated_integral(chi, j, u_max, self.H).samples
+                              for j in range(5)), ref)
 
     @pytest.mark.parametrize("chi", [
         CHI_MINUS, StepFunction((1.5,), (1.0,), -1.0), CHI_REAL, CHI_COMPLEX,
         StepFunction((1.0, 2.2), (1.0, 0.5 - 0.5j), -0.3 + 0.9j),
     ])
-    def test_powers_match_full_window_fft(self, chi):
-        h, n = 1e-3, 8001
+    def test_powers_match_shifted_sum_loop(self, chi):
+        # Twelve powers on 801 nodes, each read as it is yielded: a power
+        # holds its values only until the engine resumes twice.
+        h, n = 1e-2, 801
         g = 1.0 - chi.panel_values(n - 1, h)
         if chi.is_real:
             g = g.real
-        got = np.array(list(_powers(g, h, 12)))
-        ref = full_window_powers(g, 12, h)
-        # I_1's running sum rounds sequentially: about 1e-14 of the largest power.
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert_close_to_loop(_powers(g, h, 12), shifted_sum_powers(g, 12, h))
 
     @pytest.mark.parametrize("chi, p0", [
         (CHI_MINUS, 1000), (StepFunction((1.5,), (1.0,), -1.0), 1500),
@@ -254,46 +260,38 @@ class TestEngine:
         for j, power in enumerate(_powers(g, h, 12)):
             ref.append(power if j == 0 else
                        ref[-1] + ((-1) ** j / math.factorial(j)) * power)
-        got = list(_partial_sums(g, h, 12))
-        assert len(got) == len(ref) == 13
-        for a, b in zip(got, ref):
+        # Each total is read as it is yielded: it holds its values only
+        # until the generator resumes twice.
+        count = 0
+        for a, b in zip(_partial_sums(g, h, 12), ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            count += 1
+        assert count == len(ref) == 13
 
-    @pytest.mark.parametrize("chi, p0", [
-        (StepFunction((1.0, 3.2), (1.0, -0.4), 0.7), 1000),
-        (StepFunction((1.5,), (1.0,), -1.0), 1500),
-    ])
-    def test_sandwich_fft_calls(self, monkeypatch, chi, p0):
-        # I_1 is a running sum; each I_j with j >= 2 and m = n - 1 - j*p0 > 0
-        # nodes to fill takes two forward numpy.fft transforms and one
-        # inverse, all of length _fast_len(2m - 1).
+    @pytest.mark.parametrize("g", [np.full(400, 0.5), np.repeat([0.5, -0.2, 0.9], [90, 130, 180]),
+                                   np.where(np.arange(400) % 150 < 60, 1j, 0.3)],
+                             ids=["constant", "steps", "complex"])
+    def test_first_panel_nonzero_matches_the_loop(self, g):
+        # p0 = 0: the engine's left limit on the first panel is 0, as the loop's.
+        assert_close_to_loop(_powers(g, 1e-2, 6), shifted_sum_powers(g, 6, 1e-2))
+
+    @pytest.mark.parametrize("call", [
+        lambda: sandwich(StepFunction((1.0, 3.2), (1.0, -0.4), 0.7), 12, 8.0, 1e-3),
+        lambda: complex_bounds(CHI_COMPLEX, 8.0, 1e-3),
+        lambda: iterated_integral(StepFunction((1.0, 2.2), (1.0, 0.5 - 0.5j), 0.9j),
+                                  7, 8.0, 1e-3),
+    ], ids=["sandwich", "complex_bounds", "iterated_integral"])
+    def test_no_numpy_fft_runs(self, monkeypatch, call):
         calls = []
 
-        def counting(fn):
-            def wrapper(x, n=None, *args, **kwargs):
-                calls.append((fn.__name__, n))
-                return fn(x, n, *args, **kwargs)
-            return wrapper
+        def recording(name):
+            return lambda *args, **kwargs: calls.append(name)
 
-        for name in ("rfft", "irfft", "fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-        sandwich(chi, 12, 8.0, 1e-3)
-        sizes = [_fast_len(2 * (8000 - j * p0) - 1) for j in range(2, 13) if j * p0 < 8000]
-        assert calls == [(name, size) for size in sizes for name in ("rfft", "rfft", "irfft")]
-
-
-class TestFastLen:
-    def test_against_brute_force_5_smooth_search(self):
-        smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(19) for b in range(12)
-                        for c in range(9) if 2 ** a * 3 ** b * 5 ** c <= 1 << 18)
-        n = np.arange(1, 200001)
-        want = np.asarray(smooth)[np.searchsorted(smooth, n)]
-        assert [_fast_len(int(k)) for k in n] == want.tolist()
-
-    def test_against_scipy_next_fast_len(self, rng):
-        sample = list(range(1, 2000)) + rng.integers(2000, 10 ** 7, 2000).tolist()
-        for n in sample:
-            assert _fast_len(n) == scipy.fft.next_fast_len(n, True), n
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, recording(name))
+        call()
+        assert calls == []
 
 
 class TestSigmaPartial:
@@ -377,6 +375,14 @@ class TestSandwich:
         with pytest.raises(ValidationError):
             sandwich(StepFunction((1.0,), (1.0,), 1j), 4, 3.0, 1e-3)
 
+    @pytest.mark.parametrize("k_max", [3, 12])
+    def test_worst_gap_is_the_checked_margin(self, k_max):
+        rep = sandwich(CHI_REAL, k_max, 8.0, 1e-3)
+        s = solve_sigma(CHI_REAL, 8.0, 1e-3).sigma.samples.real
+        want = max(np.max(rep.lower.samples - s), np.max(s - rep.upper.samples))
+        assert rep.worst_gap == want
+        assert "worst_gap" not in rep.to_json_dict()
+
     @pytest.mark.parametrize("u_max, h", [(math.nan, 1e-3), (math.inf, 1e-3),
                                           (4.0, math.nan), (4.0, math.inf)])
     def test_non_finite_grid_rejected(self, u_max, h):
@@ -456,6 +462,23 @@ class TestComplexBounds:
             assert np.min(np.diff(R1)) >= -1e-12
             assert np.max(R2 - R1 ** 2) <= 1e-9
             assert np.max(C2 - C1 ** 2) <= 1e-9
+
+    def test_worst_gap_is_the_checked_margin(self):
+        rep = complex_bounds(CHI_COMPLEX, 8.0, 1e-3)
+        s = solve_sigma(CHI_COMPLEX, 8.0, 1e-3).sigma.samples
+        chi_hat = StepFunction(CHI_COMPLEX.breaks, tuple(v.real for v in CHI_COMPLEX.values),
+                               CHI_COMPLEX.tail.real)
+        s_hat = solve_sigma(chi_hat, 8.0, 1e-3).sigma.samples.real
+        lower, upper = rep.lower.samples, rep.upper.samples
+        C1, C2 = (g.samples for g in rep.c_series)
+        want = max(np.max(np.abs(s.imag) - C1), np.max(np.abs(s.real - s_hat) - 0.5 * C2),
+                   np.max(lower - s.real), np.max(s.real - upper))
+        assert rep.worst_gap == want
+        assert "worst_gap" not in rep.to_json_dict()
+
+    def test_unchecked_report_has_no_gap(self):
+        lower = tail_envelope(2, 2.0, 1e-2)
+        assert series_bounds.BoundsReport(2, lower, lower).worst_gap == -math.inf
 
     def test_violation_is_reported(self):
         # A negative slack cannot be met (the checks are tight at u <= 1),
@@ -687,3 +710,22 @@ class TestLazyTail:
         assert rep.r_series == (lower,) and rep.c_series == (lower,)
         with pytest.raises(TypeError):
             series_bounds.BoundsReport(2, lower, lower, tail_bound=lower)
+
+
+class TestPeakMemory:
+    """The envelopes' peak allocation, as tracemalloc counts it (the worker
+    thread included), stays within the README's bytes per grid node: 400,001
+    nodes, the README's chi.json and chi_complex.json kernels."""
+
+    @pytest.mark.parametrize("call, per_node", [
+        (lambda: sandwich(CHI_MINUS, 12, 40.0, 1e-4), 100),
+        (lambda: complex_bounds(CHI_COMPLEX, 40.0, 1e-4), 130),
+    ], ids=["sandwich", "complex_bounds"])
+    def test_peak_bytes_per_node(self, call, per_node):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_node * 400001
